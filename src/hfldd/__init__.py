@@ -10,7 +10,6 @@ from .datagen import (
     make_probe_dataset,
     partition_label_skew,
     split_train_test,
-    synth_gaussian_classes,
 )
 from .distill import DistilledSet, KipConfig, distill, kip_gradient, kip_loss
 from .errors import (
@@ -49,7 +48,7 @@ from .metrics import (
     ledger_audit,
 )
 from .model import MlpModel, SgdConfig, backward, forward, init_mlp, local_train, sgd_step, soft_labels
-from .numkernel import SeededRng, matmul, rbf_gamma, rbf_kernel, ridge_solve
+from .numkernel import SeededRng, rbf_gamma, rbf_kernel, ridge_solve
 from .topology import (
     ClusterTopology,
     SimilarityMatrix,

@@ -18,7 +18,7 @@ import subprocess
 import sys
 from dataclasses import dataclass
 
-from . import __version__
+from . import __version__, streams
 from .datagen import (
     PartitionSpec,
     class_means,
@@ -48,14 +48,6 @@ MANIFEST_SCHEMA = "hfldd-run-manifest-v1"
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
-
-# Stream blocks for dataset construction (training streams live in fltrain).
-_S_MEANS = 10 << 48
-_S_POOL = 11 << 48
-_S_SPLIT = 12 << 48
-_S_SHIFT = 13 << 48
-_S_PROBE_POOL = 14 << 48
-_S_PROBE = 15 << 48
 
 
 def _parse_int(v: str) -> int:
@@ -158,7 +150,7 @@ def _read_config_file(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as f:
             parser.read_file(f)
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
     except configparser.Error as e:
         raise ConfigError(f"cannot parse config {path}: {e}") from e
@@ -271,35 +263,43 @@ def load_manifest(path: str) -> ExperimentConfig:
             doc = json.load(f)
     except OSError as e:
         raise ManifestError(f"cannot read manifest {path}: {e}") from e
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # bad JSON or bad UTF-8
         raise ManifestError(f"manifest {path} is not valid JSON: {e}") from e
+    if not isinstance(doc, dict):
+        raise ManifestError(f"manifest {path} is not a JSON object")
     if doc.get("schema") != MANIFEST_SCHEMA:
         raise ManifestError(f"manifest {path} has schema {doc.get('schema')!r}")
     config = doc.get("config")
     if not isinstance(config, dict):
         raise ManifestError(f"manifest {path} is missing its config echo")
+    for section, keys in config.items():
+        if not (isinstance(keys, dict) and all(isinstance(v, str) for v in keys.values())):
+            raise ManifestError(f"manifest {path}: config section {section!r} is not all strings")
     return _experiment_from_echo(_normalize(config))
 
 
 def _build_problem(xc: ExperimentConfig):
     """Materialize (clients, probe, test) from the data section."""
     d = xc.data
-    seed = xc.seed
+
+    def rng(stream: int) -> SeededRng:
+        return SeededRng(xc.seed, stream)
+
     if d["kind"] == "synthetic":
-        means = class_means(d["classes"], d["dim"], d["separation"], SeededRng(seed, _S_MEANS))
-        pool = sample_classes(means, d["per_class"], SeededRng(seed, _S_POOL))
-        train_pool, test = split_train_test(pool, d["test_fraction"], SeededRng(seed, _S_SPLIT))
+        means = class_means(d["classes"], d["dim"], d["separation"], rng(streams.MEANS))
+        pool = sample_classes(means, d["per_class"], rng(streams.POOL))
+        train_pool, test = split_train_test(pool, d["test_fraction"], rng(streams.SPLIT))
         if d["probe_shift"] > 0:
-            probe_means = shift_means(means, d["probe_shift"], SeededRng(seed, _S_SHIFT))
+            probe_means = shift_means(means, d["probe_shift"], rng(streams.SHIFT))
         else:
             probe_means = means
         per_class_probe = max(1, math.ceil(d["probe_size"] / d["classes"]))
-        probe_pool = sample_classes(probe_means, per_class_probe, SeededRng(seed, _S_PROBE_POOL))
-        probe = make_probe_dataset(probe_pool, d["probe_size"], SeededRng(seed, _S_PROBE))
+        probe_pool = sample_classes(probe_means, per_class_probe, rng(streams.PROBE_POOL))
+        probe = make_probe_dataset(probe_pool, d["probe_size"], rng(streams.PROBE))
     else:
         full = load_idx(d["images"], d["labels"])
-        train_pool, test = split_train_test(full, d["test_fraction"], SeededRng(seed, _S_SPLIT))
-        probe = make_probe_dataset(train_pool, d["probe_size"], SeededRng(seed, _S_PROBE))
+        train_pool, test = split_train_test(full, d["test_fraction"], rng(streams.SPLIT))
+        probe = make_probe_dataset(train_pool, d["probe_size"], rng(streams.PROBE))
     parts = partition_label_skew(train_pool, xc.partition)
     clients = [ClientState(i, part) for i, part in enumerate(parts)]
     return clients, probe, test
@@ -422,19 +422,26 @@ def _load_run_dir(run_dir: str):
     for path in (manifest_path, metrics_path):
         if not os.path.isfile(path):
             raise ManifestError(f"run directory {run_dir} is missing {os.path.basename(path)}")
-    with open(manifest_path, "r", encoding="utf-8") as f:
-        try:
+    try:
+        with open(manifest_path, "r", encoding="utf-8") as f:
             manifest = json.load(f)
-        except json.JSONDecodeError as e:
-            raise ManifestError(f"run directory {run_dir} has a bad manifest: {e}") from e
+        with open(metrics_path, "r", encoding="utf-8") as f:
+            lines = [line.strip() for line in f]
+    except (OSError, ValueError) as e:  # unreadable, bad UTF-8 or bad JSON
+        raise ManifestError(f"run directory {run_dir} cannot be read: {e}") from e
+    if not isinstance(manifest, dict):
+        raise ManifestError(f"run directory {run_dir} has a manifest that is not a JSON object")
+    if lines[:1] != ["round,accuracy,loss,cumulative_bits"]:
+        raise ManifestError(f"run directory {run_dir} has an unrecognized metrics header")
     rows = []
-    with open(metrics_path, "r", encoding="utf-8") as f:
-        header = f.readline().strip()
-        if header != "round,accuracy,loss,cumulative_bits":
-            raise ManifestError(f"run directory {run_dir} has an unrecognized metrics header")
-        for line in f:
-            r, acc, loss, bits = line.strip().split(",")
+    for line in lines[1:]:
+        try:
+            r, acc, loss, bits = line.split(",")
             rows.append((int(r), float(acc), float(loss), int(bits)))
+        except ValueError as e:
+            raise ManifestError(
+                f"run directory {run_dir} has a bad metrics row {line!r}: {e}"
+            ) from e
     if not rows:
         raise ManifestError(f"run directory {run_dir} has no metric rows")
     return manifest, rows
@@ -473,12 +480,16 @@ def cmd_compare(args) -> int:
         print(f"{run_dir},{algo},{rounds},{bits},{bits_to_megabytes(bits):.4f},{ratio}")
 
     curves_path = args.curves_out or os.path.join(args.run_dirs[0], "compare_curves.csv")
-    with open(curves_path, "w", encoding="utf-8") as f:
-        f.write("run,algorithm,round,accuracy,loss,cumulative_bits\n")
-        for run_dir, manifest, rows in runs:
-            algo = manifest.get("algorithm", "?")
-            for r, acc, loss, bits in rows:
-                f.write(f"{run_dir},{algo},{r},{acc!r},{loss!r},{bits}\n")
+    try:
+        with open(curves_path, "w", encoding="utf-8") as f:
+            f.write("run,algorithm,round,accuracy,loss,cumulative_bits\n")
+            for run_dir, manifest, rows in runs:
+                algo = manifest.get("algorithm", "?")
+                for r, acc, loss, bits in rows:
+                    f.write(f"{run_dir},{algo},{r},{acc!r},{loss!r},{bits}\n")
+    except OSError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_RUNTIME
     print(f"curves written to {curves_path}")
     return EXIT_OK
 
@@ -537,7 +548,7 @@ def cmd_cost(args) -> int:
             with open(args.from_json, "r", encoding="utf-8") as f:
                 doc = json.load(f)
             inputs = doc["inputs"]
-        except (OSError, json.JSONDecodeError, KeyError) as e:
+        except (OSError, ValueError, KeyError, TypeError) as e:
             print(f"error: cannot load cost parameters: {e}", file=sys.stderr)
             return EXIT_CONFIG
     else:
@@ -556,8 +567,12 @@ def cmd_cost(args) -> int:
     print(table)
     if args.json:
         doc = {"inputs": inputs, "results": results}
-        with open(args.json, "w", encoding="utf-8") as f:
-            f.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        try:
+            with open(args.json, "w", encoding="utf-8") as f:
+                f.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        except OSError as e:
+            print(f"error: {e}", file=sys.stderr)
+            return EXIT_RUNTIME
     return EXIT_OK
 
 

@@ -14,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import streams
 from .errors import CapacityError, DomainError, FormatError, ShapeError
 from .numkernel import SeededRng, as_matrix
-
-_STREAM_PARTITION = 8 << 48
 
 _IDX_IMAGES_MAGIC = 0x00000803
 _IDX_LABELS_MAGIC = 0x00000801
@@ -117,12 +116,7 @@ def class_means(n_classes: int, dim: int, separation: float, rng: SeededRng) -> 
         raise DomainError("n_classes and dim must be >= 1")
     if separation <= 0:
         raise DomainError(f"separation must be positive, got {separation}")
-    gen = rng.generator()
-    return _draw_means(gen, n_classes, dim, separation)
-
-
-def _draw_means(gen, n_classes, dim, separation):
-    directions = gen.standard_normal((n_classes, dim))
+    directions = rng.generator().standard_normal((n_classes, dim))
     norms = np.linalg.norm(directions, axis=1, keepdims=True)
     norms[norms == 0.0] = 1.0
     return separation * directions / norms
@@ -148,10 +142,6 @@ def sample_classes(means, per_class: int, rng: SeededRng) -> LabeledDataset:
     if per_class < 1:
         raise DomainError(f"per_class must be >= 1, got {per_class}")
     gen = rng.generator()
-    return _sample_from(gen, means, per_class)
-
-
-def _sample_from(gen, means, per_class):
     n_classes, dim = means.shape
     features = np.empty((n_classes * per_class, dim))
     labels = np.zeros((n_classes * per_class, n_classes))
@@ -160,19 +150,6 @@ def _sample_from(gen, means, per_class):
         features[block] = means[c] + gen.standard_normal((per_class, dim))
         labels[block, c] = 1.0
     return LabeledDataset(features, labels, n_classes)
-
-
-def synth_gaussian_classes(
-    n_classes: int, per_class: int, dim: int, separation: float, rng: SeededRng
-) -> LabeledDataset:
-    """Isotropic Gaussian clusters with exact per-class counts."""
-    if n_classes < 1 or per_class < 1 or dim < 1:
-        raise DomainError("all counts must be >= 1")
-    if separation <= 0:
-        raise DomainError(f"separation must be positive, got {separation}")
-    gen = rng.generator()
-    means = _draw_means(gen, n_classes, dim, separation)
-    return _sample_from(gen, means, per_class)
 
 
 def partition_label_skew(d: LabeledDataset, spec: PartitionSpec) -> list[LabeledDataset]:
@@ -189,7 +166,7 @@ def partition_label_skew(d: LabeledDataset, spec: PartitionSpec) -> list[Labeled
             f"spec.total_classes {spec.total_classes} != dataset class_count {d.class_count}"
         )
     n, c, n_c = spec.n_clients, spec.classes_per_client, spec.total_classes
-    gen = SeededRng(spec.seed, _STREAM_PARTITION).generator()
+    gen = SeededRng(spec.seed, streams.PARTITION).generator()
     order = gen.permutation(n)
     pools = []
     labels = d.label_indices()
@@ -280,13 +257,3 @@ def load_idx(images_path, labels_path) -> LabeledDataset:
     indices = np.frombuffer(raw_labels, dtype=np.uint8)
     class_count = int(indices.max()) + 1 if n else 1
     return LabeledDataset(features.astype(np.float64), one_hot(indices, class_count), class_count)
-
-
-def dataset_to_csv(d: LabeledDataset, path) -> None:
-    """Write features plus argmax label column; header f0..fd-1, label."""
-    header = ",".join(f"f{i}" for i in range(d.dim())) + ",label"
-    labels = d.label_indices()
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(header + "\n")
-        for row, lab in zip(d.features, labels):
-            f.write(",".join("%.17g" % v for v in row) + f",{int(lab)}\n")

@@ -13,11 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import streams
 from .datagen import LabeledDataset, one_hot
-from .errors import CapacityError, DomainError, EmptyInputError, FormatError
+from .errors import CapacityError, DomainError, EmptyInputError
 from .numkernel import SeededRng, as_matrix, rbf_kernel, ridge_solve
-
-_STREAM_DISTILL_DEFAULT = 5 << 48
 
 LOSS_TRACE_EVERY = 100
 
@@ -142,7 +141,7 @@ def distill(
             f"support size {cfg.support_size} exceeds dataset rows {d.n_rows()}"
         )
     if rng is None:
-        rng = SeededRng(cfg.seed, _STREAM_DISTILL_DEFAULT)
+        rng = SeededRng(cfg.seed, streams.DISTILL)
     gen = rng.generator()
 
     labels = d.label_indices()
@@ -173,35 +172,3 @@ def distill(
             kip_loss(support_x, support_y, d.features, d.labels, cfg.ridge_lambda, gamma)
         )
     return DistilledSet(support_x, support_y, trace[-1], tuple(trace))
-
-
-def distilled_to_csv(ds: DistilledSet, path) -> None:
-    """Write support rows as f0..fd-1, y0..yK-1 with round-trip-exact decimals."""
-    dim = ds.support_x.shape[1]
-    n_classes = ds.support_y.shape[1]
-    header = ",".join(f"f{i}" for i in range(dim))
-    header += "," + ",".join(f"y{i}" for i in range(n_classes))
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(header + "\n")
-        for xrow, yrow in zip(ds.support_x, ds.support_y):
-            vals = ["%.17g" % v for v in xrow] + ["%.17g" % v for v in yrow]
-            f.write(",".join(vals) + "\n")
-
-
-def distilled_from_csv(path) -> DistilledSet:
-    """Read a support set written by distilled_to_csv (loss fields are not stored)."""
-    with open(path, "r", encoding="utf-8") as f:
-        header = f.readline().strip()
-        cols = header.split(",")
-        dim = sum(1 for c in cols if c.startswith("f"))
-        n_classes = len(cols) - dim
-        if dim < 1 or n_classes < 1:
-            raise FormatError(f"unrecognized header: {header}")
-        xs, ys = [], []
-        for line in f:
-            parts = line.strip().split(",")
-            if len(parts) != dim + n_classes:
-                raise FormatError(f"row has {len(parts)} fields, expected {dim + n_classes}")
-            xs.append([float(v) for v in parts[:dim]])
-            ys.append([float(v) for v in parts[dim:]])
-    return DistilledSet(np.array(xs), np.array(ys), float("nan"))

@@ -2,10 +2,11 @@
 FedAvg, FedProx, and FedSeq-lite baselines.
 
 Every source of randomness is a distinct stream derived from the one run
-seed, keyed by role, round, and client id. Shared keys across algorithms are
-deliberate: the head-training phase of the pipeline consumes exactly the
-streams a plain parallel run over the same clients would, which makes the
-reduction relationships between algorithms testable bit-for-bit.
+seed, keyed by role, round, and client id (the layout is in `streams`).
+Shared keys across algorithms are deliberate: the head-training phase of the
+pipeline consumes exactly the streams a plain parallel run over the same
+clients would, which makes the reduction relationships between algorithms
+testable bit-for-bit.
 """
 
 from __future__ import annotations
@@ -14,8 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import streams
 from .datagen import LabeledDataset
-from .distill import DistilledSet, KipConfig, distill
+from .distill import KipConfig, distill
 from .errors import (
     CapacityError,
     DomainError,
@@ -47,22 +49,6 @@ from .topology import ClusterTopology, build_topology
 ALGORITHMS = ("hfldd", "fedavg", "fedprox", "fedseq")
 
 DEFAULT_HIDDEN = (64, 64)
-
-# Stream-id layout: one 2^48 block per role keeps every generator independent.
-_STREAM_INIT = 0
-_STREAM_PRETRAIN = 1 << 48
-_STREAM_KMEANS = 2 << 48
-_STREAM_SAMPLING = 3 << 48
-_STREAM_HEADS = 4 << 48
-_STREAM_DISTILL = 5 << 48
-_STREAM_TRAIN = 6 << 48
-_STREAM_SEQ_PARTITION = 7 << 48
-
-_MAX_ID = 1 << 24
-
-
-def _train_stream(round_index: int, client_id: int) -> int:
-    return _STREAM_TRAIN | (round_index << 24) | client_id
 
 
 def pass_steps(n_rows: int, batch_size: int, passes: int) -> int:
@@ -97,8 +83,8 @@ class RunConfig:
     hidden_sizes: tuple[int, ...] = DEFAULT_HIDDEN
 
     def __post_init__(self):
-        if self.rounds < 1:
-            raise DomainError(f"rounds must be >= 1, got {self.rounds}")
+        if not 1 <= self.rounds < streams.MAX_ID:
+            raise DomainError(f"rounds must be in [1, {streams.MAX_ID}), got {self.rounds}")
         if self.local_steps < 1:
             raise DomainError(f"local_steps must be >= 1, got {self.local_steps}")
         if self.pretrain_steps < 0:
@@ -117,12 +103,10 @@ class RunConfig:
 class ClientState:
     client_id: int
     data: LabeledDataset
-    distilled: DistilledSet | None = None
-    role: str = "member"
 
     def __post_init__(self):
-        if not 0 <= self.client_id < _MAX_ID:
-            raise DomainError(f"client_id must be in [0, {_MAX_ID}), got {self.client_id}")
+        if not 0 <= self.client_id < streams.MAX_ID:
+            raise DomainError(f"client_id must be in [0, {streams.MAX_ID}), got {self.client_id}")
 
 
 @dataclass(frozen=True)
@@ -147,7 +131,7 @@ class RunResult:
 
 def initial_model(cfg: RunConfig, dim: int, class_count: int) -> MlpModel:
     """The shared starting model every algorithm derives from the run seed."""
-    return init_mlp((dim, *cfg.hidden_sizes, class_count), SeededRng(cfg.seed, _STREAM_INIT))
+    return init_mlp((dim, *cfg.hidden_sizes, class_count), SeededRng(cfg.seed, streams.INIT))
 
 
 def aggregate(models, weights) -> MlpModel:
@@ -260,7 +244,7 @@ def _parallel_rounds(
                 ledger.record(t, "server", f"client-{c.client_id}", PAYLOAD_MODEL, bits)
         local_models = []
         for c in clients:
-            rng = SeededRng(cfg.seed, _train_stream(t, c.client_id))
+            rng = SeededRng(cfg.seed, streams.train(t, c.client_id))
             sgd = sgd_for[c.client_id]
             if prox_mu > 0:
                 trained = _prox_local_train(model, c.data, sgd, rng, prox_mu, model)
@@ -358,7 +342,7 @@ def run_fedseq_lite(
     all_weights = [c.data.n_rows() for c in clients]
     out = []
     for t in range(1, cfg.rounds + 1):
-        perm = SeededRng(cfg.seed, _STREAM_SEQ_PARTITION | t).generator().permutation(n)
+        perm = SeededRng(cfg.seed, streams.SEQ_PARTITION | t).generator().permutation(n)
         cluster_models = []
         cluster_weights = []
         for o in range(cluster_count):
@@ -371,7 +355,7 @@ def run_fedseq_lite(
                 ledger.record(t, holder, f"client-{c.client_id}", PAYLOAD_MODEL, bits)
                 holder = f"client-{c.client_id}"
                 m = local_train(
-                    m, c.data, sgd_for[c.client_id], SeededRng(cfg.seed, _train_stream(t, c.client_id))
+                    m, c.data, sgd_for[c.client_id], SeededRng(cfg.seed, streams.train(t, c.client_id))
                 )
             ledger.record(t, holder, "server", PAYLOAD_MODEL, bits)
             cluster_models.append(m)
@@ -433,7 +417,7 @@ def run_hfldd(
                 cfg.pretrain_batch,
                 pass_steps(c.data.n_rows(), cfg.pretrain_batch, cfg.pretrain_steps),
             )
-            pre = local_train(model0, c.data, pre_sgd, SeededRng(cfg.seed, _STREAM_PRETRAIN + c.client_id))
+            pre = local_train(model0, c.data, pre_sgd, SeededRng(cfg.seed, streams.PRETRAIN + c.client_id))
             soft.append(soft_labels(pre, probe))
             ledger.record(0, f"client-{c.client_id}", "server", PAYLOAD_SOFT_LABELS, soft_bits)
     except Exception as e:
@@ -445,9 +429,9 @@ def run_hfldd(
         topo_by_pos = build_topology(
             soft,
             k,
-            SeededRng(cfg.seed, _STREAM_KMEANS),
-            SeededRng(cfg.seed, _STREAM_SAMPLING),
-            SeededRng(cfg.seed, _STREAM_HEADS),
+            SeededRng(cfg.seed, streams.KMEANS),
+            SeededRng(cfg.seed, streams.SAMPLING),
+            SeededRng(cfg.seed, streams.HEADS),
         )
         ids = [c.client_id for c in clients]
         topo = ClusterTopology(
@@ -470,8 +454,7 @@ def run_hfldd(
                     continue
                 member = by_id[member_id]
                 gamma = rbf_gamma(member.data.features)
-                ds = distill(member.data, kip, gamma, SeededRng(cfg.seed, _STREAM_DISTILL + member_id))
-                member.distilled = ds
+                ds = distill(member.data, kip, gamma, SeededRng(cfg.seed, streams.DISTILL + member_id))
                 member_sets.append(ds)
                 distilled_sizes.append(ds.n_rows())
                 ledger.record(
@@ -481,10 +464,8 @@ def run_hfldd(
                     PAYLOAD_DISTILLED,
                     ds.n_rows() * bits_per_sample,
                 )
-            head = by_id[head_id]
-            head.role = "head"
-            hybrid = assemble_head_dataset(head, member_sets)
-            head_states.append(ClientState(head_id, hybrid, role="head"))
+            hybrid = assemble_head_dataset(by_id[head_id], member_sets)
+            head_states.append(ClientState(head_id, hybrid))
             head_data[head_id] = hybrid
     except Exception as e:
         raise StageError("distillation", e) from e

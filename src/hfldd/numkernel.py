@@ -52,17 +52,6 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def matmul(a, b) -> np.ndarray:
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"inner dimensions differ: {a.shape} x {b.shape}")
-    out = a @ b
-    if not np.all(np.isfinite(out)):
-        raise DomainError("matmul produced non-finite entries")
-    return out
-
-
 def ridge_solve(k, y, lam: float) -> np.ndarray:
     """Solve (k + lam*I) alpha = y for symmetric positive definite k + lam*I.
 

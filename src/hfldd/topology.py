@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, DomainError, EmptyInputError, ShapeError
+from .errors import CapacityError, DomainError, EmptyInputError, FormatError, ShapeError
 from .numkernel import SeededRng, as_matrix
 
 DEFAULT_KMEANS_ITERS = 100
@@ -236,7 +236,21 @@ class ClusterTopology:
 
     @classmethod
     def from_json(cls, text: str) -> "ClusterTopology":
-        doc = json.loads(text)
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as e:
+            raise FormatError(f"topology is not valid JSON: {e}") from e
+        if not isinstance(doc, dict):
+            raise FormatError("topology JSON must be an object")
+
+        def ids(value) -> bool:
+            return isinstance(value, list) and all(isinstance(i, int) for i in value)
+
+        for key in ("homogeneous", "heterogeneous"):
+            if not (isinstance(doc.get(key), list) and all(ids(c) for c in doc[key])):
+                raise FormatError(f"topology field {key!r} must be a list of client-id lists")
+        if not ids(doc.get("heads")):
+            raise FormatError("topology field 'heads' must be a list of client ids")
         return cls(
             tuple(tuple(c) for c in doc["homogeneous"]),
             tuple(tuple(c) for c in doc["heterogeneous"]),

@@ -1,31 +1,15 @@
 """Shared problem builders for the test suite.
 
-The synthetic benchmark here uses the same stream layout as the command-line
-problem builder, so numbers produced by these tests can be reproduced from an
-equivalent INI configuration.
+Problems are built by the command-line tool's own builder from an `hfldd run`
+configuration, so numbers produced by these tests can be reproduced from an
+equivalent INI file.
 """
 
 import numpy as np
 
-from hfldd.datagen import (
-    PartitionSpec,
-    class_means,
-    make_probe_dataset,
-    partition_label_skew,
-    sample_classes,
-    shift_means,
-    split_train_test,
-)
+from hfldd import cli
 from hfldd.distill import KipConfig
-from hfldd.fltrain import ClientState, RunConfig
-from hfldd.numkernel import SeededRng
-
-S_MEANS = 10 << 48
-S_POOL = 11 << 48
-S_SPLIT = 12 << 48
-S_SHIFT = 13 << 48
-S_PROBE_POOL = 14 << 48
-S_PROBE = 15 << 48
+from hfldd.fltrain import RunConfig
 
 
 def build_problem(
@@ -41,18 +25,32 @@ def build_problem(
     probe_size=100,
     probe_shift=1.0,
 ):
-    """Materialize (clients, probe, test) for one label-skew experiment."""
-    means = class_means(n_classes, dim, separation, SeededRng(seed, S_MEANS))
-    pool = sample_classes(means, per_class, SeededRng(seed, S_POOL))
-    train_pool, test = split_train_test(pool, test_fraction, SeededRng(seed, S_SPLIT))
-    spec = PartitionSpec(n_clients, classes_per_client, n_classes, samples_per_client, seed)
-    parts = partition_label_skew(train_pool, spec)
-    probe_means = shift_means(means, probe_shift, SeededRng(seed, S_SHIFT))
-    per_class_probe = max(1, -(-probe_size // n_classes))
-    probe_pool = sample_classes(probe_means, per_class_probe, SeededRng(seed, S_PROBE_POOL))
-    probe = make_probe_dataset(probe_pool, probe_size, SeededRng(seed, S_PROBE))
-    clients = [ClientState(i, part) for i, part in enumerate(parts)]
-    return clients, probe, test
+    """Materialize (clients, probe, test) for one label-skew experiment.
+
+    The algorithm is fedavg only so that the configuration check on the
+    hfldd cluster count does not apply; the problem is the same for all.
+    """
+    raw = {
+        "experiment": {"seed": seed, "algorithm": "fedavg", "output_dir": "unused"},
+        "data": {
+            "classes": n_classes,
+            "per_class": per_class,
+            "dim": dim,
+            "separation": separation,
+            "test_fraction": test_fraction,
+            "probe_size": probe_size,
+            "probe_shift": probe_shift,
+        },
+        "partition": {
+            "clients": n_clients,
+            "classes_per_client": classes_per_client,
+            "samples_per_client": samples_per_client,
+        },
+    }
+    echo = cli._normalize(
+        {section: {k: str(v) for k, v in keys.items()} for section, keys in raw.items()}
+    )
+    return cli._build_problem(cli._experiment_from_echo(echo))
 
 
 def benchmark_config(seed, algorithm, **overrides):

@@ -6,9 +6,12 @@ and exit codes exactly as a shell user would see them.
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import hfldd
 from hfldd.cli import load_config, load_manifest, main
 from hfldd.errors import ConfigError, ManifestError
 from hfldd.metrics import CostModel, cost_fedavg, cost_fedseq, cost_hfldd
@@ -159,6 +162,12 @@ class TestConfigLoading:
         with pytest.raises(ConfigError):
             load_config(str(tmp_path / "absent.ini"))
 
+    def test_non_utf8_file(self, tmp_path):
+        path = tmp_path / "bad.ini"
+        path.write_bytes(b"[experiment]\noutput_dir = out\n\xff\xfe\n")
+        with pytest.raises(ConfigError):
+            load_config(str(path))
+
 
 class TestRunCommand:
     def test_fedavg_outputs(self, tmp_path, capsys):
@@ -244,6 +253,34 @@ class TestRunCommand:
         assert main(["run", "--from-manifest", str(path)]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_manifest_that_is_not_an_object_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "manifest.json"
+        path.write_text("[]", encoding="utf-8")
+        assert main(["run", "--from-manifest", str(path)]) == 2
+        assert "error" in capsys.readouterr().err
+
+    def test_metrics_independent_of_blas_threads(self, tmp_path):
+        # 1024-d features make the evaluation products large enough for
+        # OpenBLAS to split them across threads
+        cfg = write_config(
+            tmp_path, "hf.ini", config_text(tmp_path / "unused", algorithm="hfldd", dim=1024)
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(hfldd.__file__)))
+        outputs = []
+        for threads in sorted({1, min(2, os.cpu_count() or 1)}):
+            out = tmp_path / f"threads{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
+            env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+            subprocess.run(
+                [sys.executable, "-m", "hfldd.cli", "run", cfg, "--out", str(out)],
+                env=env,
+                check=True,
+                capture_output=True,
+                timeout=300,
+            )
+            outputs.append((out / "metrics.csv").read_bytes())
+        assert all(o == outputs[0] for o in outputs)
+
     def test_manifest_loader_errors(self, tmp_path):
         missing = tmp_path / "absent.json"
         with pytest.raises(ManifestError):
@@ -252,10 +289,20 @@ class TestRunCommand:
         garbled.write_text("{not json", encoding="utf-8")
         with pytest.raises(ManifestError):
             load_manifest(str(garbled))
+        binary = tmp_path / "binary.json"
+        binary.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(ManifestError):
+            load_manifest(str(binary))
         no_config = tmp_path / "no_config.json"
         no_config.write_text(json.dumps({"schema": "hfldd-run-manifest-v1"}), encoding="utf-8")
         with pytest.raises(ManifestError):
             load_manifest(str(no_config))
+        for section in (["x"], {"hidden": 8}):
+            bad_echo = tmp_path / "bad_echo.json"
+            doc = {"schema": "hfldd-run-manifest-v1", "config": {"train": section}}
+            bad_echo.write_text(json.dumps(doc), encoding="utf-8")
+            with pytest.raises(ManifestError):
+                load_manifest(str(bad_echo))
 
 
 class TestCompareCommand:
@@ -294,6 +341,30 @@ class TestCompareCommand:
     def test_missing_run_dir_exits_2(self, tmp_path, capsys):
         a = self.make_run(tmp_path, "a")
         assert main(["compare", str(a), str(tmp_path / "ghost")]) == 2
+        assert "error" in capsys.readouterr().err
+
+    def test_short_metrics_row_exits_2(self, tmp_path, capsys):
+        a = self.make_run(tmp_path, "a")
+        b = self.make_run(tmp_path, "b")
+        with open(b / "metrics.csv", "a", encoding="utf-8") as f:
+            f.write("3,0.5,0.25\n")
+        assert main(["compare", str(a), str(b)]) == 2
+        assert "bad metrics row" in capsys.readouterr().err
+
+    def test_non_utf8_run_files_exit_2(self, tmp_path, capsys):
+        a = self.make_run(tmp_path, "a")
+        for name in ("manifest.json", "metrics.csv"):
+            b = self.make_run(tmp_path, f"b_{name}")
+            with open(b / name, "ab") as f:
+                f.write(b"\xff\xfe")
+            assert main(["compare", str(a), str(b)]) == 2
+            assert "cannot be read" in capsys.readouterr().err
+
+    def test_curves_into_missing_directory_exits_3(self, tmp_path, capsys):
+        a = self.make_run(tmp_path, "a")
+        b = self.make_run(tmp_path, "b")
+        curves = tmp_path / "absent" / "curves.csv"
+        assert main(["compare", str(a), str(b), "--curves-out", str(curves)]) == 3
         assert "error" in capsys.readouterr().err
 
     def test_single_dir_rejected(self, tmp_path, capsys):
@@ -360,3 +431,16 @@ class TestCostCommand:
         path.write_text("{\"inputs\": {\"clients\": 1}}", encoding="utf-8")
         assert main(["cost", "--from-json", str(path)]) == 2
         assert "cost parameters" in capsys.readouterr().err
+
+    def test_json_that_is_not_an_object_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]", encoding="utf-8")
+        assert main(["cost", "--from-json", str(path)]) == 2
+        assert "cost parameters" in capsys.readouterr().err
+
+    def test_json_into_missing_directory_exits_3(self, tmp_path, capsys):
+        doc_path = tmp_path / "absent" / "cost.json"
+        argv = ["cost", "--clients", "3", "--rounds", "2", "--model-params", "10",
+                "--json", str(doc_path)]
+        assert main(argv) == 3
+        assert "error" in capsys.readouterr().err

@@ -12,7 +12,6 @@ from hfldd.datagen import (
     PartitionSpec,
     class_means,
     concat_datasets,
-    dataset_to_csv,
     load_idx,
     make_probe_dataset,
     one_hot,
@@ -20,7 +19,6 @@ from hfldd.datagen import (
     sample_classes,
     shift_means,
     split_train_test,
-    synth_gaussian_classes,
 )
 from hfldd.errors import CapacityError, DomainError, FormatError, ShapeError
 from hfldd.numkernel import SeededRng
@@ -89,7 +87,7 @@ class TestSampling:
 
     def test_well_separated_clusters_are_recoverable(self):
         # nearest-neighbor label agreement on widely separated blobs
-        d = synth_gaussian_classes(2, 80, 2, 10.0, SeededRng(1, 0))
+        d = sample_classes(class_means(2, 2, 10.0, SeededRng(1, 0)), 80, SeededRng(1, 1))
         x, labels = d.features, d.label_indices()
         d2 = ((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2)
         np.fill_diagonal(d2, np.inf)
@@ -97,8 +95,8 @@ class TestSampling:
         assert np.mean(agree) >= 0.99
 
     def test_deterministic(self):
-        a = synth_gaussian_classes(2, 5, 3, 4.0, SeededRng(4, 0))
-        b = synth_gaussian_classes(2, 5, 3, 4.0, SeededRng(4, 0))
+        a = sample_classes(class_means(2, 3, 4.0, SeededRng(4, 0)), 5, SeededRng(4, 1))
+        b = sample_classes(class_means(2, 3, 4.0, SeededRng(4, 0)), 5, SeededRng(4, 1))
         assert np.array_equal(a.features, b.features)
 
 
@@ -276,15 +274,3 @@ class TestLoadIdx:
         (tmp_path / "lab.idx").write_bytes(data + b"\x07")
         with pytest.raises(FormatError):
             load_idx(img, lab)
-
-
-class TestCsv:
-    def test_header_and_rows(self, tmp_path):
-        d = indexed_dataset(2, 2)
-        path = tmp_path / "data.csv"
-        dataset_to_csv(d, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "f0,f1,label"
-        assert len(lines) == 5
-        first = lines[1].split(",")
-        assert float(first[0]) == 0.0 and first[-1] == "0"

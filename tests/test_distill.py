@@ -5,12 +5,9 @@ import pytest
 
 from hfldd.datagen import LabeledDataset, one_hot
 from hfldd.distill import (
-    DistilledSet,
     KipConfig,
     balanced_support_labels,
     distill,
-    distilled_from_csv,
-    distilled_to_csv,
     kip_gradient,
     kip_loss,
 )
@@ -178,14 +175,3 @@ class TestDistill:
         d = LabeledDataset(np.zeros((0, 2)), np.zeros((0, 2)), 2)
         with pytest.raises(EmptyInputError):
             distill(d, KipConfig(1, 1e-6, 0.05, 1, 1, 0), 0.3, SeededRng(0, 0))
-
-
-class TestCsvRoundTrip:
-    def test_exact_values(self, tmp_path):
-        gen = SeededRng(3, 0).generator()
-        ds = DistilledSet(gen.standard_normal((5, 4)), one_hot([0, 1, 2, 0, 1], 3), 0.25)
-        path = tmp_path / "support.csv"
-        distilled_to_csv(ds, path)
-        back = distilled_from_csv(path)
-        assert np.array_equal(back.support_x, ds.support_x)
-        assert np.array_equal(back.support_y, ds.support_y)

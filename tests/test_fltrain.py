@@ -80,6 +80,7 @@ class TestRunConfig:
             dict(learning_rate=0.0),
             dict(batch_size=0),
             dict(prox_mu=-0.1),
+            dict(rounds=1 << 24),  # a round index would run into the role bits
         ],
     )
     def test_validation(self, kw):
@@ -373,6 +374,20 @@ class TestRunHfldd:
             SeededRng(cfg.seed, (6 << 48) | (1 << 24) | head_id),
         )
         assert models_equal(result.final_model, central)
+
+    def test_inputs_not_mutated(self):
+        def fields(c):
+            return {
+                k: (v.features.tobytes(), v.labels.tobytes(), v.class_count)
+                if isinstance(v, LabeledDataset)
+                else v
+                for k, v in vars(c).items()
+            }
+
+        clients, probe, test = tiny_problem()
+        before = [fields(c) for c in clients]
+        run_hfldd(clients, probe, test, tiny_config("hfldd"), TINY_KIP, 3)
+        assert [fields(c) for c in clients] == before
 
     def test_deterministic(self):
         _, a, _, _ = self.run_tiny()

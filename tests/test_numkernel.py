@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hfldd.errors import DomainError, ShapeError, SingularMatrixError
-from hfldd.numkernel import SeededRng, as_matrix, matmul, rbf_gamma, rbf_kernel, ridge_solve
+from hfldd.numkernel import SeededRng, as_matrix, rbf_gamma, rbf_kernel, ridge_solve
 
 
 class TestSeededRng:
@@ -53,31 +53,6 @@ class TestAsMatrix:
     def test_rejects_inf(self):
         with pytest.raises(DomainError):
             as_matrix([[float("inf"), 0.0]])
-
-
-class TestMatmul:
-    def test_hand_product(self):
-        # [[1,2],[3,4]] @ [[5,6],[7,8]] = [[19,22],[43,50]]
-        out = matmul([[1, 2], [3, 4]], [[5, 6], [7, 8]])
-        assert np.array_equal(out, [[19.0, 22.0], [43.0, 50.0]])
-
-    def test_inner_dim_mismatch(self):
-        with pytest.raises(ShapeError):
-            matmul(np.ones((2, 3)), np.ones((2, 3)))
-
-    def test_overflow_rejected(self):
-        big = np.full((2, 2), 1e308)
-        with np.errstate(over="ignore"), pytest.raises(DomainError):
-            matmul(big, big)
-
-    @given(st.integers(0, 10_000))
-    @settings(max_examples=25, deadline=None)
-    def test_associative_within_tolerance(self, seed):
-        gen = SeededRng(seed, 0).generator()
-        a, b, c = (gen.standard_normal((3, 3)) for _ in range(3))
-        left = matmul(matmul(a, b), c)
-        right = matmul(a, matmul(b, c))
-        assert np.allclose(left, right, rtol=1e-9, atol=1e-9)
 
 
 class TestRidgeSolve:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hfldd.errors import CapacityError, DomainError, EmptyInputError, ShapeError
+from hfldd.errors import CapacityError, DomainError, EmptyInputError, FormatError, ShapeError
 from hfldd.numkernel import SeededRng
 from hfldd.topology import (
     ClusterTopology,
@@ -236,6 +236,25 @@ class TestClusterTopology:
         assert back.heterogeneous == topo.heterogeneous
         assert back.heads == topo.heads
         assert '"seed": 42' in text
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "{}",
+            "{not json",
+            "[]",
+            '{"homogeneous": [[0]], "heterogeneous": [[0]]}',
+            '{"homogeneous": 5, "heterogeneous": [[0]], "heads": [0]}',
+            '{"homogeneous": "01", "heterogeneous": [[0], [1]], "heads": [0, 1]}',
+            '{"homogeneous": [[0]], "heterogeneous": [0], "heads": [0]}',
+            '{"homogeneous": [[0]], "heterogeneous": [[0]], "heads": [[0]]}',
+        ],
+        ids=["empty", "not-json", "array", "no-heads", "int-field", "string-field",
+             "flat-clusters", "nested-heads"],
+    )
+    def test_malformed_json_is_format_error(self, text):
+        with pytest.raises(FormatError):
+            ClusterTopology.from_json(text)
 
 
 class TestBuildTopology:
