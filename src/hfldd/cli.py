@@ -40,7 +40,15 @@ from .fltrain import (
     run_fedseq_lite,
     run_hfldd,
 )
-from .metrics import CostModel, bits_to_megabytes, cost_fedavg, cost_fedseq, cost_hfldd, ledger_audit
+from .metrics import (
+    DEFAULT_BITS_PER_FEATURE,
+    CostModel,
+    bits_to_megabytes,
+    cost_fedavg,
+    cost_fedseq,
+    cost_hfldd,
+    ledger_audit,
+)
 from .numkernel import SeededRng
 
 MANIFEST_SCHEMA = "hfldd-run-manifest-v1"
@@ -48,18 +56,6 @@ MANIFEST_SCHEMA = "hfldd-run-manifest-v1"
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
-
-
-def _parse_int(v: str) -> int:
-    return int(v)
-
-
-def _parse_float(v: str) -> float:
-    return float(v)
-
-
-def _parse_str(v: str) -> str:
-    return v
 
 
 def _parse_intlist(v: str) -> tuple[int, ...]:
@@ -78,50 +74,50 @@ def _parse_choice(*allowed):
 # Section -> key -> (parser, default). A None default marks a required key.
 _SCHEMA = {
     "experiment": {
-        "seed": (_parse_int, "0"),
+        "seed": (int, "0"),
         "algorithm": (_parse_choice(*ALGORITHMS), "hfldd"),
-        "output_dir": (_parse_str, None),
+        "output_dir": (str, None),
     },
     "data": {
         "kind": (_parse_choice("synthetic", "idx"), "synthetic"),
-        "classes": (_parse_int, "10"),
-        "per_class": (_parse_int, "200"),
-        "dim": (_parse_int, "16"),
-        "separation": (_parse_float, "6.0"),
-        "test_fraction": (_parse_float, "0.2"),
-        "probe_size": (_parse_int, "100"),
-        "probe_shift": (_parse_float, "1.0"),
-        "images": (_parse_str, ""),
-        "labels": (_parse_str, ""),
+        "classes": (int, "10"),
+        "per_class": (int, "200"),
+        "dim": (int, "16"),
+        "separation": (float, "6.0"),
+        "test_fraction": (float, "0.2"),
+        "probe_size": (int, "100"),
+        "probe_shift": (float, "1.0"),
+        "images": (str, ""),
+        "labels": (str, ""),
     },
     "partition": {
-        "clients": (_parse_int, "20"),
-        "classes_per_client": (_parse_int, "1"),
-        "samples_per_client": (_parse_int, "40"),
+        "clients": (int, "20"),
+        "classes_per_client": (int, "1"),
+        "samples_per_client": (int, "40"),
     },
     "train": {
-        "rounds": (_parse_int, "300"),
-        "local_steps": (_parse_int, "2"),
-        "pretrain_steps": (_parse_int, "10"),
-        "learning_rate": (_parse_float, "0.01"),
-        "batch_size": (_parse_int, "32"),
-        "pretrain_batch": (_parse_int, "64"),
+        "rounds": (int, "300"),
+        "local_steps": (int, "2"),
+        "pretrain_steps": (int, "10"),
+        "learning_rate": (float, "0.01"),
+        "batch_size": (int, "32"),
+        "pretrain_batch": (int, "64"),
         "hidden": (_parse_intlist, "64,64"),
-        "prox_mu": (_parse_float, "0.0"),
-        "bits_per_param": (_parse_int, "32"),
-        "bits_per_sample": (_parse_int, "0"),
-        "seq_clusters": (_parse_int, "0"),
-        "seq_cluster_size": (_parse_int, "0"),
+        "prox_mu": (float, "0.0"),
+        "bits_per_param": (int, "32"),
+        "bits_per_sample": (int, "0"),
+        "seq_clusters": (int, "0"),
+        "seq_cluster_size": (int, "0"),
     },
     "distill": {
-        "support_size": (_parse_int, "20"),
-        "ridge_lambda": (_parse_float, "1e-6"),
-        "learning_rate": (_parse_float, "0.004"),
-        "iterations": (_parse_int, "3000"),
-        "target_batch": (_parse_int, "10"),
+        "support_size": (int, "20"),
+        "ridge_lambda": (float, "1e-6"),
+        "learning_rate": (float, "0.004"),
+        "iterations": (int, "3000"),
+        "target_batch": (int, "10"),
     },
     "cluster": {
-        "k": (_parse_int, "10"),
+        "k": (int, "10"),
     },
 }
 
@@ -208,7 +204,6 @@ def _experiment_from_echo(echo: dict) -> ExperimentConfig:
             pretrain_steps=get("train", "pretrain_steps"),
             learning_rate=get("train", "learning_rate"),
             batch_size=get("train", "batch_size"),
-            algorithm=algorithm,
             prox_mu=get("train", "prox_mu"),
             seed=seed,
             pretrain_batch=get("train", "pretrain_batch"),
@@ -328,7 +323,9 @@ def _metrics_csv(metrics) -> str:
 
 
 def _cost_model_for(xc: ExperimentConfig, result, model_params: int) -> CostModel:
-    bits_per_sample = xc.bits_per_sample or xc.data["dim"] * 64
+    # The feature width is the trained model's input, which for idx data is
+    # the image size, not the synthetic-only [data] dim.
+    bits_per_sample = xc.bits_per_sample or result.final_model.sizes[0] * DEFAULT_BITS_PER_FEATURE
     n_heads = result.topology.n_heads() if result.topology else 0
     n_homog = len(result.topology.homogeneous) if result.topology else 0
     return CostModel(
@@ -363,7 +360,6 @@ def cmd_run(args) -> int:
     written: list[str] = []
     try:
         clients, probe, test = _build_problem(xc)
-        bits_per_sample = xc.bits_per_sample or xc.data["dim"] * 64
         if xc.algorithm == "fedavg":
             result = run_fedavg(clients, test, xc.run, xc.bits_per_param)
         elif xc.algorithm == "fedprox":
@@ -374,7 +370,8 @@ def cmd_run(args) -> int:
             )
         else:
             result = run_hfldd(
-                clients, probe, test, xc.run, xc.kip, xc.k, xc.bits_per_param, bits_per_sample
+                clients, probe, test, xc.run, xc.kip, xc.k, xc.bits_per_param,
+                xc.bits_per_sample or None,
             )
         model_params = result.final_model.parameter_count()
         report = ledger_audit(result.ledger, _cost_model_for(xc, result, model_params), xc.algorithm)

@@ -26,6 +26,7 @@ from .errors import (
     StageError,
 )
 from .metrics import (
+    DEFAULT_BITS_PER_FEATURE,
     PAYLOAD_DISTILLED,
     PAYLOAD_MODEL,
     PAYLOAD_SOFT_LABELS,
@@ -76,7 +77,6 @@ class RunConfig:
     pretrain_steps: int
     learning_rate: float
     batch_size: int
-    algorithm: str
     prox_mu: float
     seed: int
     pretrain_batch: int = 64
@@ -93,8 +93,6 @@ class RunConfig:
             raise DomainError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.batch_size < 1 or self.pretrain_batch < 1:
             raise DomainError("batch sizes must be >= 1")
-        if self.algorithm not in ALGORITHMS:
-            raise DomainError(f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}")
         if self.prox_mu < 0:
             raise DomainError(f"prox_mu must be nonnegative, got {self.prox_mu}")
 
@@ -142,24 +140,19 @@ def aggregate(models, weights) -> MlpModel:
         raise EmptyInputError("no models to aggregate")
     if len(models) != len(weights):
         raise DomainError(f"{len(models)} models but {len(weights)} weights")
-    sizes = models[0].layer_sizes()
+    sizes = models[0].sizes
     for i, m in enumerate(models[1:], start=1):
-        if m.layer_sizes() != sizes:
-            raise ShapeError(f"model {i} architecture {m.layer_sizes()} != {sizes}")
+        if m.sizes != sizes:
+            raise ShapeError(f"model {i} architecture {m.sizes} != {sizes}")
     if any(w < 0 for w in weights):
         raise DomainError("aggregation weights must be nonnegative")
     total = sum(weights)
     if total <= 0:
         raise DomainError("aggregation weights must sum to a positive value")
-    out_w = [np.zeros_like(w) for w in models[0].weights]
-    out_b = [np.zeros_like(b) for b in models[0].biases]
+    out = np.zeros_like(models[0].params)
     for m, w in zip(models, weights):
-        scale = w / total
-        for acc_w, mw in zip(out_w, m.weights):
-            acc_w += scale * mw
-        for acc_b, mb in zip(out_b, m.biases):
-            acc_b += scale * mb
-    return MlpModel(out_w, out_b)
+        out += (w / total) * m.params
+    return MlpModel(sizes, out)
 
 
 def assemble_head_dataset(head: ClientState, member_distilled) -> LabeledDataset:
@@ -276,10 +269,7 @@ def _prox_local_train(
     for _ in range(sgd.steps):
         idx = next(batches)
         g = backward(out, d.features[idx], d.labels[idx])
-        for gw, w, aw in zip(g.weights, out.weights, anchor.weights):
-            gw += mu * (w - aw)
-        for gb, b, ab in zip(g.biases, out.biases, anchor.biases):
-            gb += mu * (b - ab)
+        g += mu * (out.params - anchor.params)
         out = sgd_step(out, g, sgd.learning_rate)
     return out
 
@@ -401,7 +391,7 @@ def run_hfldd(
     if probe.dim() != dim or probe.class_count != n_c:
         raise ShapeError("probe dimensions do not match client data")
     if bits_per_sample is None:
-        bits_per_sample = dim * 64
+        bits_per_sample = dim * DEFAULT_BITS_PER_FEATURE
     ledger = TransmissionLedger()
     model0 = initial_model(cfg, dim, n_c)
     bits = _model_bits(model0, bits_per_param)

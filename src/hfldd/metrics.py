@@ -19,6 +19,8 @@ PAYLOAD_DISTILLED = "distilled-data"
 _PAYLOAD_KINDS = (PAYLOAD_MODEL, PAYLOAD_SOFT_LABELS, PAYLOAD_DISTILLED)
 
 DEFAULT_BITS_PER_PARAM = 32
+# A distilled row ships each of its features as one float64.
+DEFAULT_BITS_PER_FEATURE = 64
 
 
 @dataclass(frozen=True)

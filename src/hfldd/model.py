@@ -39,67 +39,69 @@ class SgdConfig:
 
 
 @dataclass
-class GradientSet:
-    """Per-parameter gradients, shaped exactly like the model's parameters."""
-
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-
-
-@dataclass
 class MlpModel:
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    """Layer sizes plus every parameter in one float64 vector.
 
-    def layer_sizes(self) -> tuple[int, ...]:
-        return (self.weights[0].shape[0],) + tuple(w.shape[1] for w in self.weights)
+    Layers are laid out in order, each as its weight matrix (fan_in x
+    fan_out, row-major) followed by its bias vector: the byte order of
+    `to_bytes`.
+    """
+
+    sizes: tuple[int, ...]
+    params: np.ndarray
+
+    def __post_init__(self):
+        self.sizes = tuple(int(s) for s in self.sizes)
+        self.params = np.asarray(self.params, dtype=np.float64)
+        count = _param_count(self.sizes)
+        if self.params.shape != (count,):
+            raise ShapeError(f"sizes {self.sizes} need {count} parameters, got {self.params.shape}")
 
     def parameter_count(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
-
-    def copy(self) -> "MlpModel":
-        return MlpModel([w.copy() for w in self.weights], [b.copy() for b in self.biases])
+        return self.params.size
 
     def to_bytes(self) -> bytes:
         """Serialize as a little-endian header (layer sizes) plus flat float64 params."""
-        sizes = self.layer_sizes()
-        parts = [_HEADER.pack(len(sizes))]
-        parts.extend(_HEADER.pack(s) for s in sizes)
-        for w, b in zip(self.weights, self.biases):
-            parts.append(np.ascontiguousarray(w, dtype="<f8").tobytes())
-            parts.append(np.ascontiguousarray(b, dtype="<f8").tobytes())
-        return b"".join(parts)
+        n = len(self.sizes)
+        return struct.pack(f"<{n + 1}Q", n, *self.sizes) + self.params.astype("<f8").tobytes()
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "MlpModel":
         if len(data) < _HEADER.size:
             raise FormatError("truncated model header", offset=len(data))
         (n_sizes,) = _HEADER.unpack_from(data, 0)
-        offset = _HEADER.size
         if n_sizes < 2:
             raise FormatError(f"model needs at least 2 layer sizes, got {n_sizes}", offset=0)
-        need = offset + n_sizes * _HEADER.size
-        if len(data) < need:
+        offset = (n_sizes + 1) * _HEADER.size
+        if len(data) < offset:
             raise FormatError("truncated layer size table", offset=len(data))
-        sizes = []
-        for _ in range(n_sizes):
-            (s,) = _HEADER.unpack_from(data, offset)
-            sizes.append(int(s))
-            offset += _HEADER.size
-        weights, biases = [], []
-        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-            n_bytes = (fan_in * fan_out + fan_out) * 8
-            if len(data) < offset + n_bytes:
-                raise FormatError("truncated parameter block", offset=len(data))
-            w = np.frombuffer(data, dtype="<f8", count=fan_in * fan_out, offset=offset)
-            offset += fan_in * fan_out * 8
-            b = np.frombuffer(data, dtype="<f8", count=fan_out, offset=offset)
-            offset += fan_out * 8
-            weights.append(w.reshape(fan_in, fan_out).astype(np.float64))
-            biases.append(b.astype(np.float64))
-        if offset != len(data):
-            raise FormatError("trailing bytes after parameter block", offset=offset)
-        return cls(weights, biases)
+        sizes = struct.unpack_from(f"<{n_sizes}Q", data, _HEADER.size)
+        if min(sizes) < 1:
+            raise FormatError(f"layer sizes must be >= 1, got {sizes}", offset=_HEADER.size)
+        count = _param_count(sizes)
+        end = offset + count * 8
+        if len(data) < end:
+            raise FormatError("truncated parameter block", offset=len(data))
+        if len(data) > end:
+            raise FormatError("trailing bytes after parameter block", offset=end)
+        params = np.frombuffer(data, dtype="<f8", count=count, offset=offset)
+        return cls(sizes, params.astype(np.float64))
+
+
+def _param_count(sizes) -> int:
+    return sum(fan_in * fan_out + fan_out for fan_in, fan_out in zip(sizes[:-1], sizes[1:]))
+
+
+def _layers(sizes, flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(weight, bias) views into a flat vector laid out like MlpModel.params."""
+    out = []
+    offset = 0
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        w = flat[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out)
+        offset += fan_in * fan_out
+        out.append((w, flat[offset : offset + fan_out]))
+        offset += fan_out
+    return out
 
 
 def init_mlp(layer_sizes, rng: SeededRng) -> MlpModel:
@@ -108,12 +110,12 @@ def init_mlp(layer_sizes, rng: SeededRng) -> MlpModel:
     if len(sizes) < 2 or any(s < 1 for s in sizes):
         raise DomainError(f"layer sizes must be >= 1 with >= 2 layers, got {sizes}")
     gen = rng.generator()
-    weights, biases = [], []
+    parts = []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
         limit = np.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(gen.uniform(-limit, limit, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
-    return MlpModel(weights, biases)
+        parts.append(gen.uniform(-limit, limit, size=fan_in * fan_out))
+        parts.append(np.zeros(fan_out))
+    return MlpModel(sizes, np.concatenate(parts))
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -122,12 +124,12 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _forward_cached(m: MlpModel, x: np.ndarray):
+def _forward_cached(layers, x: np.ndarray):
     """Forward pass keeping layer activations for backprop."""
     acts = [x]
     h = x
-    last = len(m.weights) - 1
-    for i, (w, b) in enumerate(zip(m.weights, m.biases)):
+    last = len(layers) - 1
+    for i, (w, b) in enumerate(layers):
         z = h @ w + b
         h = _softmax(z) if i == last else np.maximum(z, 0.0)
         acts.append(h)
@@ -137,45 +139,39 @@ def _forward_cached(m: MlpModel, x: np.ndarray):
 def forward(m: MlpModel, x) -> np.ndarray:
     """Softmax class probabilities for each row of x."""
     x = as_matrix(x, "x")
-    if x.shape[1] != m.weights[0].shape[0]:
-        raise ShapeError(f"input dim {x.shape[1]} != model input {m.weights[0].shape[0]}")
-    return _forward_cached(m, x)[-1]
+    if x.shape[1] != m.sizes[0]:
+        raise ShapeError(f"input dim {x.shape[1]} != model input {m.sizes[0]}")
+    return _forward_cached(_layers(m.sizes, m.params), x)[-1]
 
 
-def backward(m: MlpModel, x, y) -> GradientSet:
-    """Gradients of mean cross-entropy over the batch w.r.t. all parameters."""
+def backward(m: MlpModel, x, y) -> np.ndarray:
+    """Gradient of mean cross-entropy over the batch, laid out like m.params."""
     x = as_matrix(x, "x")
     y = as_matrix(y, "y")
     if x.shape[0] != y.shape[0]:
         raise ShapeError(f"x has {x.shape[0]} rows, y has {y.shape[0]}")
-    if x.shape[1] != m.weights[0].shape[0]:
-        raise ShapeError(f"input dim {x.shape[1]} != model input {m.weights[0].shape[0]}")
-    if y.shape[1] != m.weights[-1].shape[1]:
-        raise ShapeError(f"target dim {y.shape[1]} != model output {m.weights[-1].shape[1]}")
-    acts = _forward_cached(m, x)
-    n = x.shape[0]
-    delta = (acts[-1] - y) / n
-    grad_w = [None] * len(m.weights)
-    grad_b = [None] * len(m.biases)
-    for i in range(len(m.weights) - 1, -1, -1):
-        grad_w[i] = acts[i].T @ delta
-        grad_b[i] = delta.sum(axis=0)
+    if x.shape[1] != m.sizes[0]:
+        raise ShapeError(f"input dim {x.shape[1]} != model input {m.sizes[0]}")
+    if y.shape[1] != m.sizes[-1]:
+        raise ShapeError(f"target dim {y.shape[1]} != model output {m.sizes[-1]}")
+    layers = _layers(m.sizes, m.params)
+    acts = _forward_cached(layers, x)
+    delta = (acts[-1] - y) / x.shape[0]
+    g = np.empty_like(m.params)
+    grads = _layers(m.sizes, g)
+    for i in range(len(layers) - 1, -1, -1):
+        np.matmul(acts[i].T, delta, out=grads[i][0])
+        np.sum(delta, axis=0, out=grads[i][1])
         if i > 0:
-            delta = (delta @ m.weights[i].T) * (acts[i] > 0.0)
-    return GradientSet(grad_w, grad_b)
+            delta = (delta @ layers[i][0].T) * (acts[i] > 0.0)
+    return g
 
 
-def sgd_step(m: MlpModel, g: GradientSet, eta: float) -> MlpModel:
+def sgd_step(m: MlpModel, g: np.ndarray, eta: float) -> MlpModel:
     """One gradient descent update; returns a new model."""
-    if len(g.weights) != len(m.weights):
-        raise ShapeError("gradient layer count does not match model")
-    for w, gw in zip(m.weights, g.weights):
-        if w.shape != gw.shape:
-            raise ShapeError(f"gradient shape {gw.shape} != weight shape {w.shape}")
-    return MlpModel(
-        [w - eta * gw for w, gw in zip(m.weights, g.weights)],
-        [b - eta * gb for b, gb in zip(m.biases, g.biases)],
-    )
+    if np.shape(g) != m.params.shape:
+        raise ShapeError(f"gradient shape {np.shape(g)} != parameter shape {m.params.shape}")
+    return MlpModel(m.sizes, m.params - eta * g)
 
 
 def iter_batches(n_rows: int, batch_size: int, gen: np.random.Generator):

@@ -38,9 +38,6 @@ class SeededRng:
         )
         return np.random.Generator(np.random.PCG64(ss))
 
-    def derive(self, offset: int) -> "SeededRng":
-        return SeededRng(self.seed, self.stream + offset)
-
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Validate `a` as a finite 2-D float64 array and return it (C order)."""

@@ -53,7 +53,7 @@ def build_problem(
     return cli._build_problem(cli._experiment_from_echo(echo))
 
 
-def benchmark_config(seed, algorithm, **overrides):
+def benchmark_config(seed, **overrides):
     """The frozen training schedule used by the paired-run experiments."""
     kw = dict(
         rounds=50,
@@ -61,7 +61,6 @@ def benchmark_config(seed, algorithm, **overrides):
         pretrain_steps=10,
         learning_rate=0.01,
         batch_size=16,
-        algorithm=algorithm,
         prox_mu=0.0,
         seed=seed,
     )
@@ -99,12 +98,8 @@ def tiny_problem(seed=7, n_clients=6, classes_per_client=2, n_classes=4, dim=8,
 
 def models_equal(a, b) -> bool:
     """Bit-exact parameter equality."""
-    return all(np.array_equal(x, y) for x, y in zip(a.weights, b.weights)) and all(
-        np.array_equal(x, y) for x, y in zip(a.biases, b.biases)
-    )
+    return a.sizes == b.sizes and np.array_equal(a.params, b.params)
 
 
 def models_close(a, b, atol=1e-10) -> bool:
-    return all(
-        np.allclose(x, y, rtol=0.0, atol=atol) for x, y in zip(a.weights, b.weights)
-    ) and all(np.allclose(x, y, rtol=0.0, atol=atol) for x, y in zip(a.biases, b.biases))
+    return a.sizes == b.sizes and np.allclose(a.params, b.params, rtol=0.0, atol=atol)

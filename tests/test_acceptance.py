@@ -40,9 +40,9 @@ def _benchmark_records(classes_per_client):
     records = []
     for seed in SEEDS:
         clients, probe, test = build_problem(seed, classes_per_client)
-        fa = run_fedavg(clients, test, benchmark_config(seed, "fedavg"))
+        fa = run_fedavg(clients, test, benchmark_config(seed))
         hf = run_hfldd(
-            clients, probe, test, benchmark_config(seed, "hfldd"), benchmark_kip(seed), 10
+            clients, probe, test, benchmark_config(seed), benchmark_kip(seed), 10
         )
         records.append(
             (
@@ -115,7 +115,6 @@ class TestCostCalculator:
             pretrain_steps=2,
             learning_rate=0.05,
             batch_size=8,
-            algorithm="fedavg",
             prox_mu=0.0,
             seed=7,
         )

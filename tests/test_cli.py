@@ -9,12 +9,16 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import hfldd
 from hfldd.cli import load_config, load_manifest, main
 from hfldd.errors import ConfigError, ManifestError
 from hfldd.metrics import CostModel, cost_fedavg, cost_fedseq, cost_hfldd
+from hfldd.numkernel import SeededRng
+
+from test_datagen import write_idx_pair
 
 
 def config_text(out_dir, algorithm="fedavg", train_extra="", **overrides):
@@ -200,6 +204,22 @@ class TestRunCommand:
         assert report["algorithm"] == "hfldd"
         assert report["discrepancy_bits"] == 0
         assert set(report["by_kind"]) == {"model", "soft-labels", "distilled-data"}
+
+    def test_idx_distilled_rows_cost_their_pixel_count(self, tmp_path):
+        # [data] dim is a synthetic-data key; an 8x8 IDX row has 64 features
+        gen = SeededRng(3).generator()
+        labels = [i % 3 for i in range(180)]
+        img, lab = write_idx_pair(tmp_path, gen.integers(0, 256, size=(180, 8, 8)), labels)
+        out = tmp_path / "run_idx"
+        text = config_text(out, algorithm="hfldd", dim=16).replace(
+            "[data]\n", f"[data]\nkind = idx\nimages = {img}\nlabels = {lab}\n"
+        )
+        assert main(["run", write_config(tmp_path, "idx.ini", text)]) == 0
+        report = json.loads((out / "cost.json").read_text())
+        members = 4 - len(json.loads((out / "topology.json").read_text())["heads"])
+        assert members > 0
+        assert report["by_kind"]["distilled-data"] == members * 2 * 64 * 64
+        assert report["discrepancy_bits"] == 0
 
     def test_same_config_reproduces_metrics_bytes(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

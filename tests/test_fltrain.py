@@ -39,14 +39,13 @@ from helpers import build_problem, models_close, models_equal, tiny_problem
 TINY_KIP = KipConfig(5, 1e-6, 0.01, 50, 5, 7)
 
 
-def tiny_config(algorithm, seed=7, **overrides):
+def tiny_config(seed=7, **overrides):
     kw = dict(
         rounds=3,
         local_steps=2,
         pretrain_steps=2,
         learning_rate=0.05,
         batch_size=8,
-        algorithm=algorithm,
         prox_mu=0.0,
         seed=seed,
     )
@@ -90,17 +89,12 @@ class TestRunConfig:
             pretrain_steps=0,
             learning_rate=0.1,
             batch_size=1,
-            algorithm="fedavg",
             prox_mu=0.0,
             seed=0,
         )
         base.update(kw)
         with pytest.raises(DomainError):
             RunConfig(**base)
-
-    def test_unknown_algorithm(self):
-        with pytest.raises(DomainError):
-            tiny_config("gossip")
 
 
 class TestClientState:
@@ -115,25 +109,24 @@ class TestClientState:
         clients, _, test = tiny_problem()
         clients[1] = ClientState(clients[0].client_id, clients[1].data)
         with pytest.raises(DomainError):
-            run_fedavg(clients, test, tiny_config("fedavg"))
+            run_fedavg(clients, test, tiny_config())
 
 
 class TestAggregate:
     def test_hand_weighted_average(self):
-        a = MlpModel([np.array([[0.0]])], [np.array([0.0])])
-        b = MlpModel([np.array([[3.0]])], [np.array([6.0])])
+        a = MlpModel((1, 1), np.array([0.0, 0.0]))
+        b = MlpModel((1, 1), np.array([3.0, 6.0]))
         out = aggregate([a, b], [1.0, 2.0])
-        assert out.weights[0][0, 0] == pytest.approx(2.0, abs=1e-15)
-        assert out.biases[0][0] == pytest.approx(4.0, abs=1e-15)
+        assert out.params == pytest.approx([2.0, 4.0], abs=1e-15)
 
     def test_weights_normalized(self):
-        m = MlpModel([np.array([[1.0]])], [np.array([1.0])])
+        m = MlpModel((1, 1), np.array([1.0, 1.0]))
         out = aggregate([m, m], [10.0, 30.0])
-        assert out.weights[0][0, 0] == pytest.approx(1.0, abs=1e-15)
+        assert out.params == pytest.approx([1.0, 1.0], abs=1e-15)
 
     def test_errors(self):
-        m = MlpModel([np.array([[1.0]])], [np.array([1.0])])
-        other = MlpModel([np.array([[1.0, 2.0]])], [np.array([1.0, 2.0])])
+        m = MlpModel((1, 1), np.array([1.0, 1.0]))
+        other = MlpModel((1, 2), np.array([1.0, 2.0, 1.0, 2.0]))
         with pytest.raises(EmptyInputError):
             aggregate([], [])
         with pytest.raises(DomainError):
@@ -165,19 +158,20 @@ class TestAssembleHeadDataset:
 
 class TestInitialModel:
     def test_shared_across_algorithms(self):
-        a = initial_model(tiny_config("fedavg"), 8, 4)
-        b = initial_model(tiny_config("hfldd"), 8, 4)
+        # the knobs only some algorithms read do not move the starting model
+        a = initial_model(tiny_config(), 8, 4)
+        b = initial_model(tiny_config(prox_mu=0.5, rounds=9, pretrain_steps=4), 8, 4)
         assert models_equal(a, b)
 
     def test_architecture_from_config(self):
-        cfg = tiny_config("fedavg", hidden_sizes=(5, 6))
-        assert initial_model(cfg, 8, 4).layer_sizes() == (8, 5, 6, 4)
+        cfg = tiny_config(hidden_sizes=(5, 6))
+        assert initial_model(cfg, 8, 4).sizes == (8, 5, 6, 4)
 
 
 class TestRunFedavg:
     def test_metrics_shape_and_determinism(self):
         clients, _, test = tiny_problem()
-        cfg = tiny_config("fedavg")
+        cfg = tiny_config()
         a = run_fedavg(fresh_clients(clients), test, cfg)
         b = run_fedavg(fresh_clients(clients), test, cfg)
         assert [m.round_index for m in a.metrics] == [1, 2, 3]
@@ -187,7 +181,7 @@ class TestRunFedavg:
 
     def test_ledger_matches_closed_form_exactly(self):
         clients, _, test = tiny_problem()
-        result = run_fedavg(clients, test, tiny_config("fedavg"))
+        result = run_fedavg(clients, test, tiny_config())
         c = CostModel(
             n_clients=len(clients),
             rounds=3,
@@ -199,7 +193,7 @@ class TestRunFedavg:
     def test_round_traffic_pattern(self):
         # round 1: uploads only; later rounds: downloads plus uploads
         clients, _, test = tiny_problem()
-        result = run_fedavg(clients, test, tiny_config("fedavg"), bits_per_param=8)
+        result = run_fedavg(clients, test, tiny_config(), bits_per_param=8)
         per_model = result.final_model.parameter_count() * 8
         by_round = result.ledger.bits_by_round()
         n = len(clients)
@@ -208,7 +202,7 @@ class TestRunFedavg:
 
     def test_cumulative_bits_monotone(self):
         clients, _, test = tiny_problem()
-        result = run_fedavg(clients, test, tiny_config("fedavg"))
+        result = run_fedavg(clients, test, tiny_config())
         bits = [m.cumulative_bits for m in result.metrics]
         assert bits == sorted(bits) and bits[0] > 0
 
@@ -218,7 +212,7 @@ class TestRunFedavg:
         gen = SeededRng(3, 0).generator()
         small = LabeledDataset(gen.standard_normal((8, 4)), one_hot([0, 1] * 4, 2), 2)
         big = concat_datasets([small, small])
-        cfg = tiny_config("fedavg", rounds=1, batch_size=4)
+        cfg = tiny_config(rounds=1, batch_size=4)
         # reproduce the aggregate from direct training with pass-derived steps
         init = initial_model(cfg, 4, 2)
         m_small = local_train(
@@ -241,24 +235,22 @@ class TestRunFedavg:
 class TestRunFedprox:
     def test_zero_mu_identical_to_fedavg(self):
         clients, _, test = tiny_problem()
-        fa = run_fedavg(fresh_clients(clients), test, tiny_config("fedavg"))
-        fp = run_fedprox(fresh_clients(clients), test, tiny_config("fedprox"))
+        fa = run_fedavg(fresh_clients(clients), test, tiny_config())
+        fp = run_fedprox(fresh_clients(clients), test, tiny_config())
         assert models_equal(fa.final_model, fp.final_model)
         assert fa.ledger.total_bits() == fp.ledger.total_bits()
 
     def test_proximal_pull_shrinks_drift(self):
         clients, _, test = tiny_problem()
         cfg = dict(rounds=1, learning_rate=1e-3)
-        fa = run_fedavg(fresh_clients(clients), test, tiny_config("fedavg", **cfg))
+        fa = run_fedavg(fresh_clients(clients), test, tiny_config(**cfg))
         fp = run_fedprox(
-            fresh_clients(clients), test, tiny_config("fedprox", prox_mu=1000.0, **cfg)
+            fresh_clients(clients), test, tiny_config(prox_mu=1000.0, **cfg)
         )
-        init = initial_model(tiny_config("fedavg", **cfg), clients[0].data.dim(), 4)
+        init = initial_model(tiny_config(**cfg), clients[0].data.dim(), 4)
 
         def drift(model):
-            return sum(
-                float(np.sum((a - b) ** 2)) for a, b in zip(model.weights, init.weights)
-            )
+            return float(np.sum((model.params - init.params) ** 2))
 
         assert drift(fp.final_model) < drift(fa.final_model)
 
@@ -266,9 +258,9 @@ class TestRunFedprox:
 class TestRunFedseqLite:
     def test_singleton_clusters_match_fedavg(self):
         clients, _, test = tiny_problem()
-        fa = run_fedavg(fresh_clients(clients), test, tiny_config("fedavg"))
+        fa = run_fedavg(fresh_clients(clients), test, tiny_config())
         fs = run_fedseq_lite(
-            fresh_clients(clients), test, tiny_config("fedseq"), len(clients), 1
+            fresh_clients(clients), test, tiny_config(), len(clients), 1
         )
         # same local training, same weights; only the summation order of the
         # aggregation differs, so parameters agree to rounding
@@ -280,7 +272,7 @@ class TestRunFedseqLite:
 
     def test_ledger_matches_closed_form_exactly(self):
         clients, _, test = tiny_problem()
-        result = run_fedseq_lite(clients, test, tiny_config("fedseq"), 2, 3)
+        result = run_fedseq_lite(clients, test, tiny_config(), 2, 3)
         c = CostModel(
             rounds=3,
             seq_clusters=2,
@@ -293,7 +285,7 @@ class TestRunFedseqLite:
     def test_round_traffic_pattern(self):
         # per cluster and round: fetch (from round 2), J deliveries, 1 upload
         clients, _, test = tiny_problem()
-        result = run_fedseq_lite(clients, test, tiny_config("fedseq"), 2, 3, bits_per_param=8)
+        result = run_fedseq_lite(clients, test, tiny_config(), 2, 3, bits_per_param=8)
         per_model = result.final_model.parameter_count() * 8
         by_round = result.ledger.bits_by_round()
         assert by_round[1] == 2 * (1 + 3) * per_model
@@ -302,13 +294,13 @@ class TestRunFedseqLite:
     def test_shape_constraint(self):
         clients, _, test = tiny_problem()
         with pytest.raises(CapacityError):
-            run_fedseq_lite(clients, test, tiny_config("fedseq"), 4, 2)
+            run_fedseq_lite(clients, test, tiny_config(), 4, 2)
 
 
 class TestRunHfldd:
     def run_tiny(self, **overrides):
         clients, probe, test = tiny_problem()
-        cfg = tiny_config("hfldd", **overrides)
+        cfg = tiny_config(**overrides)
         return clients, run_hfldd(clients, probe, test, cfg, TINY_KIP, 3), cfg, test
 
     def test_result_artifacts(self):
@@ -348,7 +340,7 @@ class TestRunHfldd:
     def test_training_phase_equals_fedavg_over_heads(self):
         _, result, cfg, test = self.run_tiny()
         heads = [ClientState(h, result.head_data[h]) for h in result.topology.heads]
-        fa = run_fedavg(heads, test, tiny_config("fedavg"))
+        fa = run_fedavg(heads, test, tiny_config())
         assert models_equal(result.final_model, fa.final_model)
         assert [m.accuracy for m in result.metrics] == [m.accuracy for m in fa.metrics]
 
@@ -357,7 +349,7 @@ class TestRunHfldd:
         # cluster holding everyone; with one round the pipeline reduces to
         # plain training on the head's combined dataset
         clients, probe, test = tiny_problem()
-        cfg = tiny_config("hfldd", rounds=1)
+        cfg = tiny_config(rounds=1)
         result = run_hfldd(clients, probe, test, cfg, TINY_KIP, len(clients))
         assert len(result.topology.heterogeneous) == 1
         head_id = result.topology.heads[0]
@@ -386,7 +378,7 @@ class TestRunHfldd:
 
         clients, probe, test = tiny_problem()
         before = [fields(c) for c in clients]
-        run_hfldd(clients, probe, test, tiny_config("hfldd"), TINY_KIP, 3)
+        run_hfldd(clients, probe, test, tiny_config(), TINY_KIP, 3)
         assert [fields(c) for c in clients] == before
 
     def test_deterministic(self):
@@ -400,19 +392,19 @@ class TestRunHfldd:
         clients, _, test = tiny_problem()
         bad_probe = LabeledDataset(np.zeros((4, 9)), one_hot([0, 1, 2, 3], 4), 4)
         with pytest.raises(ShapeError):
-            run_hfldd(clients, bad_probe, test, tiny_config("hfldd"), TINY_KIP, 3)
+            run_hfldd(clients, bad_probe, test, tiny_config(), TINY_KIP, 3)
 
     def test_clustering_failure_names_its_stage(self):
         clients, probe, test = tiny_problem()
         with pytest.raises(StageError) as err:
-            run_hfldd(clients, probe, test, tiny_config("hfldd"), TINY_KIP, len(clients) + 1)
+            run_hfldd(clients, probe, test, tiny_config(), TINY_KIP, len(clients) + 1)
         assert err.value.stage == "clustering"
 
     def test_distillation_failure_names_its_stage(self):
         clients, probe, test = tiny_problem()
         greedy = KipConfig(10_000, 1e-6, 0.01, 5, 5, 7)
         with pytest.raises(StageError) as err:
-            run_hfldd(clients, probe, test, tiny_config("hfldd"), greedy, 3)
+            run_hfldd(clients, probe, test, tiny_config(), greedy, 3)
         assert err.value.stage == "distillation"
 
 
@@ -432,7 +424,7 @@ class TestIidParity:
             test_fraction=0.25,
             probe_size=20,
         )
-        cfg = tiny_config("fedavg", seed=1, batch_size=16, pretrain_steps=0)
+        cfg = tiny_config(seed=1, batch_size=16, pretrain_steps=0)
         fa = run_fedavg(clients, test, cfg)
         union = concat_datasets([c.data for c in clients])
         budget = pass_steps(union.n_rows(), cfg.batch_size, cfg.rounds * cfg.local_steps)

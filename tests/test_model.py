@@ -5,13 +5,17 @@ whose hidden preactivations sit within 1e-3 of a ReLU kink are redrawn, since
 the numeric quotient is meaningless across the kink.
 """
 
+import hashlib
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hfldd.datagen import LabeledDataset, one_hot
 from hfldd.errors import DomainError, EmptyInputError, FormatError, ShapeError
 from hfldd.model import (
-    GradientSet,
     MlpModel,
     SgdConfig,
     accuracy,
@@ -24,6 +28,7 @@ from hfldd.model import (
     local_train,
     sgd_step,
     soft_labels,
+    _layers,
 )
 from hfldd.numkernel import SeededRng
 
@@ -35,27 +40,28 @@ def small_dataset(seed=0, n=12, dim=5, classes=3):
     return LabeledDataset(x, y, classes)
 
 
-def flatten(model):
-    return np.concatenate([w.ravel() for w in model.weights] + [b.ravel() for b in model.biases])
-
-
 class TestInit:
     def test_sizes_and_counts(self):
         m = init_mlp((4, 8, 3), SeededRng(0))
-        assert m.layer_sizes() == (4, 8, 3)
+        assert m.sizes == (4, 8, 3)
         # 4*8 + 8 + 8*3 + 3 = 32 + 8 + 24 + 3
         assert m.parameter_count() == 67
 
     def test_glorot_bounds_and_zero_biases(self):
         m = init_mlp((10, 6, 2), SeededRng(1))
         limit = np.sqrt(6.0 / 16)
-        assert np.all(np.abs(m.weights[0]) <= limit)
-        assert all(np.array_equal(b, np.zeros_like(b)) for b in m.biases)
+        layers = _layers(m.sizes, m.params)
+        assert np.all(np.abs(layers[0][0]) <= limit)
+        assert all(np.array_equal(b, np.zeros_like(b)) for _, b in layers)
 
     def test_deterministic(self):
         a = init_mlp((3, 4, 2), SeededRng(9))
         b = init_mlp((3, 4, 2), SeededRng(9))
-        assert all(np.array_equal(x, y) for x, y in zip(a.weights, b.weights))
+        assert np.array_equal(a.params, b.params)
+
+    def test_params_must_match_sizes(self):
+        with pytest.raises(ShapeError):
+            MlpModel((2, 2), np.ones(5))
 
     def test_bad_sizes(self):
         with pytest.raises(DomainError):
@@ -73,7 +79,7 @@ class TestForward:
         assert np.all(p > 0.0)
 
     def test_zero_model_is_uniform(self):
-        m = MlpModel([np.zeros((4, 3))], [np.zeros(3)])
+        m = MlpModel((4, 3), np.zeros(15))
         p = forward(m, np.ones((2, 4)))
         assert np.allclose(p, 1.0 / 3.0, atol=1e-15)
 
@@ -88,12 +94,12 @@ def fd_instance(seed, sizes=(5, 7, 4, 3), n=6, kink_margin=1e-3, attempts=50):
     for offset in range(attempts):
         rng = SeededRng(seed, offset)
         m = init_mlp(sizes, rng)
-        gen = rng.derive(1000).generator()
+        gen = SeededRng(seed, offset + 1000).generator()
         x = gen.standard_normal((n, sizes[0]))
         y = one_hot(gen.integers(0, sizes[-1], size=n), sizes[-1])
         h = x
         clear = True
-        for w, b in zip(m.weights[:-1], m.biases[:-1]):
+        for w, b in _layers(m.sizes, m.params)[:-1]:
             z = h @ w + b
             if np.min(np.abs(z)) < kink_margin:
                 clear = False
@@ -111,21 +117,16 @@ def loss_at(m, x, y):
 def max_backward_fd_error(m, x, y, eps=1e-6):
     g = backward(m, x, y)
     worst = 0.0
-    params = list(zip(m.weights, g.weights)) + list(zip(m.biases, g.biases))
-    for arr, grad in params:
-        it = np.nditer(arr, flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            orig = arr[idx]
-            arr[idx] = orig + eps
-            up = loss_at(m, x, y)
-            arr[idx] = orig - eps
-            down = loss_at(m, x, y)
-            arr[idx] = orig
-            numeric = (up - down) / (2 * eps)
-            analytic = grad[idx]
-            rel = abs(analytic - numeric) / max(abs(analytic) + abs(numeric), 1e-3)
-            worst = max(worst, rel)
+    for i in range(m.params.size):
+        orig = m.params[i]
+        m.params[i] = orig + eps
+        up = loss_at(m, x, y)
+        m.params[i] = orig - eps
+        down = loss_at(m, x, y)
+        m.params[i] = orig
+        numeric = (up - down) / (2 * eps)
+        rel = abs(g[i] - numeric) / max(abs(g[i]) + abs(numeric), 1e-3)
+        worst = max(worst, rel)
     return worst
 
 
@@ -152,23 +153,20 @@ class TestBackward:
 
 class TestSgdStep:
     def test_hand_update(self):
-        m = MlpModel([np.array([[1.0, 2.0]])], [np.array([3.0, 4.0])])
-        g = GradientSet([np.array([[10.0, 20.0]])], [np.array([30.0, 40.0])])
-        out = sgd_step(m, g, 0.1)
-        assert np.allclose(out.weights[0], [[0.0, 0.0]], atol=1e-15)
-        assert np.allclose(out.biases[0], [0.0, 0.0], atol=1e-15)
+        m = MlpModel((1, 2), np.array([1.0, 2.0, 3.0, 4.0]))
+        out = sgd_step(m, np.array([10.0, 20.0, 30.0, 40.0]), 0.1)
+        assert np.allclose(out.params, 0.0, atol=1e-15)
 
     def test_inputs_untouched(self):
-        m = MlpModel([np.array([[1.0]])], [np.array([2.0])])
-        g = GradientSet([np.array([[1.0]])], [np.array([1.0])])
+        m = MlpModel((1, 1), np.array([1.0, 2.0]))
+        g = np.array([1.0, 1.0])
         sgd_step(m, g, 0.5)
-        assert m.weights[0][0, 0] == 1.0 and m.biases[0][0] == 2.0
+        assert list(m.params) == [1.0, 2.0] and list(g) == [1.0, 1.0]
 
     def test_shape_mismatch(self):
-        m = MlpModel([np.ones((2, 2))], [np.ones(2)])
-        g = GradientSet([np.ones((2, 3))], [np.ones(2)])
+        m = MlpModel((2, 2), np.ones(6))
         with pytest.raises(ShapeError):
-            sgd_step(m, g, 0.1)
+            sgd_step(m, np.ones(8), 0.1)
 
 
 class TestIterBatches:
@@ -196,12 +194,12 @@ class TestLocalTrain:
     def test_deterministic_and_pure(self):
         d = small_dataset()
         m = init_mlp((5, 4, 3), SeededRng(5))
-        before = flatten(m).copy()
+        before = m.params.copy()
         a = local_train(m, d, SgdConfig(0.1, 4, 6), SeededRng(5, 1))
         b = local_train(m, d, SgdConfig(0.1, 4, 6), SeededRng(5, 1))
-        assert np.array_equal(flatten(a), flatten(b))
-        assert np.array_equal(flatten(m), before)
-        assert not np.array_equal(flatten(a), before)
+        assert np.array_equal(a.params, b.params)
+        assert np.array_equal(m.params, before)
+        assert not np.array_equal(a.params, before)
 
     def test_training_reduces_loss(self):
         d = small_dataset(seed=2, n=60)
@@ -259,9 +257,9 @@ class TestLossAndAccuracy:
 
     def test_accuracy_hand_value(self):
         d = LabeledDataset(np.eye(3), one_hot([0, 1, 2], 3), 3)
-        m = MlpModel([np.eye(3) * 5.0], [np.zeros(3)])
+        m = MlpModel((3, 3), np.concatenate([np.eye(3).ravel() * 5.0, np.zeros(3)]))
         assert accuracy(m, d) == 1.0
-        wrong = MlpModel([-np.eye(3) * 5.0], [np.zeros(3)])
+        wrong = MlpModel((3, 3), np.concatenate([-np.eye(3).ravel() * 5.0, np.zeros(3)]))
         assert accuracy(wrong, d) < 1.0
 
 
@@ -269,8 +267,8 @@ class TestSerialization:
     def test_round_trip_bit_exact(self):
         m = init_mlp((6, 5, 4), SeededRng(8))
         back = MlpModel.from_bytes(m.to_bytes())
-        assert back.layer_sizes() == m.layer_sizes()
-        assert np.array_equal(flatten(back), flatten(m))
+        assert back.sizes == m.sizes
+        assert np.array_equal(back.params, m.params)
 
     def test_truncated_rejected(self):
         blob = init_mlp((3, 2), SeededRng(0)).to_bytes()
@@ -285,3 +283,53 @@ class TestSerialization:
     def test_empty_rejected(self):
         with pytest.raises(FormatError):
             MlpModel.from_bytes(b"")
+
+    def test_byte_format_pinned(self):
+        blob = init_mlp((6, 5, 4), SeededRng(8)).to_bytes()
+        assert len(blob) == 8 * 4 + 8 * (6 * 5 + 5 + 5 * 4 + 4)
+        assert hashlib.sha256(blob).hexdigest() == (
+            "9e626a1076cf9174302f6abed24b94b77498a25be76ca38f5aeeb8cc278da799"
+        )
+
+    def test_zero_layer_size_rejected(self):
+        # two sizes (2, 0): a layer with no units and an empty parameter block
+        with pytest.raises(FormatError, match="sizes"):
+            MlpModel.from_bytes(struct.pack("<QQQ", 2, 2, 0))
+
+    @given(blob=st.binary(max_size=96))
+    @settings(max_examples=200, deadline=None)
+    def test_fuzz_arbitrary_bytes(self, blob):
+        assert_decodes_or_format_error(blob)
+
+    @given(blob=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_fuzz_mutated_valid_blobs(self, blob):
+        assert_decodes_or_format_error(blob.draw(mutated_model_blobs()))
+
+
+def assert_decodes_or_format_error(blob):
+    """Only FormatError may escape from_bytes; what decodes re-encodes to the
+    same bytes and runs forward."""
+    try:
+        m = MlpModel.from_bytes(blob)
+    except FormatError:
+        return
+    assert m.to_bytes() == blob
+    with np.errstate(all="ignore"):  # mutated parameters may be inf or nan
+        assert forward(m, np.zeros((1, m.sizes[0]))).shape == (1, m.sizes[-1])
+
+
+@st.composite
+def mutated_model_blobs(draw):
+    """A header with small (possibly zero or too few) sizes and a parameter
+    block of exactly the length it implies, then optional byte edits, a cut
+    and trailing bytes."""
+    sizes = draw(st.lists(st.integers(0, 4), max_size=4))
+    n_params = sum(a * b + b for a, b in zip(sizes[:-1], sizes[1:]))
+    blob = bytearray(struct.pack(f"<{len(sizes) + 1}Q", len(sizes), *sizes))
+    blob += draw(st.binary(min_size=8 * n_params, max_size=8 * n_params))
+    for _ in range(draw(st.integers(0, 2))):
+        blob[draw(st.integers(0, len(blob) - 1))] = draw(st.integers(0, 255))
+    if draw(st.booleans()):
+        blob = blob[: draw(st.integers(0, len(blob)))] + draw(st.binary(max_size=16))
+    return bytes(blob)

@@ -25,9 +25,6 @@ class TestSeededRng:
         b = SeededRng(2, 0).generator().standard_normal(16)
         assert not np.array_equal(a, b)
 
-    def test_derive_offsets_stream(self):
-        assert SeededRng(5, 10).derive(7) == SeededRng(5, 17)
-
     @given(seed=st.integers(0, 2**63), stream=st.integers(0, 2**63))
     @settings(max_examples=25, deadline=None)
     def test_reproducible_for_any_pair(self, seed, stream):
