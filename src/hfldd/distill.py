@@ -15,8 +15,8 @@ import numpy as np
 
 from . import streams
 from .datagen import LabeledDataset, one_hot
-from .errors import CapacityError, DomainError, EmptyInputError
-from .numkernel import SeededRng, as_matrix, rbf_kernel, ridge_solve
+from .errors import CapacityError, DomainError, EmptyInputError, ShapeError
+from .numkernel import SeededRng, as_matrix, rbf_core, rbf_kernel, ridge_solve, ridge_solver
 
 LOSS_TRACE_EVERY = 100
 
@@ -82,8 +82,17 @@ def kip_loss(xs, ys, xt, yt, lam: float, gamma: float) -> float:
 def kip_gradient(xs, ys, xt, yt, lam: float, gamma: float) -> np.ndarray:
     """Analytic gradient of kip_loss w.r.t. the support features xs.
 
-    Chain rule through both kernel blocks; the ridge solve contributes via
-    d(A^-1) = -A^-1 dA A^-1 applied to A = K_ss + lam I.
+    With A = K_ss + lam I, alpha = A^-1 ys, err = K_ts alpha - yt and
+    beta = A^-1 K_ts^T err, the loss sensitivities to the kernel blocks are
+    G_ts = err alpha^T and G_ss = -beta alpha^T (the ridge solve contributes
+    through d(A^-1) = -A^-1 dA A^-1). Each kernel entry moves with
+    2 gamma (x_j - x_i) K_ij, so with W_ts = G_ts * K_ts and
+    W = (G_ss + G_ss^T) * K_ss - diag(colsum(W_ts) + rowsum(W_ss)), where
+    W_ss is W before its diagonal term, the gradient is
+
+        2 gamma (W xs + W_ts^T xt).
+
+    K_ss is built and factored once per call, serving both alpha and beta.
     """
     xs = as_matrix(xs, "xs")
     ys = as_matrix(ys, "ys")
@@ -93,22 +102,25 @@ def kip_gradient(xs, ys, xt, yt, lam: float, gamma: float) -> np.ndarray:
         raise DomainError(f"feature dims differ: support {xs.shape[1]}, target {xt.shape[1]}")
     if ys.shape[1] != yt.shape[1]:
         raise DomainError(f"label dims differ: support {ys.shape[1]}, target {yt.shape[1]}")
-    k_ss = rbf_kernel(xs, xs, gamma)
-    k_ts = rbf_kernel(xt, xs, gamma)
-    alpha = ridge_solve(k_ss, ys, lam)
+    if ys.shape[0] != xs.shape[0] or yt.shape[0] != xt.shape[0]:
+        raise ShapeError("labels and features must have the same number of rows")
+    if gamma <= 0:
+        raise DomainError(f"gamma must be positive, got {gamma}")
+    k_ss = rbf_core(xs, xs, gamma)
+    k_ts = rbf_core(xt, xs, gamma)
+    solve = ridge_solver(k_ss, lam)
+    alpha = solve(ys)
     err = k_ts @ alpha - yt
-
-    # Loss sensitivities to the two kernel blocks.
-    g_ts = err @ alpha.T
-    beta = ridge_solve(k_ss, k_ts.T @ err, lam)
-    g_ss = -beta @ alpha.T
-
-    # Kernel sensitivities to xs: dK/dx pulls in 2*gamma*(difference vectors).
-    w_ts = g_ts * k_ts
-    grad = w_ts.T @ xt - w_ts.sum(axis=0)[:, None] * xs
-    w_ss = (g_ss + g_ss.T) * k_ss
-    grad += w_ss @ xs - w_ss.sum(axis=1)[:, None] * xs
-    return 2.0 * gamma * grad
+    w_ts = (err @ alpha.T) * k_ts
+    g_ss = -solve(k_ts.T @ err) @ alpha.T
+    w = (g_ss + g_ss.T) * k_ss
+    diag = w_ts.sum(axis=0)
+    diag += w.sum(axis=1)
+    w.flat[:: w.shape[0] + 1] -= diag
+    grad = w @ xs
+    grad += w_ts.T @ xt
+    grad *= 2.0 * gamma
+    return grad
 
 
 def balanced_support_labels(present_classes, support_size: int, class_count: int) -> np.ndarray:
@@ -153,7 +165,7 @@ def distill(
         pool = np.flatnonzero(labels == cls)
         pick = gen.choice(pool, size=need, replace=need > len(pool))
         chunks.append(pick)
-    support_x = d.features[np.concatenate(chunks)].copy()
+    support_x = d.features[np.concatenate(chunks)]
 
     n = d.n_rows()
     trace = [kip_loss(support_x, support_y, d.features, d.labels, cfg.ridge_lambda, gamma)]
@@ -162,7 +174,8 @@ def distill(
         g = kip_gradient(
             support_x, support_y, d.features[batch], d.labels[batch], cfg.ridge_lambda, gamma
         )
-        support_x = support_x - cfg.learning_rate * g
+        g *= -cfg.learning_rate
+        support_x += g
         if (it + 1) % LOSS_TRACE_EVERY == 0 and (it + 1) != cfg.iterations:
             trace.append(
                 kip_loss(support_x, support_y, d.features, d.labels, cfg.ridge_lambda, gamma)

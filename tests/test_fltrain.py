@@ -21,6 +21,7 @@ from hfldd.errors import (
 from hfldd.fltrain import (
     ClientState,
     RunConfig,
+    _prox_local_train,
     aggregate,
     assemble_head_dataset,
     initial_model,
@@ -31,7 +32,15 @@ from hfldd.fltrain import (
     run_hfldd,
 )
 from hfldd.metrics import CostModel, cost_fedavg, cost_fedseq, cost_hfldd
-from hfldd.model import MlpModel, SgdConfig, local_train
+from hfldd.model import (
+    MlpModel,
+    SgdConfig,
+    backward,
+    init_mlp,
+    iter_batches,
+    local_train,
+    sgd_step,
+)
 from hfldd.numkernel import SeededRng
 
 from helpers import build_problem, models_close, models_equal, tiny_problem
@@ -239,6 +248,33 @@ class TestRunFedprox:
         fp = run_fedprox(fresh_clients(clients), test, tiny_config())
         assert models_equal(fa.final_model, fp.final_model)
         assert fa.ledger.total_bits() == fp.ledger.total_bits()
+
+    def test_local_loop_matches_reference_loop(self):
+        clients, _, _ = tiny_problem()
+        d = clients[0].data
+        model = init_mlp((d.dim(), 6, 4), SeededRng(2))
+        anchor = init_mlp((d.dim(), 6, 4), SeededRng(3))
+        before = model.params.tobytes(), anchor.params.tobytes()
+        sgd, mu = SgdConfig(0.2, 5, 17), 0.7
+        out = _prox_local_train(model, d, sgd, SeededRng(2, 1), mu, anchor)
+        batches = iter_batches(d.n_rows(), sgd.batch_size, SeededRng(2, 1).generator())
+        ref = model
+        for _ in range(sgd.steps):
+            idx = next(batches)
+            g = backward(ref, d.features[idx], d.labels[idx])
+            g += mu * (ref.params - anchor.params)
+            ref = sgd_step(ref, g, sgd.learning_rate)
+        assert out.params.tobytes() == ref.params.tobytes()
+        assert (model.params.tobytes(), anchor.params.tobytes()) == before
+
+    def test_local_loop_leaves_a_shared_anchor_untouched(self):
+        clients, _, _ = tiny_problem()
+        d = clients[0].data
+        model = init_mlp((d.dim(), 6, 4), SeededRng(2))
+        before = model.params.tobytes()
+        out = _prox_local_train(model, d, SgdConfig(0.2, 5, 9), SeededRng(2, 1), 0.5, model)
+        assert model.params.tobytes() == before
+        assert out.params.tobytes() != before
 
     def test_proximal_pull_shrinks_drift(self):
         clients, _, test = tiny_problem()

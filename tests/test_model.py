@@ -70,6 +70,14 @@ class TestInit:
             init_mlp((4, 0, 2), SeededRng(0))
 
 
+class TestEquality:
+    def test_models_compare_by_identity(self):
+        a = init_mlp((3, 4, 2), SeededRng(9))
+        b = init_mlp((3, 4, 2), SeededRng(9))
+        assert (a == b) is False
+        assert (a == a) is True
+
+
 class TestForward:
     def test_rows_are_distributions(self):
         m = init_mlp((5, 7, 3), SeededRng(2))
@@ -168,6 +176,14 @@ class TestSgdStep:
         with pytest.raises(ShapeError):
             sgd_step(m, np.ones(8), 0.1)
 
+    def test_benchmark_sized_update_is_exact(self):
+        m = init_mlp((1024, 64, 64, 10), SeededRng(3))
+        g = SeededRng(3, 1).generator().standard_normal(m.params.shape)
+        m_before, g_before = m.params.tobytes(), g.tobytes()
+        out = sgd_step(m, g, 0.05)
+        assert out.params.tobytes() == (m.params - 0.05 * g).tobytes()
+        assert m.params.tobytes() == m_before and g.tobytes() == g_before
+
 
 class TestIterBatches:
     def test_each_cycle_is_a_permutation(self):
@@ -212,6 +228,21 @@ class TestLocalTrain:
         m = init_mlp((5, 3), SeededRng(0))
         with pytest.raises(EmptyInputError):
             local_train(m, d, SgdConfig(0.1, 4, 1), SeededRng(0, 1))
+
+    def test_matches_backward_then_sgd_step_loop(self):
+        d = small_dataset(seed=3, n=30)
+        m = init_mlp((5, 7, 6, 3), SeededRng(4))
+        before = m.params.tobytes()
+        cfg = SgdConfig(0.3, 7, 25)
+        out = local_train(m, d, cfg, SeededRng(4, 1))
+        batches = iter_batches(d.n_rows(), cfg.batch_size, SeededRng(4, 1).generator())
+        ref = m
+        for _ in range(cfg.steps):
+            idx = next(batches)
+            ref = sgd_step(ref, backward(ref, d.features[idx], d.labels[idx]), cfg.learning_rate)
+        assert out.params.tobytes() == ref.params.tobytes()
+        assert m.params.tobytes() == before
+        assert not np.shares_memory(out.params, m.params)
 
 
 class TestSgdConfig:
