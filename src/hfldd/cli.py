@@ -41,7 +41,7 @@ from .fltrain import (
     run_hfldd,
 )
 from .metrics import (
-    DEFAULT_BITS_PER_FEATURE,
+    DEFAULT_BITS_PER_PARAM,
     CostModel,
     bits_to_megabytes,
     cost_fedavg,
@@ -60,6 +60,13 @@ EXIT_RUNTIME = 3
 
 def _parse_intlist(v: str) -> tuple[int, ...]:
     return tuple(int(p) for p in v.split(",") if p.strip())
+
+
+def _parse_finite(v: str) -> float:
+    x = float(v)
+    if not math.isfinite(x):
+        raise ValueError(f"must be a finite number, got {v!r}")
+    return x
 
 
 def _parse_choice(*allowed):
@@ -83,10 +90,10 @@ _SCHEMA = {
         "classes": (int, "10"),
         "per_class": (int, "200"),
         "dim": (int, "16"),
-        "separation": (float, "6.0"),
-        "test_fraction": (float, "0.2"),
+        "separation": (_parse_finite, "6.0"),
+        "test_fraction": (_parse_finite, "0.2"),
         "probe_size": (int, "100"),
-        "probe_shift": (float, "1.0"),
+        "probe_shift": (_parse_finite, "1.0"),
         "images": (str, ""),
         "labels": (str, ""),
     },
@@ -99,20 +106,20 @@ _SCHEMA = {
         "rounds": (int, "300"),
         "local_steps": (int, "2"),
         "pretrain_steps": (int, "10"),
-        "learning_rate": (float, "0.01"),
+        "learning_rate": (_parse_finite, "0.01"),
         "batch_size": (int, "32"),
         "pretrain_batch": (int, "64"),
         "hidden": (_parse_intlist, "64,64"),
-        "prox_mu": (float, "0.0"),
-        "bits_per_param": (int, "32"),
+        "prox_mu": (_parse_finite, "0.0"),
+        "bits_per_param": (int, str(DEFAULT_BITS_PER_PARAM)),
         "bits_per_sample": (int, "0"),
         "seq_clusters": (int, "0"),
         "seq_cluster_size": (int, "0"),
     },
     "distill": {
         "support_size": (int, "20"),
-        "ridge_lambda": (float, "1e-6"),
-        "learning_rate": (float, "0.004"),
+        "ridge_lambda": (_parse_finite, "1e-6"),
+        "learning_rate": (_parse_finite, "0.004"),
         "iterations": (int, "3000"),
         "target_batch": (int, "10"),
     },
@@ -323,9 +330,8 @@ def _metrics_csv(metrics) -> str:
 
 
 def _cost_model_for(xc: ExperimentConfig, result, model_params: int) -> CostModel:
-    # The feature width is the trained model's input, which for idx data is
-    # the image size, not the synthetic-only [data] dim.
-    bits_per_sample = xc.bits_per_sample or result.final_model.sizes[0] * DEFAULT_BITS_PER_FEATURE
+    # Distilled rows cost what run_hfldd charged for them; the price is not
+    # re-derived here, so the closed form agrees with whoever chose it.
     n_heads = result.topology.n_heads() if result.topology else 0
     n_homog = len(result.topology.homogeneous) if result.topology else 0
     return CostModel(
@@ -339,7 +345,7 @@ def _cost_model_for(xc: ExperimentConfig, result, model_params: int) -> CostMode
         probe_size=xc.data["probe_size"],
         class_count=xc.data["classes"],
         bits_per_param=xc.bits_per_param,
-        bits_per_sample=bits_per_sample,
+        bits_per_sample=result.bits_per_sample,
         distilled_sizes=result.distilled_sizes,
     )
 
@@ -601,7 +607,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cost.add_argument("--model-params", dest="model_params", type=int)
     p_cost.add_argument("--probe-size", dest="probe_size", type=int, default=0)
     p_cost.add_argument("--classes", type=int, default=0)
-    p_cost.add_argument("--bits-per-param", dest="bits_per_param", type=int, default=32)
+    p_cost.add_argument("--bits-per-param", dest="bits_per_param", type=int, default=DEFAULT_BITS_PER_PARAM)
     p_cost.add_argument("--bits-per-sample", dest="bits_per_sample", type=int, default=0)
     p_cost.add_argument("--seq-clusters", dest="seq_clusters", type=int, default=0)
     p_cost.add_argument("--seq-cluster-size", dest="seq_cluster_size", type=int, default=0)

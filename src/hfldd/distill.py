@@ -9,6 +9,7 @@ is involved.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,10 +36,10 @@ class KipConfig:
     def __post_init__(self):
         if self.support_size < 1:
             raise DomainError(f"support_size must be >= 1, got {self.support_size}")
-        if self.ridge_lambda <= 0:
-            raise DomainError(f"ridge_lambda must be positive, got {self.ridge_lambda}")
-        if self.learning_rate <= 0:
-            raise DomainError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not 0 < self.ridge_lambda < math.inf:
+            raise DomainError(f"ridge_lambda must be finite and positive, got {self.ridge_lambda}")
+        if not 0 < self.learning_rate < math.inf:
+            raise DomainError(f"learning_rate must be finite and positive, got {self.learning_rate}")
         if self.iterations < 0:
             raise DomainError(f"iterations must be >= 0, got {self.iterations}")
         if self.target_batch < 1:
@@ -58,12 +59,8 @@ class DistilledSet:
         return self.support_x.shape[0]
 
 
-def kip_loss(xs, ys, xt, yt, lam: float, gamma: float) -> float:
-    """Half squared Frobenius error of the support-set ridge predictor.
-
-    loss = 0.5 * ||yt - K_ts (K_ss + lam I)^-1 ys||_F^2. `lam` may be zero
-    when the support kernel itself is positive definite.
-    """
+def _kip_inputs(xs, ys, xt, yt, gamma: float):
+    """Validate the inputs shared by kip_loss and kip_gradient."""
     xs = as_matrix(xs, "xs")
     ys = as_matrix(ys, "ys")
     xt = as_matrix(xt, "xt")
@@ -72,6 +69,20 @@ def kip_loss(xs, ys, xt, yt, lam: float, gamma: float) -> float:
         raise DomainError(f"feature dims differ: support {xs.shape[1]}, target {xt.shape[1]}")
     if ys.shape[1] != yt.shape[1]:
         raise DomainError(f"label dims differ: support {ys.shape[1]}, target {yt.shape[1]}")
+    if ys.shape[0] != xs.shape[0] or yt.shape[0] != xt.shape[0]:
+        raise ShapeError("labels and features must have the same number of rows")
+    if not 0 < gamma < math.inf:
+        raise DomainError(f"gamma must be finite and positive, got {gamma}")
+    return xs, ys, xt, yt
+
+
+def kip_loss(xs, ys, xt, yt, lam: float, gamma: float) -> float:
+    """Half squared Frobenius error of the support-set ridge predictor.
+
+    loss = 0.5 * ||yt - K_ts (K_ss + lam I)^-1 ys||_F^2. `lam` may be zero
+    when the support kernel itself is positive definite.
+    """
+    xs, ys, xt, yt = _kip_inputs(xs, ys, xt, yt, gamma)
     k_ss = rbf_kernel(xs, xs, gamma)
     k_ts = rbf_kernel(xt, xs, gamma)
     alpha = ridge_solve(k_ss, ys, lam)
@@ -94,18 +105,7 @@ def kip_gradient(xs, ys, xt, yt, lam: float, gamma: float) -> np.ndarray:
 
     K_ss is built and factored once per call, serving both alpha and beta.
     """
-    xs = as_matrix(xs, "xs")
-    ys = as_matrix(ys, "ys")
-    xt = as_matrix(xt, "xt")
-    yt = as_matrix(yt, "yt")
-    if xs.shape[1] != xt.shape[1]:
-        raise DomainError(f"feature dims differ: support {xs.shape[1]}, target {xt.shape[1]}")
-    if ys.shape[1] != yt.shape[1]:
-        raise DomainError(f"label dims differ: support {ys.shape[1]}, target {yt.shape[1]}")
-    if ys.shape[0] != xs.shape[0] or yt.shape[0] != xt.shape[0]:
-        raise ShapeError("labels and features must have the same number of rows")
-    if gamma <= 0:
-        raise DomainError(f"gamma must be positive, got {gamma}")
+    xs, ys, xt, yt = _kip_inputs(xs, ys, xt, yt, gamma)
     k_ss = rbf_core(xs, xs, gamma)
     k_ts = rbf_core(xt, xs, gamma)
     solve = ridge_solver(k_ss, lam)

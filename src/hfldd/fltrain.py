@@ -11,6 +11,7 @@ testable bit-for-bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +28,7 @@ from .errors import (
 )
 from .metrics import (
     DEFAULT_BITS_PER_FEATURE,
+    DEFAULT_BITS_PER_PARAM,
     PAYLOAD_DISTILLED,
     PAYLOAD_MODEL,
     PAYLOAD_SOFT_LABELS,
@@ -36,16 +38,20 @@ from .model import (
     MlpModel,
     SgdConfig,
     accuracy,
-    backward,
+    backward,  # noqa: F401
     dataset_loss,
     init_mlp,
-    iter_batches,
     local_train,
-    sgd_step,  # not called here; kept as the site bench/tracer.py wraps
+    sgd_step,  # noqa: F401
     soft_labels,
 )
 from .numkernel import SeededRng, rbf_gamma
 from .topology import ClusterTopology, build_topology
+
+# bench/tracer.py wraps `backward`, `sgd_step` and `_prox_local_train` in this
+# namespace by name. Nothing here calls them; they are plain bindings of the
+# model's functions, so `model.local_train` stays the one training loop.
+_prox_local_train = local_train
 
 ALGORITHMS = ("hfldd", "fedavg", "fedprox", "fedseq")
 
@@ -58,6 +64,11 @@ def pass_steps(n_rows: int, batch_size: int, passes: int) -> int:
         raise EmptyInputError("cannot schedule passes over an empty dataset")
     per_pass = -(-n_rows // min(batch_size, n_rows))
     return passes * per_pass
+
+
+def _pass_schedule(cfg: RunConfig, d, batch_size: int, passes: int) -> SgdConfig:
+    """SGD over `passes` full passes of dataset d at the run's learning rate."""
+    return SgdConfig(cfg.learning_rate, batch_size, pass_steps(d.n_rows(), batch_size, passes))
 
 
 @dataclass
@@ -89,12 +100,12 @@ class RunConfig:
             raise DomainError(f"local_steps must be >= 1, got {self.local_steps}")
         if self.pretrain_steps < 0:
             raise DomainError(f"pretrain_steps must be >= 0, got {self.pretrain_steps}")
-        if self.learning_rate <= 0:
-            raise DomainError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not 0 < self.learning_rate < math.inf:
+            raise DomainError(f"learning_rate must be finite and positive, got {self.learning_rate}")
         if self.batch_size < 1 or self.pretrain_batch < 1:
             raise DomainError("batch sizes must be >= 1")
-        if self.prox_mu < 0:
-            raise DomainError(f"prox_mu must be nonnegative, got {self.prox_mu}")
+        if not 0 <= self.prox_mu < math.inf:
+            raise DomainError(f"prox_mu must be finite and nonnegative, got {self.prox_mu}")
 
 
 @dataclass
@@ -125,6 +136,7 @@ class RunResult:
     topology: ClusterTopology | None = None
     head_data: dict[int, LabeledDataset] = field(default_factory=dict)
     distilled_sizes: tuple[int, ...] = ()
+    bits_per_sample: int = 0  # the price run_hfldd charged per distilled row
 
 
 def initial_model(cfg: RunConfig, dim: int, class_count: int) -> MlpModel:
@@ -144,11 +156,11 @@ def aggregate(models, weights) -> MlpModel:
     for i, m in enumerate(models[1:], start=1):
         if m.sizes != sizes:
             raise ShapeError(f"model {i} architecture {m.sizes} != {sizes}")
-    if any(w < 0 for w in weights):
-        raise DomainError("aggregation weights must be nonnegative")
+    if not all(0 <= w < math.inf for w in weights):
+        raise DomainError("aggregation weights must be finite and nonnegative")
     total = sum(weights)
-    if total <= 0:
-        raise DomainError("aggregation weights must sum to a positive value")
+    if not 0 < total < math.inf:
+        raise DomainError("aggregation weights must sum to a finite positive value")
     out = np.zeros_like(models[0].params)
     for m, w in zip(models, weights):
         out += (w / total) * m.params
@@ -177,9 +189,13 @@ def assemble_head_dataset(head: ClientState, member_distilled) -> LabeledDataset
     )
 
 
-def _weighted_loss(model: MlpModel, datasets, weights) -> float:
-    total = float(sum(weights))
-    return sum(w / total * dataset_loss(model, d) for d, w in zip(datasets, weights))
+def _round_metrics(t: int, model: MlpModel, test, clients, ledger) -> RoundMetrics:
+    """Round t's row: test accuracy, the training loss over all clients
+    weighted by their row counts, and the bits logged so far."""
+    acc = accuracy(model, test)
+    total = float(sum(c.data.n_rows() for c in clients))
+    loss = sum(c.data.n_rows() / total * dataset_loss(model, c.data) for c in clients)
+    return RoundMetrics(t, acc, loss, ledger.total_bits())
 
 
 def _model_bits(model: MlpModel, bits_per_param: int) -> int:
@@ -220,16 +236,7 @@ def _parallel_rounds(
     dim, n_c = _check_clients(clients)
     model = initial_model(cfg, dim, n_c)
     bits = _model_bits(model, bits_per_param)
-    sgd_for = {
-        c.client_id: SgdConfig(
-            cfg.learning_rate,
-            cfg.batch_size,
-            pass_steps(c.data.n_rows(), cfg.batch_size, cfg.local_steps),
-        )
-        for c in clients
-    }
     weights = [c.data.n_rows() for c in clients]
-    datasets = [c.data for c in clients]
     out = []
     for t in range(1, cfg.rounds + 1):
         if t > 1:
@@ -237,59 +244,23 @@ def _parallel_rounds(
                 ledger.record(t, "server", f"client-{c.client_id}", PAYLOAD_MODEL, bits)
         local_models = []
         for c in clients:
+            sgd = _pass_schedule(cfg, c.data, cfg.batch_size, cfg.local_steps)
             rng = SeededRng(cfg.seed, streams.train(t, c.client_id))
-            sgd = sgd_for[c.client_id]
-            if prox_mu > 0:
-                trained = _prox_local_train(model, c.data, sgd, rng, prox_mu, model)
-            else:
-                trained = local_train(model, c.data, sgd, rng)
-            local_models.append(trained)
+            local_models.append(local_train(model, c.data, sgd, rng, prox_mu))
             ledger.record(t, f"client-{c.client_id}", "server", PAYLOAD_MODEL, bits)
         model = aggregate(local_models, weights)
-        out.append(
-            RoundMetrics(
-                round_index=t,
-                accuracy=accuracy(model, test),
-                loss=_weighted_loss(model, datasets, weights),
-                cumulative_bits=ledger.total_bits(),
-            )
-        )
+        out.append(_round_metrics(t, model, test, clients, ledger))
     return out, model
 
 
-def _prox_local_train(
-    model: MlpModel, d, sgd: SgdConfig, rng: SeededRng, mu: float, anchor: MlpModel
-) -> MlpModel:
-    """local_train with the gradient pulled toward the round's global model.
-
-    Like local_train, it copies the parameters once and updates the copy in
-    place; the pull mu * (params - anchor) goes through one reused buffer.
-    """
-    if d.n_rows() == 0:
-        raise EmptyInputError("cannot train on an empty dataset")
-    gen = rng.generator()
-    batches = iter_batches(d.n_rows(), sgd.batch_size, gen)
-    out = MlpModel(model.sizes, model.params.copy())
-    pull = np.empty_like(out.params)
-    for _ in range(sgd.steps):
-        idx = next(batches)
-        g = backward(out, d.features[idx], d.labels[idx])
-        np.subtract(out.params, anchor.params, out=pull)
-        pull *= mu
-        g += pull
-        g *= -sgd.learning_rate
-        out.params += g
-    return out
-
-
-def run_fedavg(clients, test, cfg: RunConfig, bits_per_param: int = 32) -> RunResult:
+def run_fedavg(clients, test, cfg: RunConfig, bits_per_param: int = DEFAULT_BITS_PER_PARAM) -> RunResult:
     """Parallel training over all clients with sample-count weighting."""
     ledger = TransmissionLedger()
     metrics, model = _parallel_rounds(list(clients), test, cfg, ledger, bits_per_param)
     return RunResult(metrics, ledger, model)
 
 
-def run_fedprox(clients, test, cfg: RunConfig, bits_per_param: int = 32) -> RunResult:
+def run_fedprox(clients, test, cfg: RunConfig, bits_per_param: int = DEFAULT_BITS_PER_PARAM) -> RunResult:
     """run_fedavg with a proximal pull toward the global model in each step.
 
     With prox_mu == 0 the proximal term is skipped entirely, so the run is
@@ -308,7 +279,7 @@ def run_fedseq_lite(
     cfg: RunConfig,
     cluster_count: int,
     cluster_size: int,
-    bits_per_param: int = 32,
+    bits_per_param: int = DEFAULT_BITS_PER_PARAM,
 ) -> RunResult:
     """Sequential training inside random clusters, then averaging across them.
 
@@ -328,16 +299,6 @@ def run_fedseq_lite(
     ledger = TransmissionLedger()
     model = initial_model(cfg, dim, n_c)
     bits = _model_bits(model, bits_per_param)
-    sgd_for = {
-        c.client_id: SgdConfig(
-            cfg.learning_rate,
-            cfg.batch_size,
-            pass_steps(c.data.n_rows(), cfg.batch_size, cfg.local_steps),
-        )
-        for c in clients
-    }
-    all_datasets = [c.data for c in clients]
-    all_weights = [c.data.n_rows() for c in clients]
     out = []
     for t in range(1, cfg.rounds + 1):
         perm = SeededRng(cfg.seed, streams.SEQ_PARTITION | t).generator().permutation(n)
@@ -352,21 +313,13 @@ def run_fedseq_lite(
             for c in group:
                 ledger.record(t, holder, f"client-{c.client_id}", PAYLOAD_MODEL, bits)
                 holder = f"client-{c.client_id}"
-                m = local_train(
-                    m, c.data, sgd_for[c.client_id], SeededRng(cfg.seed, streams.train(t, c.client_id))
-                )
+                sgd = _pass_schedule(cfg, c.data, cfg.batch_size, cfg.local_steps)
+                m = local_train(m, c.data, sgd, SeededRng(cfg.seed, streams.train(t, c.client_id)))
             ledger.record(t, holder, "server", PAYLOAD_MODEL, bits)
             cluster_models.append(m)
             cluster_weights.append(sum(c.data.n_rows() for c in group))
         model = aggregate(cluster_models, cluster_weights)
-        out.append(
-            RoundMetrics(
-                round_index=t,
-                accuracy=accuracy(model, test),
-                loss=_weighted_loss(model, all_datasets, all_weights),
-                cumulative_bits=ledger.total_bits(),
-            )
-        )
+        out.append(_round_metrics(t, model, test, clients, ledger))
     return RunResult(out, ledger, model)
 
 
@@ -377,7 +330,7 @@ def run_hfldd(
     cfg: RunConfig,
     kip: KipConfig,
     k: int,
-    bits_per_param: int = 32,
+    bits_per_param: int = DEFAULT_BITS_PER_PARAM,
     bits_per_sample: int | None = None,
 ) -> RunResult:
     """The full four-stage pipeline.
@@ -391,6 +344,8 @@ def run_hfldd(
     4. Heads alone train with the server for cfg.rounds rounds.
 
     Stage traffic is logged under round 0; training traffic under its round.
+    A distilled row costs bits_per_sample bits (default: the data's width
+    times DEFAULT_BITS_PER_FEATURE); the result records the price charged.
     """
     clients = list(clients)
     dim, n_c = _check_clients(clients)
@@ -410,11 +365,7 @@ def run_hfldd(
         soft = []
         soft_bits = probe.n_rows() * n_c * bits_per_param
         for c in clients:
-            pre_sgd = SgdConfig(
-                cfg.learning_rate,
-                cfg.pretrain_batch,
-                pass_steps(c.data.n_rows(), cfg.pretrain_batch, cfg.pretrain_steps),
-            )
+            pre_sgd = _pass_schedule(cfg, c.data, cfg.pretrain_batch, cfg.pretrain_steps)
             pre = local_train(model0, c.data, pre_sgd, SeededRng(cfg.seed, streams.PRETRAIN + c.client_id))
             soft.append(soft_labels(pre, probe))
             ledger.record(0, f"client-{c.client_id}", "server", PAYLOAD_SOFT_LABELS, soft_bits)
@@ -481,4 +432,5 @@ def run_hfldd(
         topology=topo,
         head_data=head_data,
         distilled_sizes=tuple(distilled_sizes),
+        bits_per_sample=bits_per_sample,
     )

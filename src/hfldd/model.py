@@ -9,6 +9,7 @@ updates its own copy in place, step by step.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -31,8 +32,8 @@ class SgdConfig:
     steps: int
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise DomainError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not 0 < self.learning_rate < math.inf:
+            raise DomainError(f"learning_rate must be finite and positive, got {self.learning_rate}")
         if self.batch_size < 1:
             raise DomainError(f"batch_size must be at least 1, got {self.batch_size}")
         if self.steps < 0:
@@ -189,13 +190,19 @@ def iter_batches(n_rows: int, batch_size: int, gen: np.random.Generator):
             yield perm[start : start + batch_size]
 
 
-def local_train(m: MlpModel, d, cfg: SgdConfig, rng: SeededRng) -> MlpModel:
+def local_train(m: MlpModel, d, cfg: SgdConfig, rng: SeededRng, mu: float = 0.0) -> MlpModel:
     """Run cfg.steps mini-batch SGD updates on dataset d; pure in all inputs.
 
+    This is the one local training loop of every algorithm. With mu > 0 each
+    gradient gains FedProx's proximal pull mu * (params - m.params) toward the
+    starting model; mu == 0 skips the term, so the update is plain SGD.
+
     The parameters are copied once, then each step updates the copy in place
-    with the same arithmetic as `sgd_step`, so the result is bit-identical
-    to chaining `sgd_step`.
+    with the same arithmetic as `sgd_step` (the pull goes through one reused
+    buffer), so the result is bit-identical to chaining `sgd_step`.
     """
+    if not 0 <= mu < math.inf:
+        raise DomainError(f"mu must be finite and nonnegative, got {mu}")
     if d.n_rows() == 0:
         raise EmptyInputError("cannot train on an empty dataset")
     if cfg.steps == 0:
@@ -203,9 +210,14 @@ def local_train(m: MlpModel, d, cfg: SgdConfig, rng: SeededRng) -> MlpModel:
     gen = rng.generator()
     batches = iter_batches(d.n_rows(), cfg.batch_size, gen)
     out = MlpModel(m.sizes, m.params.copy())
+    pull = np.empty_like(out.params) if mu else None
     for _ in range(cfg.steps):
         idx = next(batches)
         g = backward(out, d.features[idx], d.labels[idx])
+        if mu:
+            np.subtract(out.params, m.params, out=pull)
+            pull *= mu
+            g += pull
         g *= -cfg.learning_rate
         out.params += g
     return out

@@ -9,6 +9,7 @@ re-derived from one experiment seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,8 +71,8 @@ def ridge_solver(k: np.ndarray, lam: float):
     Unchecked core of `ridge_solve` for callers whose square `k` and
     matching `y` are already validated; `lam` is still checked.
     """
-    if lam < 0:
-        raise DomainError(f"lambda must be nonnegative, got {lam}")
+    if not 0 <= lam < math.inf:
+        raise DomainError(f"lambda must be finite and nonnegative, got {lam}")
     a = k.copy()
     if lam:
         a[np.diag_indices_from(a)] += lam
@@ -95,8 +96,8 @@ def rbf_kernel(a, b, gamma: float) -> np.ndarray:
     b = a if same else as_matrix(b, "b")
     if a.shape[1] != b.shape[1]:
         raise ShapeError(f"feature dimensions differ: {a.shape[1]} vs {b.shape[1]}")
-    if gamma <= 0:
-        raise DomainError(f"gamma must be positive, got {gamma}")
+    if not 0 < gamma < math.inf:
+        raise DomainError(f"gamma must be finite and positive, got {gamma}")
     return rbf_core(a, b, gamma)
 
 

@@ -13,9 +13,11 @@ import numpy as np
 import pytest
 
 import hfldd
+from hfldd import cli
 from hfldd.cli import load_config, load_manifest, main
 from hfldd.errors import ConfigError, ManifestError
-from hfldd.metrics import CostModel, cost_fedavg, cost_fedseq, cost_hfldd
+from hfldd.fltrain import run_hfldd
+from hfldd.metrics import CostModel, cost_fedavg, cost_fedseq, cost_hfldd, ledger_audit
 from hfldd.numkernel import SeededRng
 
 from test_datagen import write_idx_pair
@@ -74,6 +76,17 @@ target_batch = 4
 [cluster]
 k = {values['k']}
 """
+
+
+def idx_config_text(tmp_path, out_dir):
+    """An hfldd config over 180 8x8 IDX images in 3 classes; [data] dim is 16,
+    a synthetic-data key the IDX loader ignores."""
+    gen = SeededRng(3).generator()
+    labels = [i % 3 for i in range(180)]
+    img, lab = write_idx_pair(tmp_path, gen.integers(0, 256, size=(180, 8, 8)), labels)
+    return config_text(out_dir, algorithm="hfldd", dim=16).replace(
+        "[data]\n", f"[data]\nkind = idx\nimages = {img}\nlabels = {lab}\n"
+    )
 
 
 def write_config(tmp_path, name, text):
@@ -207,19 +220,47 @@ class TestRunCommand:
 
     def test_idx_distilled_rows_cost_their_pixel_count(self, tmp_path):
         # [data] dim is a synthetic-data key; an 8x8 IDX row has 64 features
-        gen = SeededRng(3).generator()
-        labels = [i % 3 for i in range(180)]
-        img, lab = write_idx_pair(tmp_path, gen.integers(0, 256, size=(180, 8, 8)), labels)
         out = tmp_path / "run_idx"
-        text = config_text(out, algorithm="hfldd", dim=16).replace(
-            "[data]\n", f"[data]\nkind = idx\nimages = {img}\nlabels = {lab}\n"
-        )
+        text = idx_config_text(tmp_path, out)
         assert main(["run", write_config(tmp_path, "idx.ini", text)]) == 0
         report = json.loads((out / "cost.json").read_text())
         members = 4 - len(json.loads((out / "topology.json").read_text())["heads"])
         assert members > 0
         assert report["by_kind"]["distilled-data"] == members * 2 * 64 * 64
         assert report["discrepancy_bits"] == 0
+
+    def test_audit_prices_rows_at_what_the_run_charged(self, tmp_path):
+        # a caller (the benchmark harness, say) picks its own price per
+        # distilled row; the CLI's closed form must use the same price
+        xc = load_config(write_config(tmp_path, "idx.ini", idx_config_text(tmp_path, "unused")))
+        clients, probe, test = cli._build_problem(xc)
+        price = 16 * 64
+        result = run_hfldd(clients, probe, test, xc.run, xc.kip, xc.k, xc.bits_per_param, price)
+        assert result.bits_per_sample == price
+        cost = cli._cost_model_for(xc, result, result.final_model.parameter_count())
+        report = ledger_audit(result.ledger, cost, "hfldd")
+        assert report.by_kind["distilled-data"] == sum(result.distilled_sizes) * price > 0
+        assert report.discrepancy_bits == 0
+
+    @pytest.mark.parametrize(
+        "algorithm, old, new",
+        [
+            ("fedprox", "[train]\n", "[train]\nprox_mu = nan\n"),
+            ("fedavg", "learning_rate = 0.05", "learning_rate = inf"),
+            ("hfldd", "[distill]\n", "[distill]\nridge_lambda = nan\n"),
+            # probe_shift > 0 is false for NaN, which used to mean "no shift"
+            ("fedavg", "[data]\n", "[data]\nprobe_shift = nan\n"),
+        ],
+        ids=["prox_mu", "learning_rate", "ridge_lambda", "probe_shift"],
+    )
+    def test_non_finite_knob_exits_2(self, tmp_path, capsys, algorithm, old, new):
+        out = tmp_path / "never"
+        text = config_text(out, algorithm=algorithm)
+        assert old in text
+        cfg = write_config(tmp_path, "bad.ini", text.replace(old, new))
+        assert main(["run", cfg]) == 2
+        assert not out.exists()
+        assert "finite" in capsys.readouterr().err
 
     def test_same_config_reproduces_metrics_bytes(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

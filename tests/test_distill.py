@@ -38,6 +38,10 @@ class TestKipConfig:
             dict(support_size=1, ridge_lambda=1e-6, learning_rate=0.0, iterations=1, target_batch=1, seed=0),
             dict(support_size=1, ridge_lambda=1e-6, learning_rate=0.01, iterations=-1, target_batch=1, seed=0),
             dict(support_size=1, ridge_lambda=1e-6, learning_rate=0.01, iterations=1, target_batch=0, seed=0),
+            dict(support_size=1, ridge_lambda=float("nan"), learning_rate=0.01, iterations=1, target_batch=1, seed=0),
+            dict(support_size=1, ridge_lambda=float("inf"), learning_rate=0.01, iterations=1, target_batch=1, seed=0),
+            dict(support_size=1, ridge_lambda=1e-6, learning_rate=float("nan"), iterations=1, target_batch=1, seed=0),
+            dict(support_size=1, ridge_lambda=1e-6, learning_rate=float("inf"), iterations=1, target_batch=1, seed=0),
         ],
     )
     def test_validation(self, kw):
@@ -72,6 +76,21 @@ class TestKipLoss:
             kip_loss(np.ones((2, 2)), np.ones((2, 1)), np.ones((2, 3)), np.ones((2, 1)), 1.0, 1.0)
         with pytest.raises(DomainError):
             kip_loss(np.ones((2, 2)), np.ones((2, 1)), np.ones((2, 2)), np.ones((2, 2)), 1.0, 1.0)
+
+    def test_label_rows_must_match_feature_rows(self):
+        # one target label row would otherwise broadcast over every target
+        # row and return a loss
+        xs, ys, xt, yt = kip_instance(1, 4, 5, 3, 2)
+        with pytest.raises(ShapeError):
+            kip_loss(xs, ys, xt, yt[:1], 1e-3, 0.5)
+
+    @pytest.mark.parametrize("gamma", [0.0, float("nan"), float("inf")])
+    def test_bad_gamma_rejected(self, gamma):
+        xs, ys, xt, yt = kip_instance(1, 4, 5, 3, 2)
+        with pytest.raises(DomainError):
+            kip_loss(xs, ys, xt, yt, 1e-3, gamma)
+        with pytest.raises(DomainError):
+            kip_gradient(xs, ys, xt, yt, 1e-3, gamma)
 
 
 def two_term_gradient(xs, ys, xt, yt, lam, gamma):

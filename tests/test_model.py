@@ -229,6 +229,13 @@ class TestLocalTrain:
         with pytest.raises(EmptyInputError):
             local_train(m, d, SgdConfig(0.1, 4, 1), SeededRng(0, 1))
 
+    @pytest.mark.parametrize("mu", [-0.1, float("nan"), float("inf")])
+    def test_bad_mu_rejected(self, mu):
+        d = small_dataset()
+        m = init_mlp((5, 4, 3), SeededRng(5))
+        with pytest.raises(DomainError):
+            local_train(m, d, SgdConfig(0.1, 4, 1), SeededRng(5, 1), mu)
+
     def test_matches_backward_then_sgd_step_loop(self):
         d = small_dataset(seed=3, n=30)
         m = init_mlp((5, 7, 6, 3), SeededRng(4))
@@ -252,6 +259,8 @@ class TestSgdConfig:
             dict(learning_rate=0.0, batch_size=1, steps=1),
             dict(learning_rate=0.1, batch_size=0, steps=1),
             dict(learning_rate=0.1, batch_size=1, steps=-1),
+            dict(learning_rate=float("nan"), batch_size=1, steps=1),
+            dict(learning_rate=float("inf"), batch_size=1, steps=1),
         ],
     )
     def test_validation(self, kw):

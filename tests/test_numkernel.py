@@ -78,8 +78,9 @@ class TestRidgeSolve:
             ridge_solve([[0.0, 1.0], [1.0, 0.0]], [[1.0], [1.0]], 0.0)
 
     def test_negative_lambda_rejected(self):
-        with pytest.raises(DomainError):
-            ridge_solve(np.eye(2), np.ones((2, 1)), -1e-9)
+        for lam in (-1e-9, float("nan"), float("inf")):
+            with pytest.raises(DomainError):
+                ridge_solve(np.eye(2), np.ones((2, 1)), lam)
 
     def test_shape_checks(self):
         with pytest.raises(ShapeError):
@@ -106,8 +107,9 @@ class TestRbfKernel:
         assert k[0, 0] > 0.0
 
     def test_gamma_validation(self):
-        with pytest.raises(DomainError):
-            rbf_kernel([[0.0]], [[1.0]], 0.0)
+        for gamma in (0.0, float("nan"), float("inf")):
+            with pytest.raises(DomainError):
+                rbf_kernel([[0.0]], [[1.0]], gamma)
 
     def test_dim_mismatch(self):
         with pytest.raises(ShapeError):
