@@ -30,7 +30,6 @@ from .fltrain import (
     RunConfig,
     RunResult,
     aggregate,
-    assemble_head_dataset,
     run_fedavg,
     run_fedprox,
     run_fedseq_lite,

@@ -16,7 +16,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import __version__, streams
 from .datagen import (
@@ -203,7 +203,6 @@ def _experiment_from_echo(echo: dict) -> ExperimentConfig:
             classes_per_client=get("partition", "classes_per_client"),
             total_classes=get("data", "classes"),
             samples_per_client=get("partition", "samples_per_client"),
-            seed=seed,
         )
         run = RunConfig(
             rounds=get("train", "rounds"),
@@ -222,11 +221,16 @@ def _experiment_from_echo(echo: dict) -> ExperimentConfig:
             learning_rate=get("distill", "learning_rate"),
             iterations=get("distill", "iterations"),
             target_batch=get("distill", "target_batch"),
-            seed=seed,
         )
     except HflddError as e:
         raise ConfigError(str(e)) from e
     k = get("cluster", "k")
+    bits_per_param = get("train", "bits_per_param")
+    bits_per_sample = get("train", "bits_per_sample")
+    if bits_per_param < 1:
+        raise ConfigError(f"[train] bits_per_param must be >= 1, got {bits_per_param}")
+    if bits_per_sample < 0:
+        raise ConfigError(f"[train] bits_per_sample must be >= 0, got {bits_per_sample}")
     seq_clusters = get("train", "seq_clusters")
     seq_cluster_size = get("train", "seq_cluster_size")
     if data["kind"] == "idx" and (not data["images"] or not data["labels"]):
@@ -247,8 +251,8 @@ def _experiment_from_echo(echo: dict) -> ExperimentConfig:
         run=run,
         kip=kip,
         k=k,
-        bits_per_param=get("train", "bits_per_param"),
-        bits_per_sample=get("train", "bits_per_sample"),
+        bits_per_param=bits_per_param,
+        bits_per_sample=bits_per_sample,
         seq_clusters=seq_clusters,
         seq_cluster_size=seq_cluster_size,
         echo=echo,
@@ -302,7 +306,7 @@ def _build_problem(xc: ExperimentConfig):
         full = load_idx(d["images"], d["labels"])
         train_pool, test = split_train_test(full, d["test_fraction"], rng(streams.SPLIT))
         probe = make_probe_dataset(train_pool, d["probe_size"], rng(streams.PROBE))
-    parts = partition_label_skew(train_pool, xc.partition)
+    parts = partition_label_skew(train_pool, xc.partition, rng(streams.PARTITION))
     clients = [ClientState(i, part) for i, part in enumerate(parts)]
     return clients, probe, test
 
@@ -497,36 +501,20 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
-_COST_FLAGS = (
-    "clients",
-    "heads",
-    "homogeneous",
-    "rounds",
-    "model_params",
-    "probe_size",
-    "classes",
-    "bits_per_param",
-    "bits_per_sample",
-    "seq_clusters",
-    "seq_cluster_size",
-)
+# Cost flags and cost JSON keys are the CostModel field names, except these.
+_COST_FLAG = {
+    "n_clients": "clients",
+    "n_heads": "heads",
+    "n_homogeneous": "homogeneous",
+    "class_count": "classes",
+}
+_COST_KEYS = {f.name: _COST_FLAG.get(f.name, f.name) for f in fields(CostModel)}
 
 
 def _cost_output(inputs: dict) -> tuple[str, dict]:
-    c = CostModel(
-        n_clients=inputs["clients"],
-        n_heads=inputs["heads"],
-        n_homogeneous=inputs["homogeneous"],
-        rounds=inputs["rounds"],
-        seq_clusters=inputs["seq_clusters"],
-        seq_cluster_size=inputs["seq_cluster_size"],
-        model_params=inputs["model_params"],
-        probe_size=inputs["probe_size"],
-        class_count=inputs["classes"],
-        bits_per_param=inputs["bits_per_param"],
-        bits_per_sample=inputs["bits_per_sample"],
-        distilled_sizes=tuple(inputs["distilled_sizes"]),
-    )
+    kw = {name: inputs[key] for name, key in _COST_KEYS.items()}
+    kw["distilled_sizes"] = tuple(kw["distilled_sizes"])
+    c = CostModel(**kw)
     fa, hf, fs = cost_fedavg(c), cost_hfldd(c), cost_fedseq(c)
     ratio = hf / fa if fa else float("nan")
     lines = [
@@ -560,8 +548,7 @@ def cmd_cost(args) -> int:
             flags = ", ".join("--" + f.replace("_", "-") for f in missing)
             print(f"error: missing required flags: {flags}", file=sys.stderr)
             return EXIT_CONFIG
-        inputs = {f: getattr(args, f) or 0 for f in _COST_FLAGS}
-        inputs["distilled_sizes"] = list(args.distilled_sizes or ())
+        inputs = {key: getattr(args, key) for key in _COST_KEYS.values()}
     try:
         table, results = _cost_output(inputs)
     except (HflddError, KeyError, TypeError) as e:
@@ -614,7 +601,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cost.add_argument(
         "--distilled-sizes",
         dest="distilled_sizes",
-        type=lambda v: tuple(int(p) for p in v.split(",") if p.strip()),
+        type=_parse_intlist,
         default=(),
         help="comma-separated distilled set sizes, one per member",
     )

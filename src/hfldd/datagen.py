@@ -3,8 +3,7 @@ partitioning, probe subsampling, and train/test splitting.
 
 Partitioning implements quantity-based label imbalance: every client receives
 samples from exactly `classes_per_client` distinct classes, assigned by a
-shard scheme that deals consecutive class shards to a seed-shuffled client
-order.
+shard scheme that deals consecutive class shards to a shuffled client order.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import streams
 from .errors import CapacityError, DomainError, FormatError, ShapeError
 from .numkernel import SeededRng, as_matrix
 
@@ -60,7 +58,8 @@ class LabeledDataset:
 
     def subset(self, idx) -> "LabeledDataset":
         idx = np.asarray(idx, dtype=np.intp)
-        return LabeledDataset(self.features[idx].copy(), self.labels[idx].copy(), self.class_count)
+        # Integer-array indexing already returns new arrays.
+        return LabeledDataset(self.features[idx], self.labels[idx], self.class_count)
 
 
 def concat_datasets(datasets) -> LabeledDataset:
@@ -86,7 +85,6 @@ class PartitionSpec:
     classes_per_client: int
     total_classes: int
     samples_per_client: int
-    seed: int
 
     def __post_init__(self):
         if self.n_clients < 1:
@@ -152,21 +150,23 @@ def sample_classes(means, per_class: int, rng: SeededRng) -> LabeledDataset:
     return LabeledDataset(features, labels, n_classes)
 
 
-def partition_label_skew(d: LabeledDataset, spec: PartitionSpec) -> list[LabeledDataset]:
+def partition_label_skew(
+    d: LabeledDataset, spec: PartitionSpec, rng: SeededRng
+) -> list[LabeledDataset]:
     """Split `d` into N disjoint client datasets with C classes per client.
 
-    Client order is seed-shuffled, then client at shuffled position p takes
-    classes (p*C + i) mod N_c for i < C, drawing contiguous slices from
-    seed-shuffled per-class index pools. Per-client totals are exactly
-    spec.samples_per_client, with the remainder of the division by C spread
-    over the client's first shards.
+    Client order is shuffled by `rng`, then client at shuffled position p
+    takes classes (p*C + i) mod N_c for i < C, drawing contiguous slices from
+    per-class index pools shuffled by the same generator. Per-client totals
+    are exactly spec.samples_per_client, with the remainder of the division
+    by C spread over the client's first shards.
     """
     if spec.total_classes != d.class_count:
         raise DomainError(
             f"spec.total_classes {spec.total_classes} != dataset class_count {d.class_count}"
         )
     n, c, n_c = spec.n_clients, spec.classes_per_client, spec.total_classes
-    gen = SeededRng(spec.seed, streams.PARTITION).generator()
+    gen = rng.generator()
     order = gen.permutation(n)
     pools = []
     labels = d.label_indices()

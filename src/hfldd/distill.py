@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import streams
 from .datagen import LabeledDataset, one_hot
 from .errors import CapacityError, DomainError, EmptyInputError, ShapeError
 from .numkernel import SeededRng, as_matrix, rbf_core, rbf_kernel, ridge_solve, ridge_solver
@@ -31,7 +30,6 @@ class KipConfig:
     learning_rate: float
     iterations: int
     target_batch: int
-    seed: int
 
     def __post_init__(self):
         if self.support_size < 1:
@@ -48,15 +46,17 @@ class KipConfig:
 
 @dataclass
 class DistilledSet:
-    """Optimized support set plus its final full-data loss and loss trace."""
+    """Optimized support set plus the full-data loss trace that produced it."""
 
-    support_x: np.ndarray
-    support_y: np.ndarray
-    final_loss: float
-    loss_trace: tuple[float, ...] = ()
+    data: LabeledDataset
+    loss_trace: tuple[float, ...]
+
+    @property
+    def final_loss(self) -> float:
+        return self.loss_trace[-1]
 
     def n_rows(self) -> int:
-        return self.support_x.shape[0]
+        return self.data.n_rows()
 
 
 def _kip_inputs(xs, ys, xt, yt, gamma: float):
@@ -135,12 +135,10 @@ def balanced_support_labels(present_classes, support_size: int, class_count: int
     return one_hot(idx, class_count)
 
 
-def distill(
-    d: LabeledDataset, cfg: KipConfig, gamma: float, rng: SeededRng | None = None
-) -> DistilledSet:
+def distill(d: LabeledDataset, cfg: KipConfig, gamma: float, rng: SeededRng) -> DistilledSet:
     """Optimize a support set against dataset `d` by gradient descent.
 
-    Support features start from a seed-chosen per-class subsample of `d`;
+    Support features start from an `rng`-chosen per-class subsample of `d`;
     labels are fixed one-hot, balanced over the classes present. Each
     iteration draws cfg.target_batch target rows and steps the support
     features only. The full-data loss is recorded initially, then every
@@ -152,8 +150,6 @@ def distill(
         raise CapacityError(
             f"support size {cfg.support_size} exceeds dataset rows {d.n_rows()}"
         )
-    if rng is None:
-        rng = SeededRng(cfg.seed, streams.DISTILL)
     gen = rng.generator()
 
     labels = d.label_indices()
@@ -184,4 +180,4 @@ def distill(
         trace.append(
             kip_loss(support_x, support_y, d.features, d.labels, cfg.ridge_lambda, gamma)
         )
-    return DistilledSet(support_x, support_y, trace[-1], tuple(trace))
+    return DistilledSet(LabeledDataset(support_x, support_y, d.class_count), tuple(trace))

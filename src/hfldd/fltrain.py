@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import streams
-from .datagen import LabeledDataset
+from .datagen import LabeledDataset, concat_datasets
 from .distill import KipConfig, distill
 from .errors import (
     CapacityError,
@@ -165,28 +165,6 @@ def aggregate(models, weights) -> MlpModel:
     for m, w in zip(models, weights):
         out += (w / total) * m.params
     return MlpModel(sizes, out)
-
-
-def assemble_head_dataset(head: ClientState, member_distilled) -> LabeledDataset:
-    """Concatenate the head's raw data with every member's distilled set."""
-    features = [head.data.features]
-    labels = [head.data.labels]
-    for i, ds in enumerate(member_distilled):
-        if ds.support_x.shape[1] != head.data.dim():
-            raise ShapeError(
-                f"member {i}: distilled feature dim {ds.support_x.shape[1]} "
-                f"!= head dim {head.data.dim()}"
-            )
-        if ds.support_y.shape[1] != head.data.class_count:
-            raise ShapeError(
-                f"member {i}: distilled label dim {ds.support_y.shape[1]} "
-                f"!= class count {head.data.class_count}"
-            )
-        features.append(ds.support_x)
-        labels.append(ds.support_y)
-    return LabeledDataset(
-        np.concatenate(features), np.concatenate(labels), head.data.class_count
-    )
 
 
 def _round_metrics(t: int, model: MlpModel, test, clients, ledger) -> RoundMetrics:
@@ -397,14 +375,14 @@ def run_hfldd(
         head_data = {}
         distilled_sizes = []
         for cluster, head_id in zip(topo.heterogeneous, topo.heads):
-            member_sets = []
+            parts = [by_id[head_id].data]
             for member_id in cluster:
                 if member_id == head_id:
                     continue
                 member = by_id[member_id]
                 gamma = rbf_gamma(member.data.features)
                 ds = distill(member.data, kip, gamma, SeededRng(cfg.seed, streams.DISTILL + member_id))
-                member_sets.append(ds)
+                parts.append(ds.data)
                 distilled_sizes.append(ds.n_rows())
                 ledger.record(
                     0,
@@ -413,7 +391,7 @@ def run_hfldd(
                     PAYLOAD_DISTILLED,
                     ds.n_rows() * bits_per_sample,
                 )
-            hybrid = assemble_head_dataset(by_id[head_id], member_sets)
+            hybrid = concat_datasets(parts)
             head_states.append(ClientState(head_id, hybrid))
             head_data[head_id] = hybrid
     except Exception as e:

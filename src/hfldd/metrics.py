@@ -8,7 +8,8 @@ can be compared to its formula with zero tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from numbers import Integral
 
 from .errors import DomainError
 
@@ -79,23 +80,13 @@ class CostModel:
     distilled_sizes: tuple[int, ...] = ()
 
     def __post_init__(self):
-        for name in (
-            "n_clients",
-            "n_heads",
-            "n_homogeneous",
-            "rounds",
-            "seq_clusters",
-            "seq_cluster_size",
-            "model_params",
-            "probe_size",
-            "class_count",
-            "bits_per_param",
-            "bits_per_sample",
-        ):
-            if getattr(self, name) < 0:
-                raise DomainError(f"{name} must be nonnegative")
-        if any(s < 0 for s in self.distilled_sizes):
-            raise DomainError("distilled sizes must be nonnegative")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            for v in value if f.name == "distilled_sizes" else (value,):
+                if isinstance(v, bool) or not isinstance(v, Integral):
+                    raise DomainError(f"{f.name}: {v!r} is not an integer")
+                if v < 0:
+                    raise DomainError(f"{f.name}: {v} is negative")
 
 
 def _updown_rounds(rounds: int) -> int:

@@ -10,17 +10,14 @@ updates its own copy in place, step by step.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, EmptyInputError, FormatError, ShapeError
+from .errors import DomainError, EmptyInputError, ShapeError
 from .numkernel import SeededRng, as_matrix
 
 SOFT_LABEL_FLOOR = 1e-12
-
-_HEADER = struct.Struct("<Q")
 
 
 @dataclass
@@ -45,8 +42,8 @@ class MlpModel:
     """Layer sizes plus every parameter in one float64 vector.
 
     Layers are laid out in order, each as its weight matrix (fan_in x
-    fan_out, row-major) followed by its bias vector: the byte order of
-    `to_bytes`. Models compare by identity; compare `params` to compare values.
+    fan_out, row-major) followed by its bias vector. Models compare by
+    identity; compare `params` to compare values.
     """
 
     sizes: tuple[int, ...]
@@ -61,33 +58,6 @@ class MlpModel:
 
     def parameter_count(self) -> int:
         return self.params.size
-
-    def to_bytes(self) -> bytes:
-        """Serialize as a little-endian header (layer sizes) plus flat float64 params."""
-        n = len(self.sizes)
-        return struct.pack(f"<{n + 1}Q", n, *self.sizes) + self.params.astype("<f8").tobytes()
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "MlpModel":
-        if len(data) < _HEADER.size:
-            raise FormatError("truncated model header", offset=len(data))
-        (n_sizes,) = _HEADER.unpack_from(data, 0)
-        if n_sizes < 2:
-            raise FormatError(f"model needs at least 2 layer sizes, got {n_sizes}", offset=0)
-        offset = (n_sizes + 1) * _HEADER.size
-        if len(data) < offset:
-            raise FormatError("truncated layer size table", offset=len(data))
-        sizes = struct.unpack_from(f"<{n_sizes}Q", data, _HEADER.size)
-        if min(sizes) < 1:
-            raise FormatError(f"layer sizes must be >= 1, got {sizes}", offset=_HEADER.size)
-        count = _param_count(sizes)
-        end = offset + count * 8
-        if len(data) < end:
-            raise FormatError("truncated parameter block", offset=len(data))
-        if len(data) > end:
-            raise FormatError("trailing bytes after parameter block", offset=end)
-        params = np.frombuffer(data, dtype="<f8", count=count, offset=offset)
-        return cls(sizes, params.astype(np.float64))
 
 
 def _param_count(sizes) -> int:

@@ -25,8 +25,8 @@ DISTILL = 5 << 48
 TRAIN = 6 << 48
 SEQ_PARTITION = 7 << 48
 
-# Data generation: PARTITION in datagen, the rest in the command-line
-# problem builder. Block 9 is unused.
+# Data generation: all in the command-line problem builder. Block 9 is
+# unused.
 PARTITION = 8 << 48
 MEANS = 10 << 48
 POOL = 11 << 48

@@ -68,14 +68,13 @@ def benchmark_config(seed, **overrides):
     return RunConfig(**kw)
 
 
-def benchmark_kip(seed):
+def benchmark_kip():
     return KipConfig(
         support_size=80,
         ridge_lambda=1e-6,
         learning_rate=0.004,
         iterations=300,
         target_batch=10,
-        seed=seed,
     )
 
 

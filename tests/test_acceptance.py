@@ -42,7 +42,7 @@ def _benchmark_records(classes_per_client):
         clients, probe, test = build_problem(seed, classes_per_client)
         fa = run_fedavg(clients, test, benchmark_config(seed))
         hf = run_hfldd(
-            clients, probe, test, benchmark_config(seed), benchmark_kip(seed), 10
+            clients, probe, test, benchmark_config(seed), benchmark_kip(), 10
         )
         records.append(
             (
@@ -267,11 +267,11 @@ class TestDistillationQuality:
             pool = sample_classes(means, 100, SeededRng(seed, 21 << 48))
             train, test = split_train_test(pool, 0.3, SeededRng(seed, 22 << 48))
             gamma = rbf_gamma(train.features)
-            kip = KipConfig(4, 1e-6, 0.1, 300, 10, seed)
+            kip = KipConfig(4, 1e-6, 0.1, 300, 10)
             ds = distill(train, kip, gamma, SeededRng(seed, 23 << 48))
             traces_ok = traces_ok and ds.loss_trace[-1] <= ds.loss_trace[0]
             distilled.append(
-                _krr_accuracy(ds.support_x, ds.support_y, test, kip.ridge_lambda, gamma)
+                _krr_accuracy(ds.data.features, ds.data.labels, test, kip.ridge_lambda, gamma)
             )
 
             gen = SeededRng(seed, 24 << 48).generator()

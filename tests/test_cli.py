@@ -262,6 +262,17 @@ class TestRunCommand:
         assert not out.exists()
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "line", ["bits_per_param = 0", "bits_per_param = -32", "bits_per_sample = -8"],
+        ids=["param-zero", "param-negative", "sample-negative"],
+    )
+    def test_bad_bit_price_exits_2_before_training(self, tmp_path, capsys, line):
+        out = tmp_path / "never"
+        cfg = write_config(tmp_path, "bad.ini", config_text(out, algorithm="hfldd", train_extra=line))
+        assert main(["run", cfg]) == 2
+        assert not (out / "metrics.csv").exists()
+        assert line.split()[0] in capsys.readouterr().err
+
     def test_same_config_reproduces_metrics_bytes(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         cfg = write_config(tmp_path, "hf.ini", config_text(out1, algorithm="hfldd"))
@@ -486,6 +497,25 @@ class TestCostCommand:
         assert doc["results"]["fedavg_bits"] == 720
         assert main(["cost", "--from-json", str(doc_path)]) == 0
         assert capsys.readouterr().out == first
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("clients", 2.5), ("heads", True), ("clients", float("nan")), ("distilled_sizes", [1.5])],
+        ids=["float", "bool", "nan", "float-size"],
+    )
+    def test_json_counts_must_be_integers(self, tmp_path, capsys, key, value):
+        doc_path = tmp_path / "cost.json"
+        argv = ["cost", "--clients", "3", "--rounds", "2", "--model-params", "10",
+                "--json", str(doc_path)]
+        assert main(argv) == 0
+        doc = json.loads(doc_path.read_text())
+        doc["inputs"][key] = value
+        doc_path.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["cost", "--from-json", str(doc_path)]) == 2
+        captured = capsys.readouterr()
+        assert "not an integer" in captured.err
+        assert captured.out == ""
 
     def test_bad_json_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -58,6 +58,15 @@ class TestLabeledDataset:
         assert np.array_equal(d.class_histogram(), [4, 4, 4])
         assert d.label_indices()[0] == 0
 
+    def test_subset_is_an_independent_copy(self):
+        d = indexed_dataset(3, 4)
+        idx = [5, 0, 5]
+        out = d.subset(idx)
+        assert np.array_equal(out.features, d.features[idx])
+        assert np.array_equal(out.labels, d.labels[idx])
+        assert not np.shares_memory(out.features, d.features)
+        assert not np.shares_memory(out.labels, d.labels)
+
 
 class TestClassMeans:
     def test_norms_equal_separation(self):
@@ -103,17 +112,17 @@ class TestSampling:
 class TestPartitionSpec:
     def test_validation(self):
         with pytest.raises(DomainError):
-            PartitionSpec(0, 1, 4, 10, 0)
+            PartitionSpec(0, 1, 4, 10)
         with pytest.raises(DomainError):
-            PartitionSpec(3, 5, 4, 10, 0)
+            PartitionSpec(3, 5, 4, 10)
         with pytest.raises(DomainError):
-            PartitionSpec(3, 2, 4, 1, 0)
+            PartitionSpec(3, 2, 4, 1)
 
 
 class TestPartition:
     def test_exact_sizes_and_class_counts(self):
         d = indexed_dataset(4, 100)
-        parts = partition_label_skew(d, PartitionSpec(8, 2, 4, 30, 11))
+        parts = partition_label_skew(d, PartitionSpec(8, 2, 4, 30), SeededRng(11))
         assert len(parts) == 8
         for p in parts:
             assert p.n_rows() == 30
@@ -121,13 +130,13 @@ class TestPartition:
 
     def test_clients_are_disjoint(self):
         d = indexed_dataset(4, 100)
-        parts = partition_label_skew(d, PartitionSpec(8, 2, 4, 30, 11))
+        parts = partition_label_skew(d, PartitionSpec(8, 2, 4, 30), SeededRng(11))
         taken = np.concatenate([p.features[:, 0] for p in parts])
         assert len(np.unique(taken)) == len(taken)
 
     def test_single_class_clients(self):
         d = indexed_dataset(5, 50)
-        parts = partition_label_skew(d, PartitionSpec(5, 1, 5, 40, 3))
+        parts = partition_label_skew(d, PartitionSpec(5, 1, 5, 40), SeededRng(3))
         covered = set()
         for p in parts:
             hist = p.class_histogram()
@@ -137,7 +146,7 @@ class TestPartition:
 
     def test_remainder_spread_over_first_shards(self):
         d = indexed_dataset(3, 100)
-        parts = partition_label_skew(d, PartitionSpec(3, 3, 3, 10, 0))
+        parts = partition_label_skew(d, PartitionSpec(3, 3, 3, 10), SeededRng(0))
         for p in parts:
             # 10 = 4 + 3 + 3 over the client's three classes
             assert sorted(p.class_histogram(), reverse=True) == [4, 3, 3]
@@ -145,19 +154,23 @@ class TestPartition:
     def test_capacity_exhaustion(self):
         d = indexed_dataset(2, 10)
         with pytest.raises(CapacityError):
-            partition_label_skew(d, PartitionSpec(4, 1, 2, 8, 0))
+            partition_label_skew(d, PartitionSpec(4, 1, 2, 8), SeededRng(0))
 
     def test_class_count_mismatch(self):
         d = indexed_dataset(3, 10)
         with pytest.raises(DomainError):
-            partition_label_skew(d, PartitionSpec(2, 1, 4, 5, 0))
+            partition_label_skew(d, PartitionSpec(2, 1, 4, 5), SeededRng(0))
 
     def test_deterministic_in_spec_seed(self):
+        # the layout is a function of the rng argument alone
         d = indexed_dataset(4, 50)
-        a = partition_label_skew(d, PartitionSpec(4, 2, 4, 20, 9))
-        b = partition_label_skew(d, PartitionSpec(4, 2, 4, 20, 9))
+        spec = PartitionSpec(4, 2, 4, 20)
+        a = partition_label_skew(d, spec, SeededRng(9))
+        b = partition_label_skew(d, spec, SeededRng(9))
+        c = partition_label_skew(d, spec, SeededRng(10))
         for pa, pb in zip(a, b):
             assert np.array_equal(pa.features, pb.features)
+        assert any(not np.array_equal(pa.features, pc.features) for pa, pc in zip(a, c))
 
     @given(
         n_clients=st.integers(1, 8),
@@ -169,8 +182,8 @@ class TestPartition:
     def test_partition_properties(self, n_clients, classes_per_client, samples_per_client, seed):
         n_classes = 4
         d = indexed_dataset(n_classes, n_clients * samples_per_client)
-        spec = PartitionSpec(n_clients, classes_per_client, n_classes, samples_per_client, seed)
-        parts = partition_label_skew(d, spec)
+        spec = PartitionSpec(n_clients, classes_per_client, n_classes, samples_per_client)
+        parts = partition_label_skew(d, spec, SeededRng(seed))
         taken = np.concatenate([p.features[:, 0] for p in parts])
         assert len(np.unique(taken)) == n_clients * samples_per_client
         for p in parts:
@@ -216,8 +229,11 @@ class TestConcat:
     def test_mismatched_inputs(self):
         a = indexed_dataset(2, 2)
         c = indexed_dataset(3, 2)
+        wide = LabeledDataset(np.zeros((2, 3)), one_hot([0, 1], 2), 2)
         with pytest.raises(ShapeError):
             concat_datasets([a, c])
+        with pytest.raises(ShapeError):
+            concat_datasets([a, wide])
         with pytest.raises(DomainError):
             concat_datasets([])
 

@@ -33,15 +33,15 @@ class TestKipConfig:
     @pytest.mark.parametrize(
         "kw",
         [
-            dict(support_size=0, ridge_lambda=1e-6, learning_rate=0.01, iterations=1, target_batch=1, seed=0),
-            dict(support_size=1, ridge_lambda=0.0, learning_rate=0.01, iterations=1, target_batch=1, seed=0),
-            dict(support_size=1, ridge_lambda=1e-6, learning_rate=0.0, iterations=1, target_batch=1, seed=0),
-            dict(support_size=1, ridge_lambda=1e-6, learning_rate=0.01, iterations=-1, target_batch=1, seed=0),
-            dict(support_size=1, ridge_lambda=1e-6, learning_rate=0.01, iterations=1, target_batch=0, seed=0),
-            dict(support_size=1, ridge_lambda=float("nan"), learning_rate=0.01, iterations=1, target_batch=1, seed=0),
-            dict(support_size=1, ridge_lambda=float("inf"), learning_rate=0.01, iterations=1, target_batch=1, seed=0),
-            dict(support_size=1, ridge_lambda=1e-6, learning_rate=float("nan"), iterations=1, target_batch=1, seed=0),
-            dict(support_size=1, ridge_lambda=1e-6, learning_rate=float("inf"), iterations=1, target_batch=1, seed=0),
+            dict(support_size=0, ridge_lambda=1e-6, learning_rate=0.01, iterations=1, target_batch=1),
+            dict(support_size=1, ridge_lambda=0.0, learning_rate=0.01, iterations=1, target_batch=1),
+            dict(support_size=1, ridge_lambda=1e-6, learning_rate=0.0, iterations=1, target_batch=1),
+            dict(support_size=1, ridge_lambda=1e-6, learning_rate=0.01, iterations=-1, target_batch=1),
+            dict(support_size=1, ridge_lambda=1e-6, learning_rate=0.01, iterations=1, target_batch=0),
+            dict(support_size=1, ridge_lambda=float("nan"), learning_rate=0.01, iterations=1, target_batch=1),
+            dict(support_size=1, ridge_lambda=float("inf"), learning_rate=0.01, iterations=1, target_batch=1),
+            dict(support_size=1, ridge_lambda=1e-6, learning_rate=float("nan"), iterations=1, target_batch=1),
+            dict(support_size=1, ridge_lambda=1e-6, learning_rate=float("inf"), iterations=1, target_batch=1),
         ],
     )
     def test_validation(self, kw):
@@ -198,61 +198,54 @@ class TestBalancedSupportLabels:
 class TestDistill:
     def test_shapes_and_trace_contract(self):
         d = blob_dataset()
-        cfg = KipConfig(6, 1e-6, 0.05, 250, 8, 0)
+        cfg = KipConfig(6, 1e-6, 0.05, 250, 8)
         ds = distill(d, cfg, rbf_gamma(d.features), SeededRng(0, 1))
-        assert ds.support_x.shape == (6, d.dim())
-        assert ds.support_y.shape == (6, d.class_count)
+        assert ds.data.features.shape == (6, d.dim())
+        assert ds.data.labels.shape == (6, d.class_count)
         # records: initial, iteration 100, iteration 200, final
         assert len(ds.loss_trace) == 4
         assert ds.loss_trace[-1] == ds.final_loss
 
     def test_trace_skips_duplicate_final_record(self):
         d = blob_dataset()
-        cfg = KipConfig(4, 1e-6, 0.05, 100, 8, 0)
+        cfg = KipConfig(4, 1e-6, 0.05, 100, 8)
         ds = distill(d, cfg, rbf_gamma(d.features), SeededRng(0, 2))
         assert len(ds.loss_trace) == 2
 
     def test_zero_iterations_returns_subsample(self):
         d = blob_dataset()
-        cfg = KipConfig(4, 1e-6, 0.05, 0, 8, 0)
+        cfg = KipConfig(4, 1e-6, 0.05, 0, 8)
         ds = distill(d, cfg, rbf_gamma(d.features), SeededRng(0, 3))
         assert len(ds.loss_trace) == 1
         assert ds.final_loss == ds.loss_trace[0]
         # starting support rows are drawn from the dataset itself
-        for row in ds.support_x:
+        for row in ds.data.features:
             assert np.any(np.all(np.isclose(d.features, row, atol=0), axis=1))
 
     def test_labels_fixed_and_balanced(self):
         d = blob_dataset()
-        cfg = KipConfig(6, 1e-6, 0.05, 50, 8, 0)
+        cfg = KipConfig(6, 1e-6, 0.05, 50, 8)
         ds = distill(d, cfg, rbf_gamma(d.features), SeededRng(0, 4))
-        assert np.array_equal(ds.support_y.sum(axis=0), [3, 3])
+        assert np.array_equal(ds.data.labels.sum(axis=0), [3, 3])
 
     def test_optimization_improves_full_data_loss(self):
         d = blob_dataset(seed=5, n=60)
-        cfg = KipConfig(4, 1e-6, 0.05, 300, 10, 5)
+        cfg = KipConfig(4, 1e-6, 0.05, 300, 10)
         ds = distill(d, cfg, rbf_gamma(d.features), SeededRng(5, 1))
         assert ds.loss_trace[-1] <= ds.loss_trace[0]
 
     def test_deterministic(self):
         d = blob_dataset()
-        cfg = KipConfig(4, 1e-6, 0.05, 40, 8, 0)
+        cfg = KipConfig(4, 1e-6, 0.05, 40, 8)
         a = distill(d, cfg, 0.3, SeededRng(9, 7))
         b = distill(d, cfg, 0.3, SeededRng(9, 7))
-        assert np.array_equal(a.support_x, b.support_x)
+        assert np.array_equal(a.data.features, b.data.features)
         assert a.loss_trace == b.loss_trace
-
-    def test_default_stream_comes_from_config_seed(self):
-        d = blob_dataset()
-        cfg = KipConfig(4, 1e-6, 0.05, 10, 8, 21)
-        a = distill(d, cfg, 0.3)
-        b = distill(d, cfg, 0.3, SeededRng(21, 5 << 48))
-        assert np.array_equal(a.support_x, b.support_x)
 
     def test_support_larger_than_data_rejected(self):
         d = blob_dataset(n=3)
         with pytest.raises(CapacityError):
-            distill(d, KipConfig(5, 1e-6, 0.05, 5, 2, 0), 0.3, SeededRng(0, 0))
+            distill(d, KipConfig(5, 1e-6, 0.05, 5, 2), 0.3, SeededRng(0, 0))
 
     def test_class_with_fewer_rows_than_its_support_slots(self):
         # class 1 has one row but gets three support slots, so its starting
@@ -261,13 +254,13 @@ class TestDistill:
         x = gen.standard_normal((9, 4))
         d = LabeledDataset(x, one_hot([0] * 8 + [1], 2), 2)
         before = d.features.copy()
-        ds = distill(d, KipConfig(6, 1e-6, 0.05, 30, 5, 0), rbf_gamma(x), SeededRng(6, 1))
-        assert np.all(np.isfinite(ds.support_x))
+        ds = distill(d, KipConfig(6, 1e-6, 0.05, 30, 5), rbf_gamma(x), SeededRng(6, 1))
+        assert np.all(np.isfinite(ds.data.features))
         assert np.isfinite(ds.final_loss)
         assert np.array_equal(d.features, before)
-        assert not np.shares_memory(ds.support_x, d.features)
+        assert not np.shares_memory(ds.data.features, d.features)
 
     def test_empty_dataset_rejected(self):
         d = LabeledDataset(np.zeros((0, 2)), np.zeros((0, 2)), 2)
         with pytest.raises(EmptyInputError):
-            distill(d, KipConfig(1, 1e-6, 0.05, 1, 1, 0), 0.3, SeededRng(0, 0))
+            distill(d, KipConfig(1, 1e-6, 0.05, 1, 1), 0.3, SeededRng(0, 0))

@@ -14,7 +14,7 @@ import pytest
 
 from hfldd import streams
 from hfldd.datagen import LabeledDataset, concat_datasets, one_hot
-from hfldd.distill import DistilledSet, KipConfig
+from hfldd.distill import KipConfig
 from hfldd.errors import (
     CapacityError,
     DomainError,
@@ -26,7 +26,6 @@ from hfldd.fltrain import (
     ClientState,
     RunConfig,
     aggregate,
-    assemble_head_dataset,
     initial_model,
     pass_steps,
     run_fedavg,
@@ -48,7 +47,7 @@ from hfldd.numkernel import SeededRng
 
 from helpers import build_problem, models_close, models_equal, tiny_problem
 
-TINY_KIP = KipConfig(5, 1e-6, 0.01, 50, 5, 7)
+TINY_KIP = KipConfig(5, 1e-6, 0.01, 50, 5)
 
 
 def tiny_config(seed=7, **overrides):
@@ -156,23 +155,6 @@ class TestAggregate:
         for bad in (math.nan, math.inf):
             with pytest.raises(DomainError):
                 aggregate([m, m], [1.0, bad])
-
-
-class TestAssembleHeadDataset:
-    def test_head_rows_first_then_members(self):
-        head = ClientState(0, LabeledDataset(np.zeros((2, 3)), one_hot([0, 1], 2), 2))
-        ds = DistilledSet(np.ones((2, 3)), one_hot([0, 1], 2), 0.0)
-        out = assemble_head_dataset(head, [ds])
-        assert out.n_rows() == 4
-        assert np.array_equal(out.features[:2], np.zeros((2, 3)))
-        assert np.array_equal(out.features[2:], np.ones((2, 3)))
-
-    def test_dimension_checks(self):
-        head = ClientState(0, LabeledDataset(np.zeros((2, 3)), one_hot([0, 1], 2), 2))
-        with pytest.raises(ShapeError):
-            assemble_head_dataset(head, [DistilledSet(np.ones((1, 4)), one_hot([0], 2), 0.0)])
-        with pytest.raises(ShapeError):
-            assemble_head_dataset(head, [DistilledSet(np.ones((1, 3)), one_hot([0], 3), 0.0)])
 
 
 class TestInitialModel:
@@ -375,8 +357,11 @@ class TestRunHfldd:
         clients, result, _, _ = self.run_tiny()
         by_id = {c.client_id: c for c in clients}
         for cluster, head in zip(result.topology.heterogeneous, result.topology.heads):
-            expected = by_id[head].data.n_rows() + (len(cluster) - 1) * TINY_KIP.support_size
+            own = by_id[head].data
+            expected = own.n_rows() + (len(cluster) - 1) * TINY_KIP.support_size
             assert result.head_data[head].n_rows() == expected
+            # the head's own rows come first, then its members' distilled rows
+            assert np.array_equal(result.head_data[head].features[: own.n_rows()], own.features)
 
     def test_ledger_matches_closed_form_exactly(self):
         clients, result, cfg, _ = self.run_tiny()
@@ -458,7 +443,7 @@ class TestRunHfldd:
 
     def test_distillation_failure_names_its_stage(self):
         clients, probe, test = tiny_problem()
-        greedy = KipConfig(10_000, 1e-6, 0.01, 5, 5, 7)
+        greedy = KipConfig(10_000, 1e-6, 0.01, 5, 5)
         with pytest.raises(StageError) as err:
             run_hfldd(clients, probe, test, tiny_config(), greedy, 3)
         assert err.value.stage == "distillation"

@@ -45,6 +45,19 @@ class TestCostModel:
         with pytest.raises(DomainError):
             CostModel(distilled_sizes=(4, -1))
 
+    def test_counts_must_be_integers(self):
+        assert CostModel(n_clients=np.int64(3), distilled_sizes=(np.int32(2),)).n_clients == 3
+        for kw in (
+            dict(n_clients=2.5),
+            dict(n_heads=True),
+            dict(rounds=float("nan")),
+            dict(bits_per_param=np.float64(32)),
+            dict(distilled_sizes=(4, 1.5)),
+            dict(distilled_sizes=(np.bool_(True),)),
+        ):
+            with pytest.raises(DomainError, match="not an integer"):
+                CostModel(**kw)
+
 
 class TestCostFormulas:
     def test_fedavg_hand_value(self):

@@ -1,20 +1,15 @@
-"""Multilayer perceptron: forward, backward, SGD, serialization.
+"""Multilayer perceptron: forward, backward, SGD, local training.
 
 The backward pass is checked against central finite differences. Instances
 whose hidden preactivations sit within 1e-3 of a ReLU kink are redrawn, since
 the numeric quotient is meaningless across the kink.
 """
 
-import hashlib
-import struct
-
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from hfldd.datagen import LabeledDataset, one_hot
-from hfldd.errors import DomainError, EmptyInputError, FormatError, ShapeError
+from hfldd.errors import DomainError, EmptyInputError, ShapeError
 from hfldd.model import (
     MlpModel,
     SgdConfig,
@@ -301,75 +296,3 @@ class TestLossAndAccuracy:
         assert accuracy(m, d) == 1.0
         wrong = MlpModel((3, 3), np.concatenate([-np.eye(3).ravel() * 5.0, np.zeros(3)]))
         assert accuracy(wrong, d) < 1.0
-
-
-class TestSerialization:
-    def test_round_trip_bit_exact(self):
-        m = init_mlp((6, 5, 4), SeededRng(8))
-        back = MlpModel.from_bytes(m.to_bytes())
-        assert back.sizes == m.sizes
-        assert np.array_equal(back.params, m.params)
-
-    def test_truncated_rejected(self):
-        blob = init_mlp((3, 2), SeededRng(0)).to_bytes()
-        with pytest.raises(FormatError):
-            MlpModel.from_bytes(blob[:-4])
-
-    def test_trailing_bytes_rejected(self):
-        blob = init_mlp((3, 2), SeededRng(0)).to_bytes()
-        with pytest.raises(FormatError):
-            MlpModel.from_bytes(blob + b"\x00")
-
-    def test_empty_rejected(self):
-        with pytest.raises(FormatError):
-            MlpModel.from_bytes(b"")
-
-    def test_byte_format_pinned(self):
-        blob = init_mlp((6, 5, 4), SeededRng(8)).to_bytes()
-        assert len(blob) == 8 * 4 + 8 * (6 * 5 + 5 + 5 * 4 + 4)
-        assert hashlib.sha256(blob).hexdigest() == (
-            "9e626a1076cf9174302f6abed24b94b77498a25be76ca38f5aeeb8cc278da799"
-        )
-
-    def test_zero_layer_size_rejected(self):
-        # two sizes (2, 0): a layer with no units and an empty parameter block
-        with pytest.raises(FormatError, match="sizes"):
-            MlpModel.from_bytes(struct.pack("<QQQ", 2, 2, 0))
-
-    @given(blob=st.binary(max_size=96))
-    @settings(max_examples=200, deadline=None)
-    def test_fuzz_arbitrary_bytes(self, blob):
-        assert_decodes_or_format_error(blob)
-
-    @given(blob=st.data())
-    @settings(max_examples=200, deadline=None)
-    def test_fuzz_mutated_valid_blobs(self, blob):
-        assert_decodes_or_format_error(blob.draw(mutated_model_blobs()))
-
-
-def assert_decodes_or_format_error(blob):
-    """Only FormatError may escape from_bytes; what decodes re-encodes to the
-    same bytes and runs forward."""
-    try:
-        m = MlpModel.from_bytes(blob)
-    except FormatError:
-        return
-    assert m.to_bytes() == blob
-    with np.errstate(all="ignore"):  # mutated parameters may be inf or nan
-        assert forward(m, np.zeros((1, m.sizes[0]))).shape == (1, m.sizes[-1])
-
-
-@st.composite
-def mutated_model_blobs(draw):
-    """A header with small (possibly zero or too few) sizes and a parameter
-    block of exactly the length it implies, then optional byte edits, a cut
-    and trailing bytes."""
-    sizes = draw(st.lists(st.integers(0, 4), max_size=4))
-    n_params = sum(a * b + b for a, b in zip(sizes[:-1], sizes[1:]))
-    blob = bytearray(struct.pack(f"<{len(sizes) + 1}Q", len(sizes), *sizes))
-    blob += draw(st.binary(min_size=8 * n_params, max_size=8 * n_params))
-    for _ in range(draw(st.integers(0, 2))):
-        blob[draw(st.integers(0, len(blob) - 1))] = draw(st.integers(0, 255))
-    if draw(st.booleans()):
-        blob = blob[: draw(st.integers(0, len(blob)))] + draw(st.binary(max_size=16))
-    return bytes(blob)

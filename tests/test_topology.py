@@ -1,11 +1,13 @@
 """Soft-label similarity, K-Means grouping, cluster sampling, head election."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hfldd.errors import CapacityError, DomainError, EmptyInputError, FormatError, ShapeError
+from hfldd.errors import CapacityError, DomainError, EmptyInputError, ShapeError
 from hfldd.numkernel import SeededRng
 from hfldd.topology import (
     ClusterTopology,
@@ -230,31 +232,14 @@ class TestClusterTopology:
 
     def test_json_round_trip(self):
         topo = self.valid()
-        text = topo.to_json(seed=42)
-        back = ClusterTopology.from_json(text)
-        assert back.homogeneous == topo.homogeneous
-        assert back.heterogeneous == topo.heterogeneous
-        assert back.heads == topo.heads
-        assert '"seed": 42' in text
-
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "{}",
-            "{not json",
-            "[]",
-            '{"homogeneous": [[0]], "heterogeneous": [[0]]}',
-            '{"homogeneous": 5, "heterogeneous": [[0]], "heads": [0]}',
-            '{"homogeneous": "01", "heterogeneous": [[0], [1]], "heads": [0, 1]}',
-            '{"homogeneous": [[0]], "heterogeneous": [0], "heads": [0]}',
-            '{"homogeneous": [[0]], "heterogeneous": [[0]], "heads": [[0]]}',
-        ],
-        ids=["empty", "not-json", "array", "no-heads", "int-field", "string-field",
-             "flat-clusters", "nested-heads"],
-    )
-    def test_malformed_json_is_format_error(self, text):
-        with pytest.raises(FormatError):
-            ClusterTopology.from_json(text)
+        doc = json.loads(topo.to_json(seed=42))
+        assert doc == {
+            "homogeneous": [[0, 1], [2, 3]],
+            "heterogeneous": [[0, 2], [1, 3]],
+            "heads": [0, 3],
+            "seed": 42,
+        }
+        assert "seed" not in json.loads(topo.to_json())
 
 
 class TestBuildTopology:
