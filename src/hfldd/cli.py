@@ -133,7 +133,6 @@ _SCHEMA = {
 class ExperimentConfig:
     """Fully validated experiment description plus its normalized text echo."""
 
-    seed: int
     algorithm: str
     output_dir: str
     data: dict
@@ -146,6 +145,11 @@ class ExperimentConfig:
     seq_clusters: int
     seq_cluster_size: int
     echo: dict
+
+    @property
+    def seed(self) -> int:
+        """The experiment seed; `run.seed` is its one copy."""
+        return self.run.seed
 
 
 def _read_config_file(path: str) -> dict:
@@ -195,7 +199,6 @@ def _typed(echo: dict, section: str, key: str):
 def _experiment_from_echo(echo: dict) -> ExperimentConfig:
     get = lambda s, k: _typed(echo, s, k)
     algorithm = get("experiment", "algorithm")
-    seed = get("experiment", "seed")
     data = {k: get("data", k) for k in _SCHEMA["data"]}
     try:
         partition = PartitionSpec(
@@ -211,7 +214,7 @@ def _experiment_from_echo(echo: dict) -> ExperimentConfig:
             learning_rate=get("train", "learning_rate"),
             batch_size=get("train", "batch_size"),
             prox_mu=get("train", "prox_mu"),
-            seed=seed,
+            seed=get("experiment", "seed"),
             pretrain_batch=get("train", "pretrain_batch"),
             hidden_sizes=get("train", "hidden"),
         )
@@ -243,7 +246,6 @@ def _experiment_from_echo(echo: dict) -> ExperimentConfig:
     if algorithm == "hfldd" and not 2 <= k <= partition.n_clients:
         raise ConfigError(f"cluster k must be in [2, {partition.n_clients}], got {k}")
     return ExperimentConfig(
-        seed=seed,
         algorithm=algorithm,
         output_dir=get("experiment", "output_dir"),
         data=data,

@@ -143,6 +143,14 @@ def distill(d: LabeledDataset, cfg: KipConfig, gamma: float, rng: SeededRng) -> 
     iteration draws cfg.target_batch target rows and steps the support
     features only. The full-data loss is recorded initially, then every
     LOSS_TRACE_EVERY iterations, then at the end.
+
+    The RBF kernel sees features only through pairwise distances, and each
+    step moves the support by combinations of support and target rows, so
+    the support never leaves the row span of `d.features`. The loop runs in
+    coordinates of that span: the economic QR features^T = q r gives
+    features = r^T q^T with orthonormal q columns, so the rows of r^T keep
+    every distance and are min(n, dim) wide instead of dim. The support is
+    mapped back to dim columns once, at the end.
     """
     if d.n_rows() < 1:
         raise EmptyInputError("cannot distill an empty dataset")
@@ -161,23 +169,19 @@ def distill(d: LabeledDataset, cfg: KipConfig, gamma: float, rng: SeededRng) -> 
         pool = np.flatnonzero(labels == cls)
         pick = gen.choice(pool, size=need, replace=need > len(pool))
         chunks.append(pick)
-    support_x = d.features[np.concatenate(chunks)]
+    q, r = np.linalg.qr(d.features.T)
+    x = np.ascontiguousarray(r.T)
+    support_x = x[np.concatenate(chunks)]
 
     n = d.n_rows()
-    trace = [kip_loss(support_x, support_y, d.features, d.labels, cfg.ridge_lambda, gamma)]
+    trace = [kip_loss(support_x, support_y, x, d.labels, cfg.ridge_lambda, gamma)]
     for it in range(cfg.iterations):
         batch = gen.choice(n, size=min(cfg.target_batch, n), replace=False)
-        g = kip_gradient(
-            support_x, support_y, d.features[batch], d.labels[batch], cfg.ridge_lambda, gamma
-        )
+        g = kip_gradient(support_x, support_y, x[batch], d.labels[batch], cfg.ridge_lambda, gamma)
         g *= -cfg.learning_rate
         support_x += g
         if (it + 1) % LOSS_TRACE_EVERY == 0 and (it + 1) != cfg.iterations:
-            trace.append(
-                kip_loss(support_x, support_y, d.features, d.labels, cfg.ridge_lambda, gamma)
-            )
+            trace.append(kip_loss(support_x, support_y, x, d.labels, cfg.ridge_lambda, gamma))
     if cfg.iterations > 0:
-        trace.append(
-            kip_loss(support_x, support_y, d.features, d.labels, cfg.ridge_lambda, gamma)
-        )
-    return DistilledSet(LabeledDataset(support_x, support_y, d.class_count), tuple(trace))
+        trace.append(kip_loss(support_x, support_y, x, d.labels, cfg.ridge_lambda, gamma))
+    return DistilledSet(LabeledDataset(support_x @ q.T, support_y, d.class_count), tuple(trace))

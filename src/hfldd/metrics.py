@@ -87,6 +87,8 @@ class CostModel:
                     raise DomainError(f"{f.name}: {v!r} is not an integer")
                 if v < 0:
                     raise DomainError(f"{f.name}: {v} is negative")
+        if self.bits_per_param < 1:
+            raise DomainError(f"bits_per_param must be >= 1, got {self.bits_per_param}")
 
 
 def _updown_rounds(rounds: int) -> int:

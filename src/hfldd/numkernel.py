@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import DomainError, ShapeError, SingularMatrixError
 
@@ -62,25 +62,30 @@ def ridge_solve(k, y, lam: float) -> np.ndarray:
         raise ShapeError(f"k must be square, got {k.shape}")
     if y.shape[0] != k.shape[0]:
         raise ShapeError(f"y rows {y.shape[0]} != k order {k.shape[0]}")
-    return ridge_solver(k, lam)(y)
+    solve = ridge_solver(k, lam)
+    # LAPACK's wrapper rejects empty right-hand sides; the empty system's
+    # solution is the empty y.
+    return solve(y) if k.size else y.copy()
 
 
 def ridge_solver(k: np.ndarray, lam: float):
     """Factor k + lam*I once; return `solve(y)` for (k + lam*I) x = y.
 
     Unchecked core of `ridge_solve` for callers whose square `k` and
-    matching `y` are already validated; `lam` is still checked.
+    matching `y` are already validated; `lam` is still checked. LAPACK
+    factors the Fortran-ordered view of the symmetric copy in place.
     """
     if not 0 <= lam < math.inf:
         raise DomainError(f"lambda must be finite and nonnegative, got {lam}")
     a = k.copy()
     if lam:
         a[np.diag_indices_from(a)] += lam
-    try:
-        factor = cho_factor(a, lower=True, check_finite=False)
-    except LinAlgError as e:
-        raise SingularMatrixError(f"system is not positive definite: {e}") from e
-    return lambda y: cho_solve(factor, y, check_finite=False)
+    factor, info = dpotrf(a.T, lower=1, clean=0, overwrite_a=1)
+    if info > 0:
+        raise SingularMatrixError(
+            f"system is not positive definite: leading minor of order {info} is not"
+        )
+    return lambda y: dpotrs(factor, y, lower=1)[0]
 
 
 def rbf_kernel(a, b, gamma: float) -> np.ndarray:

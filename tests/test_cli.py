@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ import hfldd
 from hfldd import cli
 from hfldd.cli import load_config, load_manifest, main
 from hfldd.errors import ConfigError, ManifestError
-from hfldd.fltrain import run_hfldd
+from hfldd.fltrain import run_fedavg, run_hfldd
 from hfldd.metrics import CostModel, cost_fedavg, cost_fedseq, cost_hfldd, ledger_audit
 from hfldd.numkernel import SeededRng
 
@@ -89,6 +90,24 @@ def idx_config_text(tmp_path, out_dir):
     )
 
 
+def run_per_blas_thread_count(argv_for):
+    """Run `python *argv_for(threads)` with OpenBLAS on 1 thread and, on a
+    multi-core host, on 2; returns {threads: stdout}."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hfldd.__file__)))
+    stdout = {}
+    for threads in sorted({1, min(2, os.cpu_count() or 1)}):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        stdout[threads] = subprocess.run(
+            [sys.executable, *argv_for(threads)],
+            env=env,
+            check=True,
+            capture_output=True,
+            timeout=300,
+        ).stdout
+    return stdout
+
+
 def write_config(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
@@ -107,6 +126,23 @@ class TestConfigLoading:
         assert xc.kip.iterations == 3000
         assert xc.k == 10
         assert xc.data["classes"] == 10
+
+    def test_seed_has_one_copy(self, tmp_path):
+        # The experiment seed lives in RunConfig only: replacing it there
+        # moves the generated data as well as the training streams.
+        base = load_config(write_config(tmp_path, "a.ini", config_text(tmp_path / "a")))
+        nine = load_config(write_config(tmp_path, "b.ini", config_text(tmp_path / "b", seed=9)))
+        moved = replace(base, run=replace(base.run, seed=9))
+        assert base.seed == 5 and moved.seed == 9
+        clients, _, test = cli._build_problem(moved)
+        clients9, _, test9 = cli._build_problem(nine)
+        assert np.array_equal(test.features, test9.features)
+        for c, c9 in zip(clients, clients9, strict=True):
+            assert np.array_equal(c.data.features, c9.data.features)
+        ran = run_fedavg(clients, test, moved.run).final_model.params
+        assert np.array_equal(ran, run_fedavg(clients9, test9, nine.run).final_model.params)
+        clients5, _, test5 = cli._build_problem(base)
+        assert not np.array_equal(ran, run_fedavg(clients5, test5, base.run).final_model.params)
 
     def test_missing_output_dir(self, tmp_path):
         path = write_config(tmp_path, "bad.ini", "[experiment]\nseed = 1\n")
@@ -337,20 +373,31 @@ class TestRunCommand:
         cfg = write_config(
             tmp_path, "hf.ini", config_text(tmp_path / "unused", algorithm="hfldd", dim=1024)
         )
-        src = os.path.dirname(os.path.dirname(os.path.abspath(hfldd.__file__)))
-        outputs = []
-        for threads in sorted({1, min(2, os.cpu_count() or 1)}):
-            out = tmp_path / f"threads{threads}"
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
-            env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-            subprocess.run(
-                [sys.executable, "-m", "hfldd.cli", "run", cfg, "--out", str(out)],
-                env=env,
-                check=True,
-                capture_output=True,
-                timeout=300,
-            )
-            outputs.append((out / "metrics.csv").read_bytes())
+        out = lambda threads: tmp_path / f"threads{threads}"
+        runs = run_per_blas_thread_count(
+            lambda threads: ["-m", "hfldd.cli", "run", cfg, "--out", str(out(threads))]
+        )
+        outputs = [(out(threads) / "metrics.csv").read_bytes() for threads in runs]
+        assert all(o == outputs[0] for o in outputs)
+
+    def test_distilled_support_independent_of_blas_threads(self):
+        # One member at the paired benchmark's shape (160 rows, 1024-d,
+        # support 80): the QR that sets distill's coordinates and every
+        # step's products are large enough to be split across threads.
+        script = (
+            "import sys\n"
+            "from hfldd.datagen import LabeledDataset, one_hot\n"
+            "from hfldd.distill import KipConfig, distill\n"
+            "from hfldd.numkernel import SeededRng, rbf_gamma\n"
+            "gen = SeededRng(4, 0).generator()\n"
+            "labels = gen.integers(0, 2, size=160)\n"
+            "x = gen.standard_normal((2, 1024))[labels] * 2.0 + gen.standard_normal((160, 1024))\n"
+            "d = LabeledDataset(x, one_hot(labels, 2), 2)\n"
+            "ds = distill(d, KipConfig(80, 1e-6, 0.004, 20, 10), rbf_gamma(x), SeededRng(4, 1))\n"
+            "sys.stdout.buffer.write(ds.data.features.tobytes())\n"
+        )
+        outputs = list(run_per_blas_thread_count(lambda threads: ["-c", script]).values())
+        assert len(outputs[0]) == 80 * 1024 * 8
         assert all(o == outputs[0] for o in outputs)
 
     def test_manifest_loader_errors(self, tmp_path):
@@ -481,6 +528,14 @@ class TestCostCommand:
         assert f"fedavg,{cost_fedavg(c)}," in out
         assert f"hfldd,{cost_hfldd(c)}," in out
         assert f"fedseq,{cost_fedseq(c)}," in out
+
+    def test_zero_bits_per_param_exits_2(self, capsys):
+        argv = ["cost", "--clients", "3", "--rounds", "2", "--model-params", "10",
+                "--bits-per-param", "0"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "bits_per_param must be >= 1" in captured.err
+        assert captured.out == ""
 
     def test_missing_required_flags(self, capsys):
         assert main(["cost", "--clients", "3"]) == 2

@@ -195,6 +195,65 @@ class TestBalancedSupportLabels:
             balanced_support_labels([], 4, 2)
 
 
+def original_coordinate_distill(d, cfg, gamma, rng):
+    """`distill` as it stood before the row-space change: the same draws and
+    steps, taken on the dim-wide features themselves. Returns the support
+    rows and the loss trace."""
+    gen = rng.generator()
+    labels = d.label_indices()
+    support_y = balanced_support_labels(np.unique(labels), cfg.support_size, d.class_count)
+    support_classes = np.argmax(support_y, axis=1)
+    chunks = []
+    for cls in sorted(set(int(c) for c in support_classes)):
+        need = int(np.sum(support_classes == cls))
+        pool = np.flatnonzero(labels == cls)
+        chunks.append(gen.choice(pool, size=need, replace=need > len(pool)))
+    support_x = d.features[np.concatenate(chunks)]
+    loss = lambda: kip_loss(support_x, support_y, d.features, d.labels, cfg.ridge_lambda, gamma)
+    n = d.n_rows()
+    trace = [loss()]
+    for it in range(cfg.iterations):
+        batch = gen.choice(n, size=min(cfg.target_batch, n), replace=False)
+        support_x -= cfg.learning_rate * kip_gradient(
+            support_x, support_y, d.features[batch], d.labels[batch], cfg.ridge_lambda, gamma
+        )
+        if (it + 1) % 100 == 0 and (it + 1) != cfg.iterations:
+            trace.append(loss())
+    if cfg.iterations > 0:
+        trace.append(loss())
+    return support_x, np.array(trace)
+
+
+class TestRowSpaceDistill:
+    # (rows, dim): fewer rows than features, so the coordinates are narrower
+    # than the features, and more rows, so they are a rotation of them.
+    SHAPES = [(24, 256), (40, 8)]
+
+    @pytest.mark.parametrize("n,dim", SHAPES)
+    def test_matches_original_coordinate_loop(self, n, dim):
+        d = blob_dataset(seed=n + dim, n=n, dim=dim, classes=3)
+        cfg = KipConfig(6, 1e-6, 0.05, 150, 8)
+        gamma = rbf_gamma(d.features)
+        ref_x, ref_trace = original_coordinate_distill(d, cfg, gamma, SeededRng(3, 4))
+        ds = distill(d, cfg, gamma, SeededRng(3, 4))
+        assert len(ref_trace) == 3
+        scale = np.max(np.abs(ref_x))
+        np.testing.assert_allclose(ds.data.features, ref_x, rtol=1e-10, atol=1e-10 * scale)
+        np.testing.assert_allclose(
+            ds.loss_trace, ref_trace, rtol=1e-10, atol=1e-10 * np.max(ref_trace)
+        )
+
+    @pytest.mark.parametrize("n,dim", SHAPES)
+    def test_support_lies_in_the_data_row_space(self, n, dim):
+        d = blob_dataset(seed=n + dim, n=n, dim=dim, classes=3)
+        ds = distill(d, KipConfig(6, 1e-6, 0.05, 50, 8), rbf_gamma(d.features), SeededRng(3, 5))
+        _, sv, vt = np.linalg.svd(d.features, full_matrices=False)
+        basis = vt[sv > sv[0] * 1e-12]
+        s = ds.data.features
+        resid = s - (s @ basis.T) @ basis
+        assert np.max(np.abs(resid)) <= 1e-12 * np.max(np.abs(s))
+
+
 class TestDistill:
     def test_shapes_and_trace_contract(self):
         d = blob_dataset()

@@ -45,6 +45,12 @@ class TestCostModel:
         with pytest.raises(DomainError):
             CostModel(distilled_sizes=(4, -1))
 
+    def test_bits_per_param_below_one_rejected(self):
+        # A zero price makes every cost 0 and the hfldd/fedavg ratio NaN.
+        for bits in (0, -8):
+            with pytest.raises(DomainError, match="bits_per_param"):
+                CostModel(bits_per_param=bits)
+
     def test_counts_must_be_integers(self):
         assert CostModel(n_clients=np.int64(3), distilled_sizes=(np.int32(2),)).n_clients == 3
         for kw in (

@@ -82,6 +82,11 @@ class TestRidgeSolve:
             with pytest.raises(DomainError):
                 ridge_solve(np.eye(2), np.ones((2, 1)), lam)
 
+    def test_empty_system_has_empty_solution(self):
+        alpha = ridge_solve(np.zeros((0, 0)), np.zeros((0, 3)), 1.0)
+        assert alpha.shape == (0, 3)
+        assert ridge_solve(np.eye(2), np.zeros((2, 0)), 1.0).shape == (2, 0)
+
     def test_shape_checks(self):
         with pytest.raises(ShapeError):
             ridge_solve(np.ones((2, 3)), np.ones((2, 1)), 1.0)
