@@ -160,6 +160,9 @@ def partition_label_skew(
     per-class index pools shuffled by the same generator. Per-client totals
     are exactly spec.samples_per_client, with the remainder of the division
     by C spread over the client's first shards.
+
+    All clients' rows are gathered by one index into one block, in client
+    order; each client's dataset holds row views of its part of the block.
     """
     if spec.total_classes != d.class_count:
         raise DomainError(
@@ -191,7 +194,13 @@ def partition_label_skew(
             take = pools[cls][cursors[cls] : cursors[cls] + want]
             cursors[cls] += want
             per_client[client].append(take)
-    return [d.subset(np.concatenate(chunks)) for chunks in per_client]
+    rows = np.concatenate([take for chunks in per_client for take in chunks])
+    x, y = d.features[rows], d.labels[rows]
+    size = spec.samples_per_client
+    return [
+        LabeledDataset(x[i * size : (i + 1) * size], y[i * size : (i + 1) * size], d.class_count)
+        for i in range(n)
+    ]
 
 
 def make_probe_dataset(source: LabeledDataset, size: int, rng: SeededRng) -> LabeledDataset:

@@ -110,10 +110,13 @@ def kip_gradient(xs, ys, xt, yt, lam: float, gamma: float) -> np.ndarray:
     k_ts = rbf_core(xt, xs, gamma)
     solve = ridge_solver(k_ss, lam)
     alpha = solve(ys)
-    err = k_ts @ alpha - yt
-    w_ts = (err @ alpha.T) * k_ts
+    err = k_ts @ alpha
+    err -= yt
+    w_ts = err @ alpha.T
+    w_ts *= k_ts
     g_ss = -solve(k_ts.T @ err) @ alpha.T
-    w = (g_ss + g_ss.T) * k_ss
+    w = g_ss + g_ss.T
+    w *= k_ss
     diag = w_ts.sum(axis=0)
     diag += w.sum(axis=1)
     w.flat[:: w.shape[0] + 1] -= diag

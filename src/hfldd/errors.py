@@ -50,9 +50,12 @@ class ManifestError(HflddError):
 
 
 class StageError(HflddError):
-    """A pipeline run aborted; carries the name of the failing stage."""
+    """A run aborted; carries the name of the failing stage and, for a
+    training round, its round index."""
 
-    def __init__(self, stage: str, cause: Exception):
-        super().__init__(f"stage '{stage}' failed: {cause}")
+    def __init__(self, stage: str, cause: Exception, round_index: int | None = None):
+        where = "" if round_index is None else f" in round {round_index}"
+        super().__init__(f"stage '{stage}' failed{where}: {cause}")
         self.stage = stage
         self.cause = cause
+        self.round_index = round_index

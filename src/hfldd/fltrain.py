@@ -12,6 +12,7 @@ testable bit-for-bit.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +24,7 @@ from .errors import (
     CapacityError,
     DomainError,
     EmptyInputError,
+    HflddError,
     ShapeError,
     StageError,
 )
@@ -176,6 +178,28 @@ def _round_metrics(t: int, model: MlpModel, test, clients, ledger) -> RoundMetri
     return RoundMetrics(t, acc, loss, ledger.total_bits())
 
 
+# numpy's overflow and invalid-value warnings are off while models train:
+# a diverging model is detected from its parameters and reported as a typed
+# error instead. Underflow (a vanishing softmax term) stays harmless.
+_QUIET = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
+
+
+def _check_finite(model: MlpModel, what: str) -> None:
+    if not np.isfinite(model.params).all():
+        raise DomainError(f"{what} has non-finite parameters: training diverged")
+
+
+@contextmanager
+def _training_round(t: int):
+    """Run one round of training; any failure in it is a `training`
+    StageError that names round t."""
+    with np.errstate(**_QUIET):
+        try:
+            yield
+        except HflddError as e:
+            raise StageError("training", e, t) from e
+
+
 def _model_bits(model: MlpModel, bits_per_param: int) -> int:
     return model.parameter_count() * bits_per_param
 
@@ -217,17 +241,19 @@ def _parallel_rounds(
     weights = [c.data.n_rows() for c in clients]
     out = []
     for t in range(1, cfg.rounds + 1):
-        if t > 1:
+        with _training_round(t):
+            if t > 1:
+                for c in clients:
+                    ledger.record(t, "server", f"client-{c.client_id}", PAYLOAD_MODEL, bits)
+            local_models = []
             for c in clients:
-                ledger.record(t, "server", f"client-{c.client_id}", PAYLOAD_MODEL, bits)
-        local_models = []
-        for c in clients:
-            sgd = _pass_schedule(cfg, c.data, cfg.batch_size, cfg.local_steps)
-            rng = SeededRng(cfg.seed, streams.train(t, c.client_id))
-            local_models.append(local_train(model, c.data, sgd, rng, prox_mu))
-            ledger.record(t, f"client-{c.client_id}", "server", PAYLOAD_MODEL, bits)
-        model = aggregate(local_models, weights)
-        out.append(_round_metrics(t, model, test, clients, ledger))
+                sgd = _pass_schedule(cfg, c.data, cfg.batch_size, cfg.local_steps)
+                rng = SeededRng(cfg.seed, streams.train(t, c.client_id))
+                local_models.append(local_train(model, c.data, sgd, rng, prox_mu))
+                ledger.record(t, f"client-{c.client_id}", "server", PAYLOAD_MODEL, bits)
+            model = aggregate(local_models, weights)
+            _check_finite(model, "the global model")
+            out.append(_round_metrics(t, model, test, clients, ledger))
     return out, model
 
 
@@ -279,25 +305,28 @@ def run_fedseq_lite(
     bits = _model_bits(model, bits_per_param)
     out = []
     for t in range(1, cfg.rounds + 1):
-        perm = SeededRng(cfg.seed, streams.SEQ_PARTITION | t).generator().permutation(n)
-        cluster_models = []
-        cluster_weights = []
-        for o in range(cluster_count):
-            group = [clients[int(p)] for p in perm[o * cluster_size : (o + 1) * cluster_size]]
-            holder = f"seq-{o}"
-            if t > 1:
-                ledger.record(t, "server", holder, PAYLOAD_MODEL, bits)
-            m = model
-            for c in group:
-                ledger.record(t, holder, f"client-{c.client_id}", PAYLOAD_MODEL, bits)
-                holder = f"client-{c.client_id}"
-                sgd = _pass_schedule(cfg, c.data, cfg.batch_size, cfg.local_steps)
-                m = local_train(m, c.data, sgd, SeededRng(cfg.seed, streams.train(t, c.client_id)))
-            ledger.record(t, holder, "server", PAYLOAD_MODEL, bits)
-            cluster_models.append(m)
-            cluster_weights.append(sum(c.data.n_rows() for c in group))
-        model = aggregate(cluster_models, cluster_weights)
-        out.append(_round_metrics(t, model, test, clients, ledger))
+        with _training_round(t):
+            perm = SeededRng(cfg.seed, streams.SEQ_PARTITION | t).generator().permutation(n)
+            cluster_models = []
+            cluster_weights = []
+            for o in range(cluster_count):
+                group = [clients[int(p)] for p in perm[o * cluster_size : (o + 1) * cluster_size]]
+                holder = f"seq-{o}"
+                if t > 1:
+                    ledger.record(t, "server", holder, PAYLOAD_MODEL, bits)
+                m = model
+                for c in group:
+                    ledger.record(t, holder, f"client-{c.client_id}", PAYLOAD_MODEL, bits)
+                    holder = f"client-{c.client_id}"
+                    sgd = _pass_schedule(cfg, c.data, cfg.batch_size, cfg.local_steps)
+                    rng = SeededRng(cfg.seed, streams.train(t, c.client_id))
+                    m = local_train(m, c.data, sgd, rng)
+                ledger.record(t, holder, "server", PAYLOAD_MODEL, bits)
+                cluster_models.append(m)
+                cluster_weights.append(sum(c.data.n_rows() for c in group))
+            model = aggregate(cluster_models, cluster_weights)
+            _check_finite(model, "the global model")
+            out.append(_round_metrics(t, model, test, clients, ledger))
     return RunResult(out, ledger, model)
 
 
@@ -344,7 +373,10 @@ def run_hfldd(
         soft_bits = probe.n_rows() * n_c * bits_per_param
         for c in clients:
             pre_sgd = _pass_schedule(cfg, c.data, cfg.pretrain_batch, cfg.pretrain_steps)
-            pre = local_train(model0, c.data, pre_sgd, SeededRng(cfg.seed, streams.PRETRAIN + c.client_id))
+            pre_rng = SeededRng(cfg.seed, streams.PRETRAIN + c.client_id)
+            with np.errstate(**_QUIET):
+                pre = local_train(model0, c.data, pre_sgd, pre_rng)
+            _check_finite(pre, f"client {c.client_id}'s pretrained model")
             soft.append(soft_labels(pre, probe))
             ledger.record(0, f"client-{c.client_id}", "server", PAYLOAD_SOFT_LABELS, soft_bits)
     except Exception as e:
@@ -401,6 +433,8 @@ def run_hfldd(
     # the head clients (and over the same rng streams).
     try:
         metrics, model = _parallel_rounds(head_states, test, cfg, ledger, bits_per_param)
+    except StageError:
+        raise
     except Exception as e:
         raise StageError("training", e) from e
     return RunResult(

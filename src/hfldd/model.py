@@ -91,19 +91,29 @@ def init_mlp(layer_sizes, rng: SeededRng) -> MlpModel:
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    """Row softmax of z, computed in place; returns z."""
+    z -= z.max(axis=1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=1, keepdims=True)
+    return z
 
 
 def _forward_cached(layers, x: np.ndarray):
-    """Forward pass keeping layer activations for backprop."""
+    """Forward pass keeping layer activations for backprop.
+
+    Each layer's pre-activation is one fresh array that the activation then
+    overwrites, so a layer allocates once.
+    """
     acts = [x]
     h = x
     last = len(layers) - 1
     for i, (w, b) in enumerate(layers):
-        z = h @ w + b
-        h = _softmax(z) if i == last else np.maximum(z, 0.0)
+        h = h @ w
+        h += b
+        if i == last:
+            _softmax(h)
+        else:
+            np.maximum(h, 0.0, out=h)
         acts.append(h)
     return acts
 
@@ -116,8 +126,28 @@ def forward(m: MlpModel, x) -> np.ndarray:
     return _forward_cached(_layers(m.sizes, m.params), x)[-1]
 
 
-def backward(m: MlpModel, x, y) -> np.ndarray:
-    """Gradient of mean cross-entropy over the batch, laid out like m.params."""
+def _check_gradient_buffer(m: MlpModel, out) -> None:
+    if not (
+        isinstance(out, np.ndarray)
+        and out.dtype == np.float64
+        and out.shape == m.params.shape
+        and out.flags.c_contiguous
+        and out.flags.writeable
+    ):
+        raise ShapeError(
+            f"out must be a writeable C-contiguous float64 vector of shape {m.params.shape}"
+        )
+    if np.may_share_memory(out, m.params):
+        raise ShapeError("out must not share memory with the model's parameters")
+
+
+def backward(m: MlpModel, x, y, out: np.ndarray | None = None) -> np.ndarray:
+    """Gradient of mean cross-entropy over the batch, laid out like m.params.
+
+    The gradient is written into `out` when given (a float64 C-contiguous
+    vector shaped like m.params and not sharing its memory), else into a new
+    vector; the vector is returned.
+    """
     x = as_matrix(x, "x")
     y = as_matrix(y, "y")
     if x.shape[0] != y.shape[0]:
@@ -126,17 +156,23 @@ def backward(m: MlpModel, x, y) -> np.ndarray:
         raise ShapeError(f"input dim {x.shape[1]} != model input {m.sizes[0]}")
     if y.shape[1] != m.sizes[-1]:
         raise ShapeError(f"target dim {y.shape[1]} != model output {m.sizes[-1]}")
+    if out is None:
+        out = np.empty_like(m.params)
+    else:
+        _check_gradient_buffer(m, out)
     layers = _layers(m.sizes, m.params)
     acts = _forward_cached(layers, x)
-    delta = (acts[-1] - y) / x.shape[0]
-    g = np.empty_like(m.params)
-    grads = _layers(m.sizes, g)
+    delta = acts[-1]
+    delta -= y
+    delta /= x.shape[0]
+    grads = _layers(m.sizes, out)
     for i in range(len(layers) - 1, -1, -1):
         np.matmul(acts[i].T, delta, out=grads[i][0])
-        np.sum(delta, axis=0, out=grads[i][1])
+        delta.sum(axis=0, out=grads[i][1])
         if i > 0:
-            delta = (delta @ layers[i][0].T) * (acts[i] > 0.0)
-    return g
+            delta = delta @ layers[i][0].T
+            delta *= acts[i] > 0.0
+    return out
 
 
 def sgd_step(m: MlpModel, g: np.ndarray, eta: float) -> MlpModel:
@@ -167,9 +203,10 @@ def local_train(m: MlpModel, d, cfg: SgdConfig, rng: SeededRng, mu: float = 0.0)
     gradient gains FedProx's proximal pull mu * (params - m.params) toward the
     starting model; mu == 0 skips the term, so the update is plain SGD.
 
-    The parameters are copied once, then each step updates the copy in place
-    with the same arithmetic as `sgd_step` (the pull goes through one reused
-    buffer), so the result is bit-identical to chaining `sgd_step`.
+    The parameters are copied once, then each step writes its gradient into
+    one reused buffer and updates the copy in place with the same arithmetic
+    as `sgd_step` (the pull goes through a second buffer), so the result is
+    bit-identical to chaining `backward` and `sgd_step`.
     """
     if not 0 <= mu < math.inf:
         raise DomainError(f"mu must be finite and nonnegative, got {mu}")
@@ -180,10 +217,11 @@ def local_train(m: MlpModel, d, cfg: SgdConfig, rng: SeededRng, mu: float = 0.0)
     gen = rng.generator()
     batches = iter_batches(d.n_rows(), cfg.batch_size, gen)
     out = MlpModel(m.sizes, m.params.copy())
+    g = np.empty_like(out.params)
     pull = np.empty_like(out.params) if mu else None
     for _ in range(cfg.steps):
         idx = next(batches)
-        g = backward(out, d.features[idx], d.labels[idx])
+        backward(out, d.features[idx], d.labels[idx], out=g)
         if mu:
             np.subtract(out.params, m.params, out=pull)
             pull *= mu
@@ -202,7 +240,7 @@ def soft_labels(m: MlpModel, dg) -> np.ndarray:
     if dg.n_rows() == 0:
         raise EmptyInputError("probe dataset is empty")
     p = forward(m, dg.features)
-    return np.clip(p, SOFT_LABEL_FLOOR, 1.0)
+    return np.clip(p, SOFT_LABEL_FLOOR, 1.0, out=p)
 
 
 def cross_entropy(probs, y) -> float:

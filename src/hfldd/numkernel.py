@@ -41,11 +41,16 @@ class SeededRng:
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Validate `a` as a finite 2-D float64 array and return it (C order)."""
+    """Validate `a` as a finite 2-D float64 array and return it (C order).
+
+    The finiteness test is one dot product: a NaN or an infinity makes the
+    sum of squares non-finite, and only a finite sum that overflowed needs
+    the elementwise check.
+    """
     m = np.ascontiguousarray(a, dtype=np.float64)
     if m.ndim != 2:
         raise ShapeError(f"{name} must be 2-D, got {m.ndim}-D")
-    if not np.all(np.isfinite(m)):
+    if not (math.isfinite(np.vdot(m, m)) or np.isfinite(m).all()):
         raise DomainError(f"{name} contains non-finite entries")
     return m
 
@@ -54,12 +59,16 @@ def ridge_solve(k, y, lam: float) -> np.ndarray:
     """Solve (k + lam*I) alpha = y for symmetric positive definite k + lam*I.
 
     Uses a Cholesky factorization rather than an explicit inverse. `lam` may
-    be zero when `k` itself is positive definite.
+    be zero when `k` itself is positive definite. `k` must be exactly
+    symmetric: the factorization reads one triangle only, so any other `k`
+    would silently solve a different system.
     """
     k = as_matrix(k, "k")
     y = as_matrix(y, "y")
     if k.shape[0] != k.shape[1]:
         raise ShapeError(f"k must be square, got {k.shape}")
+    if (k != k.T).any():
+        raise DomainError("k must be symmetric")
     if y.shape[0] != k.shape[0]:
         raise ShapeError(f"y rows {y.shape[0]} != k order {k.shape[0]}")
     solve = ridge_solver(k, lam)
@@ -71,15 +80,15 @@ def ridge_solve(k, y, lam: float) -> np.ndarray:
 def ridge_solver(k: np.ndarray, lam: float):
     """Factor k + lam*I once; return `solve(y)` for (k + lam*I) x = y.
 
-    Unchecked core of `ridge_solve` for callers whose square `k` and
-    matching `y` are already validated; `lam` is still checked. LAPACK
+    Unchecked core of `ridge_solve` for callers that already validated an
+    exactly symmetric `k` and matching `y`; `lam` is still checked. LAPACK
     factors the Fortran-ordered view of the symmetric copy in place.
     """
     if not 0 <= lam < math.inf:
         raise DomainError(f"lambda must be finite and nonnegative, got {lam}")
     a = k.copy()
     if lam:
-        a[np.diag_indices_from(a)] += lam
+        a.flat[:: a.shape[0] + 1] += lam
     factor, info = dpotrf(a.T, lower=1, clean=0, overwrite_a=1)
     if info > 0:
         raise SingularMatrixError(
@@ -109,18 +118,22 @@ def rbf_kernel(a, b, gamma: float) -> np.ndarray:
 def rbf_core(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
     """Unchecked core of `rbf_kernel` for validated matrices and gamma > 0."""
     if a is b:
-        g = a @ a.T
-        g = (g + g.T) * 0.5
-        sq = np.diag(g).copy()
+        p = a @ a.T
+        g = p + p.T
+        g *= 0.5
+        sq = g.diagonal().copy()
         d2 = sq[:, None] + sq[None, :]
-        d2 -= 2.0 * g
-        np.fill_diagonal(d2, 0.0)
+        g *= 2.0
+        d2 -= g
+        d2.flat[:: d2.shape[0] + 1] = 0.0
     else:
         sqa = np.einsum("ij,ij->i", a, a)
         sqb = np.einsum("ij,ij->i", b, b)
         d2 = sqa[:, None] + sqb[None, :]
-        d2 -= 2.0 * (a @ b.T)
-    np.clip(d2, 0.0, None, out=d2)
+        g = a @ b.T
+        g *= 2.0
+        d2 -= g
+    np.maximum(d2, 0.0, out=d2)
     d2 *= -gamma
     np.exp(d2, out=d2)
     np.maximum(d2, _TINY, out=d2)

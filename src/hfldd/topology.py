@@ -31,8 +31,10 @@ def kl_divergence(si, sj) -> float:
     sj = as_matrix(sj, "sj")
     if si.shape != sj.shape:
         raise ShapeError(f"shapes differ: {si.shape} vs {sj.shape}")
-    value = float(np.sum(si * np.log(si / sj)) / si.shape[0])
-    return max(value, 0.0)
+    t = si / sj
+    np.log(t, out=t)
+    t *= si
+    return max(float(t.sum() / si.shape[0]), 0.0)
 
 
 @dataclass

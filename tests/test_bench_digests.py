@@ -1,0 +1,44 @@
+"""The benchmark's six simulator runs reproduce pinned metrics.csv bytes.
+
+The configurations come from `bench/workloads.py` itself, so these are the
+runs `bench/run.py` measures. A change that moves a digest on purpose updates
+the pin here and says which digest moved, and why, in CHANGES.md.
+"""
+
+import os
+import sys
+
+import pytest
+
+from hfldd import cli
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+sys.path.insert(0, BENCH)
+
+import workloads  # noqa: E402
+
+SEED = 1
+PINNED = {
+    ("paired-skew1", "fedavg"): "bdf4b49ebbd50b5c402e0d3708e6b20fb18f15a0cdafb5f473a059a7ef8a9651",
+    ("paired-skew1", "hfldd"): "60535a09e0a4fa1fd05ccace9693e91b43e9e224317509b4b84fbfe4c5342878",
+    ("crowd-250", "fedavg"): "5f22dab93601d3ab2cb683a247e21271127e16f8926d05c838e2cbc97ec79b0e",
+    ("crowd-250", "hfldd"): "072ae02f5b091737457b4254aae0dd8df4a001b692e02edac348aa7103d40a80",
+    ("prox-seq", "fedprox"): "974b369a413a81e41b7f543920093cfd037fe4ab4692fc12d794a4aab6e492c6",
+    ("prox-seq", "fedseq"): "f90a0e6f95aee1468b4cd6660aa096ed00b74258eba4f1cc0015f1b4722ca0d5",
+}
+
+
+def test_every_benchmark_run_is_pinned():
+    runs = {(w.name, a) for w in workloads.WORKLOADS.values() for a in w.algorithms}
+    assert runs == set(PINNED)
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_metrics_digests_match_the_pins(name):
+    w = workloads.WORKLOADS[name]
+    configs = w.configs(SEED)
+    problem = cli._build_problem(configs[w.parallel])
+    for algorithm, xc in configs.items():
+        result = workloads.run_algorithm(xc, problem)
+        assert workloads.gate(xc, result) == []
+        assert workloads.metrics_digest(result.metrics) == PINNED[(name, algorithm)], algorithm

@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -297,6 +298,36 @@ class TestRunCommand:
         assert main(["run", cfg]) == 2
         assert not out.exists()
         assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "algorithm, extra, stage",
+        [
+            ("fedavg", "", "[training]"),
+            ("fedprox", "prox_mu = 0.01", "[training]"),
+            ("fedseq", "seq_clusters = 2\nseq_cluster_size = 2", "[training]"),
+            # without pretraining, hfldd first trains in its head rounds
+            ("hfldd", "", "[training]"),
+            ("hfldd", "", "[label-collection]"),
+        ],
+        ids=["fedavg", "fedprox", "fedseq", "hfldd", "hfldd-pretraining"],
+    )
+    def test_divergence_exits_3_naming_stage_and_round(self, tmp_path, capsys, algorithm, extra, stage):
+        out = tmp_path / "never"
+        text = config_text(out, algorithm=algorithm, train_extra=extra, dim=8)
+        text = text.replace("learning_rate = 0.05", "learning_rate = 1e200")
+        if stage == "[training]":
+            text = text.replace("pretrain_steps = 1", "pretrain_steps = 0")
+        cfg = write_config(tmp_path, "diverge.ini", text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run", cfg]) == 3
+        err = capsys.readouterr().err
+        assert stage in err and "diverged" in err
+        if stage == "[training]":
+            assert "round 1" in err
+        assert "RuntimeWarning" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "line", ["bits_per_param = 0", "bits_per_param = -32", "bits_per_sample = -8"],

@@ -1,5 +1,6 @@
 """Synthetic data, label-skew partitioning, splits, and IDX ingestion."""
 
+import hashlib
 import struct
 
 import numpy as np
@@ -160,6 +161,41 @@ class TestPartition:
         d = indexed_dataset(3, 10)
         with pytest.raises(DomainError):
             partition_label_skew(d, PartitionSpec(2, 1, 4, 5), SeededRng(0))
+
+    @pytest.mark.parametrize(
+        "build, spec, seed, digest",
+        [
+            (lambda: indexed_dataset(4, 100), PartitionSpec(8, 2, 4, 30), 11,
+             "c054309577ab28fbd53bb1bee1719927d303ddc18ccdfaa962bcbcbf6a7b4287"),
+            (lambda: indexed_dataset(3, 100), PartitionSpec(3, 3, 3, 10), 0,
+             "f7cf3004472fe13ac21429ab765e43a35bbc01c41c7c7134f21f6062e3a7f2e4"),
+            (lambda: sample_classes(class_means(5, 16, 3.0, SeededRng(1)), 80, SeededRng(2)),
+             PartitionSpec(10, 2, 5, 31), 4,
+             "6140e34005c33606773cb65381fb287a3ce0267620a79f17a92f43f489242e8d"),
+        ],
+        ids=["indexed", "remainder", "gaussian"],
+    )
+    def test_clients_bit_identical_to_per_client_copies(self, build, spec, seed, digest):
+        # The digests were taken when each client's rows were a separate
+        # copy; the clients are now row views of one gathered block.
+        d = build()
+        before = (d.features.tobytes(), d.labels.tobytes())
+        parts = partition_label_skew(d, spec, SeededRng(seed))
+        h = hashlib.sha256()
+        for p in parts:
+            h.update(p.features.tobytes())
+            h.update(p.labels.tobytes())
+        assert h.hexdigest() == digest
+        assert (d.features.tobytes(), d.labels.tobytes()) == before
+        # one gathered block per partition, handed out as row views
+        assert len({id(p.features.base) for p in parts}) == 1
+        assert parts[0].features.base is not None
+        for i, p in enumerate(parts):
+            assert p.features.flags.c_contiguous and p.labels.flags.c_contiguous
+            assert not np.shares_memory(p.features, d.features)
+            for q in parts[i + 1 :]:
+                assert not np.shares_memory(p.features, q.features)
+                assert not np.shares_memory(p.labels, q.labels)
 
     def test_deterministic_in_spec_seed(self):
         # the layout is a function of the rng argument alone

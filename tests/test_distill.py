@@ -18,7 +18,7 @@ from hfldd.errors import (
     ShapeError,
     SingularMatrixError,
 )
-from hfldd.numkernel import SeededRng, rbf_gamma, rbf_kernel, ridge_solve
+from hfldd.numkernel import SeededRng, rbf_core, rbf_gamma, rbf_kernel, ridge_solve, ridge_solver
 
 
 def blob_dataset(seed=0, n=40, dim=3, classes=2, spread=2.0):
@@ -129,6 +129,27 @@ class TestKipGradient:
         scale = np.max(np.abs(reference))
         assert scale > 0.0
         np.testing.assert_allclose(folded, reference, rtol=1e-12, atol=1e-12 * scale)
+
+    @pytest.mark.parametrize("s,t,d", [(10, 16, 32), (80, 10, 160)])
+    def test_in_place_steps_are_bit_identical_and_pure(self, s, t, d):
+        xs, ys, xt, yt = kip_instance(s * d, s, t, d, 10)
+        lam, gamma = 1e-6, 1.0 / (2.0 * d)
+        before = [a.tobytes() for a in (xs, ys, xt, yt)]
+        # the one-factorization gradient as written before it went in place
+        k_ss = rbf_core(xs, xs, gamma)
+        k_ts = rbf_core(xt, xs, gamma)
+        solve = ridge_solver(k_ss, lam)
+        alpha = solve(ys)
+        err = k_ts @ alpha - yt
+        w_ts = (err @ alpha.T) * k_ts
+        g_ss = -solve(k_ts.T @ err) @ alpha.T
+        w = (g_ss + g_ss.T) * k_ss
+        diag = w_ts.sum(axis=0)
+        diag += w.sum(axis=1)
+        w[np.diag_indices_from(w)] -= diag
+        expected = 2.0 * gamma * (w @ xs + w_ts.T @ xt)
+        assert kip_gradient(xs, ys, xt, yt, lam, gamma).tobytes() == expected.tobytes()
+        assert [a.tobytes() for a in (xs, ys, xt, yt)] == before
 
     def test_negative_lambda_rejected(self):
         xs, ys, xt, yt = kip_instance(1, 4, 5, 3, 2)

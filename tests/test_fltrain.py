@@ -8,6 +8,7 @@ exact traffic accounting, determinism, and algorithm equivalences.
 
 import importlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -478,3 +479,61 @@ class TestIidParity:
         from hfldd.model import accuracy
 
         assert abs(fa.metrics[-1].accuracy - accuracy(central, test)) <= 0.02
+
+
+def run_algorithm(name, clients, probe, test, cfg):
+    if name == "fedavg":
+        return run_fedavg(clients, test, cfg)
+    if name == "fedprox":
+        return run_fedprox(clients, test, cfg)
+    if name == "fedseq":
+        return run_fedseq_lite(clients, test, cfg, 2, 3)
+    return run_hfldd(clients, probe, test, cfg, TINY_KIP, 3)
+
+
+ALGORITHM_NAMES = ["fedavg", "fedprox", "fedseq", "hfldd"]
+
+
+class TestNumericFailuresAndPurity:
+    @pytest.mark.parametrize("name", ALGORITHM_NAMES)
+    def test_client_data_is_never_written(self, name):
+        # Clients hold row views of one partition block, so any in-place
+        # write by an algorithm would reach that block; read-only arrays
+        # turn such a write into an error.
+        clients, probe, test = tiny_problem()
+        for d in [c.data for c in clients] + [probe, test]:
+            d.features.setflags(write=False)
+            d.labels.setflags(write=False)
+        result = run_algorithm(name, clients, probe, test, tiny_config(prox_mu=0.1))
+        assert len(result.metrics) == 3
+
+    @pytest.mark.parametrize("name", ALGORITHM_NAMES)
+    def test_divergence_names_the_training_round_without_warnings(self, name):
+        clients, probe, test = tiny_problem()
+        cfg = tiny_config(learning_rate=1e200, prox_mu=0.1, pretrain_steps=0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(StageError) as err:
+                run_algorithm(name, clients, probe, test, cfg)
+        assert err.value.stage == "training"
+        assert err.value.round_index == 1
+        assert "round 1" in str(err.value) and "diverged" in str(err.value)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    def test_divergence_in_a_later_round_names_that_round(self):
+        clients, _, test = tiny_problem()
+        # finite for a round, then the parameters blow up
+        with pytest.raises(StageError) as err:
+            run_fedavg(clients, test, tiny_config(learning_rate=60.0, rounds=6))
+        assert err.value.stage == "training"
+        assert err.value.round_index == 2
+
+    def test_pretraining_divergence_names_label_collection(self):
+        clients, probe, test = tiny_problem()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(StageError) as err:
+                run_hfldd(clients, probe, test, tiny_config(learning_rate=1e200), TINY_KIP, 3)
+        assert err.value.stage == "label-collection"
+        assert "pretrained model" in str(err.value)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]

@@ -24,6 +24,7 @@ from hfldd.model import (
     sgd_step,
     soft_labels,
     _layers,
+    _softmax,
 )
 from hfldd.numkernel import SeededRng
 
@@ -152,6 +153,109 @@ class TestBackward:
             backward(m, np.ones((2, 5)), np.ones((2, 3)) / 3)
         with pytest.raises(ShapeError):
             backward(m, np.ones((2, 4)), np.ones((2, 2)) / 2)
+
+
+def reference_softmax(z):
+    """The softmax as written before it went in place."""
+    shifted = z - z.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def reference_activations(m, x):
+    acts = [x]
+    h = x
+    layers = _layers(m.sizes, m.params)
+    for i, (w, b) in enumerate(layers):
+        z = h @ w + b
+        h = reference_softmax(z) if i == len(layers) - 1 else np.maximum(z, 0.0)
+        acts.append(h)
+    return acts
+
+
+def reference_backward(m, x, y):
+    """The backward pass as written before it went in place."""
+    layers = _layers(m.sizes, m.params)
+    acts = reference_activations(m, x)
+    delta = (acts[-1] - y) / x.shape[0]
+    g = np.empty_like(m.params)
+    grads = _layers(m.sizes, g)
+    for i in range(len(layers) - 1, -1, -1):
+        np.matmul(acts[i].T, delta, out=grads[i][0])
+        np.sum(delta, axis=0, out=grads[i][1])
+        if i > 0:
+            delta = (delta @ layers[i][0].T) * (acts[i] > 0.0)
+    return g
+
+
+# The crowd-250 and paired-skew1 benchmark shapes, batch 16.
+BENCH_SHAPES = [(32, 64, 64, 10), (1024, 64, 64, 10)]
+
+
+def bench_instance(sizes, seed=0, n=16):
+    m = init_mlp(sizes, SeededRng(seed))
+    gen = SeededRng(seed, 1).generator()
+    x = gen.standard_normal((n, sizes[0]))
+    y = one_hot(gen.integers(0, sizes[-1], size=n), sizes[-1])
+    return m, x, y
+
+
+class TestInPlacePasses:
+    """forward, backward and _softmax compute in place, bit for bit as the
+    allocating expressions did, and leave their inputs alone."""
+
+    @pytest.mark.parametrize("sizes", BENCH_SHAPES)
+    def test_forward_and_backward_bit_identical_and_pure(self, sizes):
+        m, x, y = bench_instance(sizes)
+        before = (x.tobytes(), y.tobytes(), m.params.tobytes())
+        assert forward(m, x).tobytes() == reference_activations(m, x)[-1].tobytes()
+        expected = reference_backward(m, x, y).tobytes()
+        assert backward(m, x, y).tobytes() == expected
+        buf = np.full_like(m.params, np.nan)
+        assert backward(m, x, y, out=buf) is buf
+        assert buf.tobytes() == expected
+        assert (x.tobytes(), y.tobytes(), m.params.tobytes()) == before
+
+    @pytest.mark.parametrize("sizes", BENCH_SHAPES)
+    def test_soft_targets_bit_identical(self, sizes):
+        m, x, _ = bench_instance(sizes, seed=1)
+        y = SeededRng(1, 2).generator().dirichlet(np.ones(sizes[-1]), size=x.shape[0])
+        assert backward(m, x, y).tobytes() == reference_backward(m, x, y).tobytes()
+
+    def test_softmax_bit_identical(self):
+        gen = SeededRng(2, 0).generator()
+        z = gen.standard_normal((16, 10)) * np.array([[1.0], [30.0], [800.0], [1e-3]] * 4)
+        expected = reference_softmax(z)
+        out = z.copy()
+        assert _softmax(out) is out
+        assert out.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda p: p.astype(np.float32),
+            lambda p: np.empty(p.size + 1),
+            lambda p: np.empty((1, p.size)),
+            lambda p: np.empty(2 * p.size)[::2],
+            lambda p: list(p),
+            lambda p: p,
+            lambda p: p[:],
+        ],
+        ids=["float32", "wrong-size", "2-d", "strided", "list", "params", "params-view"],
+    )
+    def test_bad_gradient_buffer_rejected(self, make):
+        m, x, y = bench_instance((4, 5, 3), n=3)
+        before = m.params.tobytes()
+        with pytest.raises(ShapeError):
+            backward(m, x, y, out=make(m.params))
+        assert m.params.tobytes() == before
+
+    def test_read_only_gradient_buffer_rejected(self):
+        m, x, y = bench_instance((4, 5, 3), n=3)
+        buf = np.empty_like(m.params)
+        buf.setflags(write=False)
+        with pytest.raises(ShapeError):
+            backward(m, x, y, out=buf)
 
 
 class TestSgdStep:

@@ -6,7 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hfldd.errors import DomainError, ShapeError, SingularMatrixError
-from hfldd.numkernel import SeededRng, as_matrix, rbf_gamma, rbf_kernel, ridge_solve
+from hfldd.numkernel import (
+    SeededRng,
+    as_matrix,
+    rbf_gamma,
+    rbf_kernel,
+    ridge_solve,
+    ridge_solver,
+)
 
 
 class TestSeededRng:
@@ -51,6 +58,27 @@ class TestAsMatrix:
         with pytest.raises(DomainError):
             as_matrix([[float("inf"), 0.0]])
 
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 4), (100, 10), (160, 1024)])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_one_non_finite_entry_anywhere(self, shape, bad):
+        base = SeededRng(2, 0).generator().standard_normal(shape)
+        for flat_index in sorted({0, base.size // 2, base.size - 1}):
+            a = base.copy()
+            a.flat[flat_index] = bad
+            with pytest.raises(DomainError):
+                as_matrix(a)
+
+    def test_rejects_opposite_infinities(self):
+        with pytest.raises(DomainError):
+            as_matrix([[float("inf"), 1.0, -float("inf")]])
+
+    def test_accepts_entries_whose_squares_overflow(self):
+        big = np.finfo(np.float64).max
+        a = np.array([[big, -big], [1e200, -1e160]])
+        assert np.array_equal(as_matrix(a), a)
+        with pytest.raises(DomainError):
+            as_matrix(np.array([[big, float("nan")]]))
+
 
 class TestRidgeSolve:
     def test_hand_solution(self):
@@ -87,6 +115,26 @@ class TestRidgeSolve:
         assert alpha.shape == (0, 3)
         assert ridge_solve(np.eye(2), np.zeros((2, 0)), 1.0).shape == (2, 0)
 
+    def test_non_symmetric_kernel_rejected(self):
+        # LAPACK reads one triangle: this k used to give [1/3, 1/3] (the upper
+        # triangle mirrored) where the true solution is [0.25, 0.5].
+        with pytest.raises(DomainError):
+            ridge_solve([[2.0, 1.0], [0.0, 2.0]], [[1.0], [1.0]], 0.0)
+        k = np.array([[2.0, 1.0], [1.0, 2.0]])
+        k[0, 1] = np.nextafter(1.0, 2.0)
+        with pytest.raises(DomainError):
+            ridge_solve(k, [[1.0], [1.0]], 1.0)
+
+    def test_solver_adds_lambda_to_the_diagonal_only(self):
+        gen = SeededRng(12, 0).generator()
+        x = gen.standard_normal((5, 3))
+        k = rbf_kernel(x, x, 0.2)
+        y = gen.standard_normal((5, 2))
+        a = k.copy()
+        a[np.diag_indices_from(a)] += 0.3
+        expected = np.linalg.solve(a, y)
+        assert np.allclose(ridge_solver(k, 0.3)(y), expected, rtol=1e-12, atol=1e-12)
+
     def test_shape_checks(self):
         with pytest.raises(ShapeError):
             ridge_solve(np.ones((2, 3)), np.ones((2, 1)), 1.0)
@@ -115,6 +163,31 @@ class TestRbfKernel:
         for gamma in (0.0, float("nan"), float("inf")):
             with pytest.raises(DomainError):
                 rbf_kernel([[0.0]], [[1.0]], gamma)
+
+    @pytest.mark.parametrize("rows", [(10, 32), (80, 1024)])
+    def test_in_place_forms_are_bit_identical(self, rows):
+        gen = SeededRng(13, 0).generator()
+        a = gen.standard_normal(rows)
+        b = gen.standard_normal((7, rows[1]))
+        a_before, b_before = a.tobytes(), b.tobytes()
+        gamma = 1.0 / (2 * rows[1])
+        tiny = np.finfo(np.float64).tiny
+        # the expressions the kernel was computed with before it went in place
+        g = a @ a.T
+        g = (g + g.T) * 0.5
+        sq = np.diag(g).copy()
+        d2 = sq[:, None] + sq[None, :]
+        d2 -= 2.0 * g
+        np.fill_diagonal(d2, 0.0)
+        same = np.maximum(np.exp(np.clip(d2, 0.0, None) * -gamma), tiny)
+        sqa = np.einsum("ij,ij->i", b, b)
+        sqb = np.einsum("ij,ij->i", a, a)
+        d2 = sqa[:, None] + sqb[None, :]
+        d2 -= 2.0 * (b @ a.T)
+        cross = np.maximum(np.exp(np.clip(d2, 0.0, None) * -gamma), tiny)
+        assert rbf_kernel(a, a, gamma).tobytes() == same.tobytes()
+        assert rbf_kernel(b, a, gamma).tobytes() == cross.tobytes()
+        assert a.tobytes() == a_before and b.tobytes() == b_before
 
     def test_dim_mismatch(self):
         with pytest.raises(ShapeError):

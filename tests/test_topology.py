@@ -50,6 +50,19 @@ class TestKlDivergence:
         with pytest.raises(ShapeError):
             kl_divergence(np.ones((1, 2)) / 2, np.ones((2, 2)) / 2)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_bit_identical_to_allocating_form_and_pure(self, seed):
+        # the crowd-250 shape: 100 probe rows x 10 classes, clamped at 1e-12
+        gen = SeededRng(seed, 0).generator()
+        si = stochastic_rows(gen, 100, 10, floor=1e-12)
+        sj = stochastic_rows(gen, 100, 10, floor=1e-12)
+        si[0] = sj[0]
+        before = (si.tobytes(), sj.tobytes())
+        for a, b in ((si, sj), (sj, si), (si, si)):
+            expected = max(float(np.sum(a * np.log(a / b)) / a.shape[0]), 0.0)
+            assert kl_divergence(a, b) == expected
+        assert (si.tobytes(), sj.tobytes()) == before
+
     @given(st.integers(0, 100_000))
     @settings(max_examples=50, deadline=None)
     def test_nonnegative(self, seed):
