@@ -41,6 +41,7 @@ from .fltrain import (
     run_hfldd,
 )
 from .metrics import (
+    COUNT_LIMIT,
     DEFAULT_BITS_PER_PARAM,
     CostModel,
     bits_to_megabytes,
@@ -271,7 +272,7 @@ def load_manifest(path: str) -> ExperimentConfig:
             doc = json.load(f)
     except OSError as e:
         raise ManifestError(f"cannot read manifest {path}: {e}") from e
-    except ValueError as e:  # bad JSON or bad UTF-8
+    except (ValueError, RecursionError) as e:  # bad JSON, bad UTF-8 or too deep
         raise ManifestError(f"manifest {path} is not valid JSON: {e}") from e
     if not isinstance(doc, dict):
         raise ManifestError(f"manifest {path} is not a JSON object")
@@ -287,7 +288,11 @@ def load_manifest(path: str) -> ExperimentConfig:
 
 
 def _build_problem(xc: ExperimentConfig):
-    """Materialize (clients, probe, test) from the data section."""
+    """Materialize (clients, probe, test) from the data section.
+
+    The sample pool is dropped once the train/test split has copied its
+    rows, so it is not alive while the clients' block is gathered.
+    """
     d = xc.data
 
     def rng(stream: int) -> SeededRng:
@@ -297,6 +302,7 @@ def _build_problem(xc: ExperimentConfig):
         means = class_means(d["classes"], d["dim"], d["separation"], rng(streams.MEANS))
         pool = sample_classes(means, d["per_class"], rng(streams.POOL))
         train_pool, test = split_train_test(pool, d["test_fraction"], rng(streams.SPLIT))
+        del pool
         if d["probe_shift"] > 0:
             probe_means = shift_means(means, d["probe_shift"], rng(streams.SHIFT))
         else:
@@ -307,6 +313,7 @@ def _build_problem(xc: ExperimentConfig):
     else:
         full = load_idx(d["images"], d["labels"])
         train_pool, test = split_train_test(full, d["test_fraction"], rng(streams.SPLIT))
+        del full
         probe = make_probe_dataset(train_pool, d["probe_size"], rng(streams.PROBE))
     parts = partition_label_skew(train_pool, xc.partition, rng(streams.PARTITION))
     clients = [ClientState(i, part) for i, part in enumerate(parts)]
@@ -436,7 +443,7 @@ def _load_run_dir(run_dir: str):
             manifest = json.load(f)
         with open(metrics_path, "r", encoding="utf-8") as f:
             lines = [line.strip() for line in f]
-    except (OSError, ValueError) as e:  # unreadable, bad UTF-8 or bad JSON
+    except (OSError, ValueError, RecursionError) as e:  # unreadable, bad UTF-8 or bad JSON
         raise ManifestError(f"run directory {run_dir} cannot be read: {e}") from e
     if not isinstance(manifest, dict):
         raise ManifestError(f"run directory {run_dir} has a manifest that is not a JSON object")
@@ -446,11 +453,14 @@ def _load_run_dir(run_dir: str):
     for line in lines[1:]:
         try:
             r, acc, loss, bits = line.split(",")
-            rows.append((int(r), float(acc), float(loss), int(bits)))
+            row = (int(r), float(acc), float(loss), int(bits))
+            if not 0 <= row[3] < COUNT_LIMIT:
+                raise ValueError("cumulative_bits must be in [0, 2^63)")
         except ValueError as e:
             raise ManifestError(
                 f"run directory {run_dir} has a bad metrics row {line!r}: {e}"
             ) from e
+        rows.append(row)
     if not rows:
         raise ManifestError(f"run directory {run_dir} has no metric rows")
     return manifest, rows
@@ -541,7 +551,7 @@ def cmd_cost(args) -> int:
             with open(args.from_json, "r", encoding="utf-8") as f:
                 doc = json.load(f)
             inputs = doc["inputs"]
-        except (OSError, ValueError, KeyError, TypeError) as e:
+        except (OSError, ValueError, RecursionError, KeyError, TypeError) as e:
             print(f"error: cannot load cost parameters: {e}", file=sys.stderr)
             return EXIT_CONFIG
     else:

@@ -227,27 +227,30 @@ def split_train_test(d: LabeledDataset, test_fraction: float, rng: SeededRng):
     return d.subset(perm[n_test:]), d.subset(perm[:n_test])
 
 
-def _read_exact(data: bytes, offset: int, count: int, what: str) -> bytes:
+def _read_exact(data: memoryview, offset: int, count: int, what: str) -> memoryview:
     if len(data) < offset + count:
         raise FormatError(f"truncated {what}", offset=len(data))
     return data[offset : offset + count]
 
 
 def load_idx(images_path, labels_path) -> LabeledDataset:
-    """Load an IDX image/label file pair (big-endian, MNIST layout).
+    """Load an IDX image/label file pair (big-endian, MNIST layout; the
+    dimensions are unsigned 32-bit integers).
 
     Pixel features are scaled to [0, 1]; labels become one-hot rows wide
-    enough for the largest label byte present.
+    enough for the largest label byte present. The files are read through
+    memoryviews, so the pixel bytes are not copied, and are converted to
+    float64 once.
     """
     with open(images_path, "rb") as f:
-        img = f.read()
+        img = memoryview(f.read())
     with open(labels_path, "rb") as f:
-        lab = f.read()
+        lab = memoryview(f.read())
 
     (magic,) = struct.unpack(">i", _read_exact(img, 0, 4, "image header"))
     if magic != _IDX_IMAGES_MAGIC:
         raise FormatError(f"bad image magic 0x{magic:08x}", offset=0)
-    n, rows, cols = struct.unpack(">iii", _read_exact(img, 4, 12, "image dimensions"))
+    n, rows, cols = struct.unpack(">III", _read_exact(img, 4, 12, "image dimensions"))
     pixels = _read_exact(img, 16, n * rows * cols, "image data")
     if len(img) != 16 + n * rows * cols:
         raise FormatError("trailing bytes after image data", offset=16 + n * rows * cols)
@@ -255,7 +258,7 @@ def load_idx(images_path, labels_path) -> LabeledDataset:
     (magic,) = struct.unpack(">i", _read_exact(lab, 0, 4, "label header"))
     if magic != _IDX_LABELS_MAGIC:
         raise FormatError(f"bad label magic 0x{magic:08x}", offset=0)
-    (n_lab,) = struct.unpack(">i", _read_exact(lab, 4, 4, "label count"))
+    (n_lab,) = struct.unpack(">I", _read_exact(lab, 4, 4, "label count"))
     if n_lab != n:
         raise FormatError(f"label count {n_lab} != image count {n}", offset=4)
     raw_labels = _read_exact(lab, 8, n, "label data")
@@ -265,4 +268,4 @@ def load_idx(images_path, labels_path) -> LabeledDataset:
     features = np.frombuffer(pixels, dtype=np.uint8).reshape(n, rows * cols) / 255.0
     indices = np.frombuffer(raw_labels, dtype=np.uint8)
     class_count = int(indices.max()) + 1 if n else 1
-    return LabeledDataset(features.astype(np.float64), one_hot(indices, class_count), class_count)
+    return LabeledDataset(features, one_hot(indices, class_count), class_count)

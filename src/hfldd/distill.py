@@ -16,7 +16,7 @@ import numpy as np
 
 from .datagen import LabeledDataset, one_hot
 from .errors import CapacityError, DomainError, EmptyInputError, ShapeError
-from .numkernel import SeededRng, as_matrix, rbf_core, rbf_kernel, ridge_solve, ridge_solver
+from .numkernel import QUIET, SeededRng, as_matrix, rbf_core, rbf_kernel, ridge_solve, ridge_solver
 
 LOSS_TRACE_EVERY = 100
 
@@ -154,6 +154,10 @@ def distill(d: LabeledDataset, cfg: KipConfig, gamma: float, rng: SeededRng) -> 
     features = r^T q^T with orthonormal q columns, so the rows of r^T keep
     every distance and are min(n, dim) wide instead of dim. The support is
     mapped back to dim columns once, at the end.
+
+    numpy's floating-point warnings are off while the support steps; a
+    support whose sum of squares is not finite raises DomainError
+    (distillation diverged).
     """
     if d.n_rows() < 1:
         raise EmptyInputError("cannot distill an empty dataset")
@@ -177,14 +181,20 @@ def distill(d: LabeledDataset, cfg: KipConfig, gamma: float, rng: SeededRng) -> 
     support_x = x[np.concatenate(chunks)]
 
     n = d.n_rows()
-    trace = [kip_loss(support_x, support_y, x, d.labels, cfg.ridge_lambda, gamma)]
-    for it in range(cfg.iterations):
-        batch = gen.choice(n, size=min(cfg.target_batch, n), replace=False)
-        g = kip_gradient(support_x, support_y, x[batch], d.labels[batch], cfg.ridge_lambda, gamma)
-        g *= -cfg.learning_rate
-        support_x += g
-        if (it + 1) % LOSS_TRACE_EVERY == 0 and (it + 1) != cfg.iterations:
+    with np.errstate(**QUIET):
+        trace = [kip_loss(support_x, support_y, x, d.labels, cfg.ridge_lambda, gamma)]
+        for it in range(cfg.iterations):
+            batch = gen.choice(n, size=min(cfg.target_batch, n), replace=False)
+            xt, yt = x[batch], d.labels[batch]
+            g = kip_gradient(support_x, support_y, xt, yt, cfg.ridge_lambda, gamma)
+            g *= -cfg.learning_rate
+            support_x += g
+            if (it + 1) % LOSS_TRACE_EVERY == 0 and (it + 1) != cfg.iterations:
+                trace.append(kip_loss(support_x, support_y, x, d.labels, cfg.ridge_lambda, gamma))
+        # A support too large to square has left the data's scale, however
+        # finite its entries and loss trace still look.
+        if not math.isfinite(np.vdot(support_x, support_x)):
+            raise DomainError("support features are not finite or overflow: distillation diverged")
+        if cfg.iterations > 0:
             trace.append(kip_loss(support_x, support_y, x, d.labels, cfg.ridge_lambda, gamma))
-    if cfg.iterations > 0:
-        trace.append(kip_loss(support_x, support_y, x, d.labels, cfg.ridge_lambda, gamma))
     return DistilledSet(LabeledDataset(support_x @ q.T, support_y, d.class_count), tuple(trace))

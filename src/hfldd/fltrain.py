@@ -47,7 +47,7 @@ from .model import (
     sgd_step,  # noqa: F401
     soft_labels,
 )
-from .numkernel import SeededRng, rbf_gamma
+from .numkernel import QUIET, SeededRng, rbf_gamma
 from .topology import ClusterTopology, build_topology
 
 # bench/tracer.py wraps `backward`, `sgd_step` and `_prox_local_train` in this
@@ -178,12 +178,6 @@ def _round_metrics(t: int, model: MlpModel, test, clients, ledger) -> RoundMetri
     return RoundMetrics(t, acc, loss, ledger.total_bits())
 
 
-# numpy's overflow and invalid-value warnings are off while models train:
-# a diverging model is detected from its parameters and reported as a typed
-# error instead. Underflow (a vanishing softmax term) stays harmless.
-_QUIET = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
-
-
 def _check_finite(model: MlpModel, what: str) -> None:
     if not np.isfinite(model.params).all():
         raise DomainError(f"{what} has non-finite parameters: training diverged")
@@ -193,7 +187,7 @@ def _check_finite(model: MlpModel, what: str) -> None:
 def _training_round(t: int):
     """Run one round of training; any failure in it is a `training`
     StageError that names round t."""
-    with np.errstate(**_QUIET):
+    with np.errstate(**QUIET):
         try:
             yield
         except HflddError as e:
@@ -374,7 +368,7 @@ def run_hfldd(
         for c in clients:
             pre_sgd = _pass_schedule(cfg, c.data, cfg.pretrain_batch, cfg.pretrain_steps)
             pre_rng = SeededRng(cfg.seed, streams.PRETRAIN + c.client_id)
-            with np.errstate(**_QUIET):
+            with np.errstate(**QUIET):
                 pre = local_train(model0, c.data, pre_sgd, pre_rng)
             _check_finite(pre, f"client {c.client_id}'s pretrained model")
             soft.append(soft_labels(pre, probe))

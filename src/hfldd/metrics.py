@@ -22,6 +22,9 @@ _PAYLOAD_KINDS = (PAYLOAD_MODEL, PAYLOAD_SOFT_LABELS, PAYLOAD_DISTILLED)
 DEFAULT_BITS_PER_PARAM = 32
 # A distilled row ships each of its features as one float64.
 DEFAULT_BITS_PER_FEATURE = 64
+# Counts and bit totals are below 2^63, so every cost the formulas form (a
+# product of at most five counts) converts to a float for megabytes.
+COUNT_LIMIT = 2**63
 
 
 @dataclass(frozen=True)
@@ -87,6 +90,8 @@ class CostModel:
                     raise DomainError(f"{f.name}: {v!r} is not an integer")
                 if v < 0:
                     raise DomainError(f"{f.name}: {v} is negative")
+                if v >= COUNT_LIMIT:
+                    raise DomainError(f"{f.name}: {v} is not below 2^63")
         if self.bits_per_param < 1:
             raise DomainError(f"bits_per_param must be >= 1, got {self.bits_per_param}")
 

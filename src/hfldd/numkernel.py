@@ -20,6 +20,12 @@ from .errors import DomainError, ShapeError, SingularMatrixError
 _MASK64 = (1 << 64) - 1
 _TINY = float(np.finfo(np.float64).tiny)
 
+# numpy's overflow, invalid-value and divide warnings are off while models
+# train and supports are distilled (`np.errstate(**QUIET)`): divergence is
+# detected from the result and reported as a typed error instead. Underflow
+# (a vanishing softmax or kernel term) stays harmless.
+QUIET = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
+
 
 @dataclass(frozen=True)
 class SeededRng:

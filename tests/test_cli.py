@@ -4,10 +4,12 @@ Every invocation goes through main(argv) so the tests cover argument wiring
 and exit codes exactly as a shell user would see them.
 """
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -113,6 +115,64 @@ def write_config(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+def traced_build(xc):
+    """cli._build_problem(xc) and the peak bytes tracemalloc saw it add."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        problem = cli._build_problem(xc)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    return problem, peak
+
+
+def problem_sha256(problem) -> str:
+    clients, probe, test = problem
+    h = hashlib.sha256()
+    for d in [c.data for c in clients] + [probe, test]:
+        h.update(d.features.tobytes())
+        h.update(d.labels.tobytes())
+    return h.hexdigest()
+
+
+class TestBuildProblem:
+    """A build holds at most two full-size copies of its data at once: the
+    pool (or the loaded images) with its train/test split, or the split with
+    the clients' gathered block. The bound of 2.2 pool sizes is below the
+    2.6 that holding the pool, the split and the block together takes on
+    these problems."""
+
+    def test_synthetic_build_holds_two_pool_copies(self, tmp_path):
+        text = config_text(
+            tmp_path / "unused", classes=10, per_class=100, dim=1024, clients=20,
+            classes_per_client=1, samples_per_client=30, probe_size=20,
+        )
+        problem, peak = traced_build(load_config(write_config(tmp_path, "wide.ini", text)))
+        pool_bytes = 10 * 100 * (1024 + 10) * 8
+        assert peak < 2.2 * pool_bytes
+        assert sum(c.data.n_rows() for c in problem[0]) == 600
+
+    def test_idx_build_holds_two_image_copies_and_its_bytes(self, tmp_path):
+        n = 1500
+        images = SeededRng(12).generator().integers(0, 256, size=(n, 28, 28))
+        img, lab = write_idx_pair(tmp_path, images, [i % 10 for i in range(n)])
+        text = config_text(
+            tmp_path / "unused", classes=10, clients=20, classes_per_client=1,
+            samples_per_client=40, probe_size=20,
+        ).replace("[data]\n", f"[data]\nkind = idx\nimages = {img}\nlabels = {lab}\n")
+        problem, peak = traced_build(load_config(write_config(tmp_path, "idx.ini", text)))
+        assert peak < 2.2 * n * 28 * 28 * 8
+        # how the loader holds the bytes must not move a bit of the problem
+        assert problem_sha256(problem) == (
+            "252a2c280aab7a4073361540c2aa02a2a390a2374fecad5b5c37b4e5a3658f84"
+        )
 
 
 class TestConfigLoading:
@@ -325,6 +385,23 @@ class TestRunCommand:
         assert stage in err and "diverged" in err
         if stage == "[training]":
             assert "round 1" in err
+        assert "RuntimeWarning" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not out.exists()
+
+    def test_distillation_divergence_exits_3_naming_the_stage(self, tmp_path, capsys):
+        # the support stays finite but too large to square, so without the
+        # check only the head training would overflow, in [training]
+        out = tmp_path / "never"
+        text = config_text(out, algorithm="hfldd", dim=8)
+        assert "[distill]\nsupport_size = 2\nlearning_rate = 0.01" in text
+        text = text.replace("learning_rate = 0.01", "learning_rate = 1e200")
+        cfg = write_config(tmp_path, "diverge.ini", text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run", cfg]) == 3
+        err = capsys.readouterr().err
+        assert "[distillation]" in err and "diverged" in err
         assert "RuntimeWarning" not in err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert not out.exists()

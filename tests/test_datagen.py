@@ -291,7 +291,9 @@ class TestLoadIdx:
         img, lab = write_idx_pair(tmp_path, images, [1, 0])
         d = load_idx(img, lab)
         assert d.n_rows() == 2 and d.dim() == 6 and d.class_count == 2
-        assert np.allclose(d.features[0], np.arange(6) / 255.0)
+        # one float64 conversion, bit for bit the scaled pixel bytes
+        assert np.array_equal(d.features, images.reshape(2, 6) / 255.0)
+        assert d.features.dtype == np.float64 and d.features.flags.c_contiguous
         assert np.array_equal(d.label_indices(), [1, 0])
 
     def test_bad_image_magic(self, tmp_path):

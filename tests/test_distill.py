@@ -1,5 +1,7 @@
 """Kernel-inducing-point distillation: loss, analytic gradient, optimizer."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -344,3 +346,12 @@ class TestDistill:
         d = LabeledDataset(np.zeros((0, 2)), np.zeros((0, 2)), 2)
         with pytest.raises(EmptyInputError):
             distill(d, KipConfig(1, 1e-6, 0.05, 1, 1), 0.3, SeededRng(0, 0))
+
+    def test_divergence_is_a_domain_error_without_warnings(self):
+        # two steps leave the support finite but too large to square
+        d = blob_dataset(n=20, dim=8)
+        cfg = KipConfig(2, 1e-6, 1e200, 2, 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="distillation diverged"):
+                distill(d, cfg, rbf_gamma(d.features), SeededRng(0, 5))

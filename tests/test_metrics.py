@@ -45,6 +45,14 @@ class TestCostModel:
         with pytest.raises(DomainError):
             CostModel(distilled_sizes=(4, -1))
 
+    def test_counts_below_2_63_keep_megabytes_finite(self):
+        big = CostModel(n_clients=2**63 - 1, rounds=2**63 - 1, model_params=2**63 - 1,
+                        bits_per_param=2**63 - 1)
+        assert bits_to_megabytes(cost_fedavg(big)) > 0
+        for kw in (dict(n_clients=2**63), dict(distilled_sizes=(1, 10**400))):
+            with pytest.raises(DomainError, match="2\\^63"):
+                CostModel(**kw)
+
     def test_bits_per_param_below_one_rejected(self):
         # A zero price makes every cost 0 and the hfldd/fedavg ratio NaN.
         for bits in (0, -8):
