@@ -162,21 +162,19 @@ def _read_config_file(path: str) -> dict:
         raise ConfigError(f"cannot read config {path}: {e}") from e
     except configparser.Error as e:
         raise ConfigError(f"cannot parse config {path}: {e}") from e
-    raw: dict[str, dict[str, str]] = {}
-    for section in parser.sections():
-        if section not in _SCHEMA:
-            raise ConfigError(f"unknown section [{section}]")
-        raw[section] = {}
-        for key, value in parser.items(section):
-            if key not in _SCHEMA[section]:
-                raise ConfigError(f"unknown key '{key}' in section [{section}]")
-            raw[section][key] = value
-    return raw
+    return {section: dict(parser.items(section)) for section in parser.sections()}
 
 
 def _normalize(raw: dict) -> dict:
-    """Overlay the given values on the schema defaults; reject missing
-    required keys. The result echoes every key as a string."""
+    """Overlay the given values on the schema defaults; reject unknown
+    sections and keys and missing required keys. The result echoes every
+    key as a string."""
+    for section, keys in raw.items():
+        if section not in _SCHEMA:
+            raise ConfigError(f"unknown section [{section}]")
+        for key in keys:
+            if key not in _SCHEMA[section]:
+                raise ConfigError(f"unknown key '{key}' in section [{section}]")
     echo: dict[str, dict[str, str]] = {}
     for section, keys in _SCHEMA.items():
         echo[section] = {}
@@ -324,6 +322,7 @@ def _git_describe() -> str | None:
     try:
         out = subprocess.run(
             ["git", "describe", "--always", "--dirty"],
+            cwd=os.path.dirname(os.path.abspath(__file__)),
             capture_output=True,
             text=True,
             timeout=10,

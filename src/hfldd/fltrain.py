@@ -24,7 +24,6 @@ from .errors import (
     CapacityError,
     DomainError,
     EmptyInputError,
-    HflddError,
     ShapeError,
     StageError,
 )
@@ -75,8 +74,8 @@ def _pass_schedule(cfg: RunConfig, d, batch_size: int, passes: int) -> SgdConfig
 
 @dataclass
 class RunConfig:
-    """Knobs shared by every algorithm; prox and sequence extras are ignored
-    by the algorithms that do not use them.
+    """Knobs shared by every algorithm; prox_mu is ignored by all but
+    FedProx. FedSeq-lite's cluster shape is an argument of run_fedseq_lite.
 
     local_steps and pretrain_steps count full passes over the trainer's own
     dataset, the way local work is matched between algorithms whose trainers
@@ -106,6 +105,8 @@ class RunConfig:
             raise DomainError(f"learning_rate must be finite and positive, got {self.learning_rate}")
         if self.batch_size < 1 or self.pretrain_batch < 1:
             raise DomainError("batch sizes must be >= 1")
+        if any(h < 1 for h in self.hidden_sizes):
+            raise DomainError(f"hidden layer sizes must be >= 1, got {self.hidden_sizes}")
         if not 0 <= self.prox_mu < math.inf:
             raise DomainError(f"prox_mu must be finite and nonnegative, got {self.prox_mu}")
 
@@ -184,14 +185,16 @@ def _check_finite(model: MlpModel, what: str) -> None:
 
 
 @contextmanager
-def _training_round(t: int):
-    """Run one round of training; any failure in it is a `training`
-    StageError that names round t."""
+def _stage(name: str, round_index: int | None = None):
+    """Run one stage, or one training round, with numpy's QUIET warnings off; any
+    failure inside is a StageError naming it, unless a nested stage named it."""
     with np.errstate(**QUIET):
         try:
             yield
-        except HflddError as e:
-            raise StageError("training", e, t) from e
+        except StageError:
+            raise
+        except Exception as e:
+            raise StageError(name, e, round_index) from e
 
 
 def _model_bits(model: MlpModel, bits_per_param: int) -> int:
@@ -235,7 +238,7 @@ def _parallel_rounds(
     weights = [c.data.n_rows() for c in clients]
     out = []
     for t in range(1, cfg.rounds + 1):
-        with _training_round(t):
+        with _stage("training", t):
             if t > 1:
                 for c in clients:
                     ledger.record(t, "server", f"client-{c.client_id}", PAYLOAD_MODEL, bits)
@@ -299,7 +302,7 @@ def run_fedseq_lite(
     bits = _model_bits(model, bits_per_param)
     out = []
     for t in range(1, cfg.rounds + 1):
-        with _training_round(t):
+        with _stage("training", t):
             perm = SeededRng(cfg.seed, streams.SEQ_PARTITION | t).generator().permutation(n)
             cluster_models = []
             cluster_weights = []
@@ -362,23 +365,20 @@ def run_hfldd(
     by_id = {c.client_id: c for c in clients}
 
     # Stage 1: label knowledge collection.
-    try:
+    with _stage("label-collection"):
         soft = []
         soft_bits = probe.n_rows() * n_c * bits_per_param
         for c in clients:
             pre_sgd = _pass_schedule(cfg, c.data, cfg.pretrain_batch, cfg.pretrain_steps)
             pre_rng = SeededRng(cfg.seed, streams.PRETRAIN + c.client_id)
-            with np.errstate(**QUIET):
-                pre = local_train(model0, c.data, pre_sgd, pre_rng)
+            pre = local_train(model0, c.data, pre_sgd, pre_rng)
             _check_finite(pre, f"client {c.client_id}'s pretrained model")
             soft.append(soft_labels(pre, probe))
             ledger.record(0, f"client-{c.client_id}", "server", PAYLOAD_SOFT_LABELS, soft_bits)
-    except Exception as e:
-        raise StageError("label-collection", e) from e
 
     # Stage 2: clustering on the server. Cluster entries are positions in the
     # client list; translate to ids before anything leaves this block.
-    try:
+    with _stage("clustering"):
         topo_by_pos = build_topology(
             soft,
             k,
@@ -392,11 +392,9 @@ def run_hfldd(
             tuple(tuple(ids[p] for p in cl) for cl in topo_by_pos.heterogeneous),
             tuple(ids[p] for p in topo_by_pos.heads),
         )
-    except Exception as e:
-        raise StageError("clustering", e) from e
 
     # Stage 3: members distill, heads assemble hybrid datasets.
-    try:
+    with _stage("distillation"):
         head_states = []
         head_data = {}
         distilled_sizes = []
@@ -420,17 +418,11 @@ def run_hfldd(
             hybrid = concat_datasets(parts)
             head_states.append(ClientState(head_id, hybrid))
             head_data[head_id] = hybrid
-    except Exception as e:
-        raise StageError("distillation", e) from e
 
     # Stage 4: head-only training, identical in structure to run_fedavg over
     # the head clients (and over the same rng streams).
-    try:
+    with _stage("training"):
         metrics, model = _parallel_rounds(head_states, test, cfg, ledger, bits_per_param)
-    except StageError:
-        raise
-    except Exception as e:
-        raise StageError("training", e) from e
     return RunResult(
         metrics,
         ledger,

@@ -417,6 +417,14 @@ class TestRunCommand:
         assert not (out / "metrics.csv").exists()
         assert line.split()[0] in capsys.readouterr().err
 
+    def test_zero_hidden_size_exits_2_before_the_build(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_build_problem", lambda xc: pytest.fail("problem was built"))
+        out = tmp_path / "never"
+        text = config_text(out).replace("hidden = 8", "hidden = 0,64")
+        assert main(["run", write_config(tmp_path, "bad.ini", text)]) == 2
+        assert not out.exists()
+        assert "hidden" in capsys.readouterr().err
+
     def test_same_config_reproduces_metrics_bytes(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         cfg = write_config(tmp_path, "hf.ini", config_text(out1, algorithm="hfldd"))
@@ -435,6 +443,40 @@ class TestRunCommand:
         a = json.loads((out1 / "manifest.json").read_text())
         b = json.loads((out2 / "manifest.json").read_text())
         assert a["config"] == b["config"]
+
+    @pytest.mark.parametrize(
+        "section, key", [("train", "learning_rat"), ("bogus", None)], ids=["key", "section"]
+    )
+    def test_manifest_with_unknown_names_exits_2(self, tmp_path, capsys, section, key):
+        # a replay checks its echo against the same schema as a config file
+        out1 = tmp_path / "a"
+        assert main(["run", write_config(tmp_path, "fa.ini", config_text(out1))]) == 0
+        doc = json.loads((out1 / "manifest.json").read_text())
+        doc["config"].setdefault(section, {})[key or "x"] = "5.0"
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(doc), encoding="utf-8")
+        out2 = tmp_path / "b"
+        assert main(["run", "--from-manifest", str(edited), "--out", str(out2)]) == 2
+        assert not out2.exists()
+        assert (key or section) in capsys.readouterr().err
+
+    def test_manifest_names_the_package_commit_not_the_working_directory(
+        self, tmp_path, monkeypatch
+    ):
+        other = tmp_path / "other"
+        other.mkdir()
+        git = lambda *a: subprocess.run(
+            ["git", "-c", "user.name=t", "-c", "user.email=t@t", *a],
+            cwd=other, check=True, capture_output=True, text=True,
+        ).stdout.strip()
+        git("init", "-q")
+        git("commit", "-q", "--allow-empty", "-m", "other")
+        other_head = git("rev-parse", "HEAD")
+        monkeypatch.chdir(other)
+        out = tmp_path / "run"
+        assert main(["run", write_config(tmp_path, "fa.ini", config_text(out))]) == 0
+        described = json.loads((out / "manifest.json").read_text())["git_describe"]
+        assert described is None or not other_head.startswith(described.removesuffix("-dirty"))
 
     def test_config_error_exits_2_without_outputs(self, tmp_path, capsys):
         out = tmp_path / "never"

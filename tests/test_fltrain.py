@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
-from hfldd import streams
+from hfldd import fltrain, streams
 from hfldd.datagen import LabeledDataset, concat_datasets, one_hot
 from hfldd.distill import KipConfig
 from hfldd.errors import (
@@ -273,7 +273,6 @@ class TestRunFedprox:
     def test_tracer_sites_are_the_model_functions(self):
         # fltrain keeps these names only as sites for bench/tracer.py; they
         # must stay the model's own functions, not a second training loop
-        fltrain = importlib.import_module("hfldd.fltrain")
         model = importlib.import_module("hfldd.model")
         assert fltrain._prox_local_train is model.local_train
         assert fltrain.backward is model.backward
@@ -527,6 +526,37 @@ class TestNumericFailuresAndPurity:
             run_fedavg(clients, test, tiny_config(learning_rate=60.0, rounds=6))
         assert err.value.stage == "training"
         assert err.value.round_index == 2
+
+    @pytest.mark.parametrize("name", ALGORITHM_NAMES)
+    def test_any_failure_in_a_round_names_the_training_round(self, name, monkeypatch):
+        # an untyped error from local training is staged like divergence
+        real = fltrain.local_train
+
+        def fail_in_round_2(m, d, sgd, rng, *rest):
+            if streams.train(2, 0) <= rng.stream < streams.train(3, 0):
+                raise ValueError("injected")
+            return real(m, d, sgd, rng, *rest)
+
+        monkeypatch.setattr(fltrain, "local_train", fail_in_round_2)
+        clients, probe, test = tiny_problem()
+        with pytest.raises(StageError) as err:
+            run_algorithm(name, clients, probe, test, tiny_config(prox_mu=0.1))
+        assert err.value.stage == "training"
+        assert err.value.round_index == 2
+        assert isinstance(err.value.cause, ValueError)
+        assert str(err.value.cause) == "injected"
+
+    def test_any_failure_in_clustering_names_clustering(self, monkeypatch):
+        def broken(*args):
+            raise RuntimeError("injected")
+
+        monkeypatch.setattr(fltrain, "build_topology", broken)
+        clients, probe, test = tiny_problem()
+        with pytest.raises(StageError) as err:
+            run_hfldd(clients, probe, test, tiny_config(), TINY_KIP, 3)
+        assert err.value.stage == "clustering"
+        assert err.value.round_index is None
+        assert isinstance(err.value.cause, RuntimeError)
 
     def test_pretraining_divergence_names_label_collection(self):
         clients, probe, test = tiny_problem()

@@ -1,0 +1,52 @@
+"""Every import in the package's modules is used.
+
+A name a module imports but never reads is a leftover of an edit. The one
+exception is a binding that `bench/tracer.py` wraps by name: the tracer
+replaces `module.name` to time callers in that namespace, so the import is
+the site even where the module itself never reads it. `__init__.py` is left
+out, since its imports are the package's re-exports.
+"""
+
+import ast
+import pathlib
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+MODULES = sorted(p for p in (ROOT / "src" / "hfldd").glob("*.py") if p.name != "__init__.py")
+
+
+def tracer_sites() -> set[tuple[str, str]]:
+    """The (module, name) pairs in the tracer's SPANS and COUNTS tables."""
+    tree = ast.parse((ROOT / "bench" / "tracer.py").read_text(encoding="utf-8"))
+    sites = set()
+    for node in tree.body:
+        names = [getattr(t, "id", None) for t in getattr(node, "targets", ())]
+        if names in (["SPANS"], ["COUNTS"]):
+            for pairs in ast.literal_eval(node.value).values():
+                sites.update(tuple(p) for p in pairs)
+    return sites
+
+
+def unused_imports(path: pathlib.Path) -> list[str]:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound.add((alias.asname or alias.name).split(".")[0])
+    return sorted(bound - {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)})
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_every_import_is_used(path):
+    sites = tracer_sites()
+    assert [n for n in unused_imports(path) if (path.stem, n) not in sites] == []
+
+
+def test_the_check_sees_an_unused_import(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("import os\nfrom a.b import c, d as e\n\nprint(c)\n", encoding="utf-8")
+    assert unused_imports(module) == ["e", "os"]
