@@ -18,6 +18,8 @@ import subprocess
 import sys
 from dataclasses import dataclass, fields
 
+import numpy as np
+
 from . import __version__, streams
 from .datagen import (
     PartitionSpec,
@@ -25,6 +27,7 @@ from .datagen import (
     load_idx,
     make_probe_dataset,
     partition_label_skew,
+    pool_labels,
     sample_classes,
     shift_means,
     split_train_test,
@@ -199,6 +202,13 @@ def _experiment_from_echo(echo: dict) -> ExperimentConfig:
     get = lambda s, k: _typed(echo, s, k)
     algorithm = get("experiment", "algorithm")
     data = {k: get("data", k) for k in _SCHEMA["data"]}
+    for key in ("classes", "per_class", "dim", "probe_size"):
+        if data[key] < 1:
+            raise ConfigError(f"[data] {key} must be >= 1, got {data[key]}")
+    if data["separation"] <= 0:
+        raise ConfigError(f"[data] separation must be positive, got {data['separation']}")
+    if not 0 < data["test_fraction"] < 1:
+        raise ConfigError(f"[data] test_fraction must be in (0, 1), got {data['test_fraction']}")
     try:
         partition = PartitionSpec(
             n_clients=get("partition", "clients"),
@@ -244,6 +254,12 @@ def _experiment_from_echo(echo: dict) -> ExperimentConfig:
         )
     if algorithm == "hfldd" and not 2 <= k <= partition.n_clients:
         raise ConfigError(f"cluster k must be in [2, {partition.n_clients}], got {k}")
+    if algorithm == "hfldd" and kip.support_size > partition.samples_per_client:
+        # every member distills from its own samples_per_client rows
+        raise ConfigError(
+            f"[distill] support_size {kip.support_size} exceeds "
+            f"[partition] samples_per_client {partition.samples_per_client}"
+        )
     return ExperimentConfig(
         algorithm=algorithm,
         output_dir=get("experiment", "output_dir"),
@@ -288,32 +304,46 @@ def load_manifest(path: str) -> ExperimentConfig:
 def _build_problem(xc: ExperimentConfig):
     """Materialize (clients, probe, test) from the data section.
 
-    The sample pool is dropped once the train/test split has copied its
-    rows, so it is not alive while the clients' block is gathered.
+    Every row is planned from labels and row counts before any row is made:
+    the train/test split, the label-skew partition and the probe pick are
+    row plans. Each block is then made once, synthetic rows by drawing the
+    pool class by class and keeping only the planned rows, IDX rows by one
+    gather from the loaded images; the clients and the test set are row
+    views of one block. No pool-sized copy is made.
     """
-    d = xc.data
+    d, spec = xc.data, xc.partition
 
     def rng(stream: int) -> SeededRng:
         return SeededRng(xc.seed, stream)
 
     if d["kind"] == "synthetic":
         means = class_means(d["classes"], d["dim"], d["separation"], rng(streams.MEANS))
-        pool = sample_classes(means, d["per_class"], rng(streams.POOL))
-        train_pool, test = split_train_test(pool, d["test_fraction"], rng(streams.SPLIT))
-        del pool
+        labels, class_count = pool_labels(d["classes"], d["per_class"]), d["classes"]
+    else:
+        full = load_idx(d["images"], d["labels"])
+        labels, class_count = full.label_indices(), full.class_count
+    train, test_rows = split_train_test(labels.shape[0], d["test_fraction"], rng(streams.SPLIT))
+    plan = partition_label_skew(labels[train], class_count, spec, rng(streams.PARTITION))
+    client_rows = train[plan]
+    sizes = [spec.samples_per_client] * spec.n_clients + [test_rows.shape[0]]
+    if d["kind"] == "synthetic":
         if d["probe_shift"] > 0:
             probe_means = shift_means(means, d["probe_shift"], rng(streams.SHIFT))
         else:
             probe_means = means
         per_class_probe = max(1, math.ceil(d["probe_size"] / d["classes"]))
-        probe_pool = sample_classes(probe_means, per_class_probe, rng(streams.PROBE_POOL))
-        probe = make_probe_dataset(probe_pool, d["probe_size"], rng(streams.PROBE))
+        n_probe_pool = d["classes"] * per_class_probe
+        pick = make_probe_dataset(n_probe_pool, d["probe_size"], rng(streams.PROBE))
+        probe = sample_classes(probe_means, per_class_probe, rng(streams.PROBE_POOL), rows=pick)
+        rows = np.concatenate([client_rows, test_rows])
+        block = sample_classes(means, d["per_class"], rng(streams.POOL), rows=rows)
+        parts = block.split_rows(sizes)
     else:
-        full = load_idx(d["images"], d["labels"])
-        train_pool, test = split_train_test(full, d["test_fraction"], rng(streams.SPLIT))
-        del full
-        probe = make_probe_dataset(train_pool, d["probe_size"], rng(streams.PROBE))
-    parts = partition_label_skew(train_pool, xc.partition, rng(streams.PARTITION))
+        pick = train[make_probe_dataset(train.shape[0], d["probe_size"], rng(streams.PROBE))]
+        rows = np.concatenate([client_rows, test_rows, pick])
+        parts = full.subset(rows).split_rows([*sizes, pick.shape[0]])
+        probe = parts.pop()
+    test = parts.pop()
     clients = [ClientState(i, part) for i, part in enumerate(parts)]
     return clients, probe, test
 

@@ -4,6 +4,10 @@ partitioning, probe subsampling, and train/test splitting.
 Partitioning implements quantity-based label imbalance: every client receives
 samples from exactly `classes_per_client` distinct classes, assigned by a
 shard scheme that deals consecutive class shards to a shuffled client order.
+
+The split, the partition and the probe pick see only row counts and labels
+and return row plans (1-D arrays of row indices); `sample_classes(...,
+rows=plan)` or `LabeledDataset.subset(plan)` then makes each dataset once.
 """
 
 from __future__ import annotations
@@ -18,6 +22,9 @@ from .numkernel import SeededRng, as_matrix
 
 _IDX_IMAGES_MAGIC = 0x00000803
 _IDX_LABELS_MAGIC = 0x00000801
+# Bytes `sample_classes` copies per gather: its temporary stays below one
+# class's draw, the build's only other transient of that size.
+_GATHER_BYTES = 1 << 19
 
 
 @dataclass
@@ -56,10 +63,31 @@ class LabeledDataset:
     def class_histogram(self) -> np.ndarray:
         return np.bincount(self.label_indices(), minlength=self.class_count)
 
-    def subset(self, idx) -> "LabeledDataset":
-        idx = np.asarray(idx, dtype=np.intp)
-        # Integer-array indexing already returns new arrays.
+    def subset(self, rows) -> "LabeledDataset":
+        """The planned rows, in plan order, gathered into a new dataset."""
+        idx = _row_plan(rows, self.n_rows())
         return LabeledDataset(self.features[idx], self.labels[idx], self.class_count)
+
+    def split_rows(self, sizes) -> list["LabeledDataset"]:
+        """This dataset cut into consecutive row views of `sizes[i]` rows each."""
+        if any(s < 0 for s in sizes) or sum(sizes) != self.n_rows():
+            raise ShapeError(f"blocks of {list(sizes)} rows do not cut {self.n_rows()} rows")
+        ends = np.cumsum([0, *sizes]).tolist()
+        return [
+            LabeledDataset(self.features[a:b], self.labels[a:b], self.class_count)
+            for a, b in zip(ends, ends[1:])
+        ]
+
+
+def _row_plan(rows, n_rows: int) -> np.ndarray:
+    """Validate `rows` as a row plan over `n_rows` rows: a 1-D integer array
+    of indices in [0, n_rows)."""
+    idx = np.asarray(rows)
+    if idx.ndim != 1 or (idx.size and idx.dtype.kind not in "iu"):
+        raise ShapeError(f"a row plan must be a 1-D integer array, got {idx.dtype} {idx.shape}")
+    if idx.size and not (idx.min() >= 0 and idx.max() < n_rows):
+        raise DomainError(f"row plan indexes outside [0, {n_rows})")
+    return idx.astype(np.intp, copy=False)
 
 
 def concat_datasets(datasets) -> LabeledDataset:
@@ -134,45 +162,74 @@ def shift_means(means, scale: float, rng: SeededRng) -> np.ndarray:
     return means + scale * offsets / norms
 
 
-def sample_classes(means, per_class: int, rng: SeededRng) -> LabeledDataset:
-    """Unit-variance isotropic Gaussian samples around each mean row."""
+def pool_labels(n_classes: int, per_class: int) -> np.ndarray:
+    """Class index of each row of the pool `sample_classes` draws from."""
+    return np.repeat(np.arange(n_classes), per_class)
+
+
+def sample_classes(means, per_class: int, rng: SeededRng, rows=None) -> LabeledDataset:
+    """Unit-variance isotropic Gaussian samples around each mean row.
+
+    The pool holds `per_class` rows of class 0, then of class 1, and so on
+    (`pool_labels`); pool row r is draw r % per_class of its class. `rows` is
+    a row plan into that pool (default: every row). The result holds exactly
+    the planned rows, in plan order, and no other pool row is kept. Every
+    class is still drawn in full, one class at a time, so the stream is
+    consumed the same way and each kept row has the same bits whatever the
+    plan.
+    """
     means = as_matrix(means, "means")
     if per_class < 1:
         raise DomainError(f"per_class must be >= 1, got {per_class}")
-    gen = rng.generator()
     n_classes, dim = means.shape
-    features = np.empty((n_classes * per_class, dim))
-    labels = np.zeros((n_classes * per_class, n_classes))
-    for c in range(n_classes):
-        block = slice(c * per_class, (c + 1) * per_class)
-        features[block] = means[c] + gen.standard_normal((per_class, dim))
-        labels[block, c] = 1.0
-    return LabeledDataset(features, labels, n_classes)
+    n = n_classes * per_class
+    rows = np.arange(n) if rows is None else _row_plan(rows, n)
+    labels = pool_labels(n_classes, per_class)[rows]
+    order = np.argsort(labels, kind="stable")
+    ends = np.cumsum(np.bincount(labels, minlength=n_classes)).tolist()
+    features = np.empty((rows.shape[0], dim))
+    gen = rng.generator()
+    z = np.empty((per_class, dim))
+    step = max(1, _GATHER_BYTES // z[0].nbytes)
+    start = 0
+    for c, end in enumerate(ends):
+        gen.standard_normal(out=z)
+        z += means[c]  # addition commutes: the bits of means[c] + z
+        for a in range(start, end, step):
+            dest = order[a : min(a + step, end)]
+            features[dest] = z[rows[dest] - c * per_class]
+        start = end
+    return LabeledDataset(features, one_hot(labels, n_classes), n_classes)
 
 
 def partition_label_skew(
-    d: LabeledDataset, spec: PartitionSpec, rng: SeededRng
-) -> list[LabeledDataset]:
-    """Split `d` into N disjoint client datasets with C classes per client.
+    labels, class_count: int, spec: PartitionSpec, rng: SeededRng
+) -> np.ndarray:
+    """Row plan of N disjoint client datasets with C classes per client.
 
-    Client order is shuffled by `rng`, then client at shuffled position p
-    takes classes (p*C + i) mod N_c for i < C, drawing contiguous slices from
-    per-class index pools shuffled by the same generator. Per-client totals
-    are exactly spec.samples_per_client, with the remainder of the division
-    by C spread over the client's first shards.
+    `labels` holds the class index, in [0, class_count), of each row to be
+    dealt out. Client order is shuffled by `rng`, then client at shuffled
+    position p takes classes (p*C + i) mod N_c for i < C, drawing contiguous
+    slices from per-class index pools shuffled by the same generator.
+    Per-client totals are exactly spec.samples_per_client, with the
+    remainder of the division by C spread over the client's first shards.
 
-    All clients' rows are gathered by one index into one block, in client
-    order; each client's dataset holds row views of its part of the block.
+    Returns one index array into `labels` in client order: client i's rows
+    are plan[i * samples_per_client : (i + 1) * samples_per_client].
     """
-    if spec.total_classes != d.class_count:
+    if spec.total_classes != class_count:
         raise DomainError(
-            f"spec.total_classes {spec.total_classes} != dataset class_count {d.class_count}"
+            f"spec.total_classes {spec.total_classes} != dataset class_count {class_count}"
         )
+    labels = np.asarray(labels)
+    if labels.ndim != 1 or (labels.size and (
+        labels.dtype.kind not in "iu" or labels.min() < 0 or labels.max() >= class_count
+    )):
+        raise DomainError(f"labels must be a 1-D array of class indices in [0, {class_count})")
     n, c, n_c = spec.n_clients, spec.classes_per_client, spec.total_classes
     gen = rng.generator()
     order = gen.permutation(n)
     pools = []
-    labels = d.label_indices()
     for cls in range(n_c):
         idx = np.flatnonzero(labels == cls)
         gen.shuffle(idx)
@@ -194,37 +251,29 @@ def partition_label_skew(
             take = pools[cls][cursors[cls] : cursors[cls] + want]
             cursors[cls] += want
             per_client[client].append(take)
-    rows = np.concatenate([take for chunks in per_client for take in chunks])
-    x, y = d.features[rows], d.labels[rows]
-    size = spec.samples_per_client
-    return [
-        LabeledDataset(x[i * size : (i + 1) * size], y[i * size : (i + 1) * size], d.class_count)
-        for i in range(n)
-    ]
+    return np.concatenate([take for chunks in per_client for take in chunks])
 
 
-def make_probe_dataset(source: LabeledDataset, size: int, rng: SeededRng) -> LabeledDataset:
-    """Uniform subsample without replacement."""
+def make_probe_dataset(n_rows: int, size: int, rng: SeededRng) -> np.ndarray:
+    """Row plan of a uniform subsample of `size` of `n_rows` rows, without
+    replacement."""
     if size < 1:
         raise DomainError(f"size must be >= 1, got {size}")
-    if size > source.n_rows():
-        raise CapacityError(f"requested {size} rows but source has {source.n_rows()}")
-    gen = rng.generator()
-    idx = gen.permutation(source.n_rows())[:size]
-    return source.subset(idx)
+    if size > n_rows:
+        raise CapacityError(f"requested {size} rows but source has {n_rows}")
+    return rng.generator().permutation(n_rows)[:size]
 
 
-def split_train_test(d: LabeledDataset, test_fraction: float, rng: SeededRng):
-    """Random disjoint (train, test) split of the full dataset."""
+def split_train_test(n_rows: int, test_fraction: float, rng: SeededRng):
+    """Row plan of a random disjoint split of `n_rows` rows: (train, test)
+    index arrays that together hold every row once."""
     if not 0.0 < test_fraction < 1.0:
         raise DomainError(f"test_fraction must be in (0, 1), got {test_fraction}")
-    n = d.n_rows()
-    n_test = max(1, int(round(n * test_fraction)))
-    if n_test >= n:
-        raise CapacityError(f"test split of {n_test} rows leaves no training data (n={n})")
-    gen = rng.generator()
-    perm = gen.permutation(n)
-    return d.subset(perm[n_test:]), d.subset(perm[:n_test])
+    n_test = max(1, int(round(n_rows * test_fraction)))
+    if n_test >= n_rows:
+        raise CapacityError(f"test split of {n_test} rows leaves no training data (n={n_rows})")
+    perm = rng.generator().permutation(n_rows)
+    return perm[n_test:], perm[:n_test]
 
 
 def _read_exact(data: memoryview, offset: int, count: int, what: str) -> memoryview:

@@ -109,6 +109,8 @@ class RunConfig:
             raise DomainError(f"hidden layer sizes must be >= 1, got {self.hidden_sizes}")
         if not 0 <= self.prox_mu < math.inf:
             raise DomainError(f"prox_mu must be finite and nonnegative, got {self.prox_mu}")
+        if not 0 <= self.seed < 1 << 64:
+            raise DomainError(f"seed must be in [0, 2^64), got {self.seed}")
 
 
 @dataclass

@@ -80,6 +80,20 @@ def build_similarity(soft_label_list) -> SimilarityMatrix:
     return SimilarityMatrix(m)
 
 
+def _sq_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Squared distance of every point to every center, shape (n, k).
+
+    One center at a time, so the largest temporary is (n, d), not the
+    (n, k, d) of the broadcast form, whose bits these are.
+    """
+    out = np.empty((points.shape[0], centers.shape[0]))
+    for c, center in enumerate(centers):
+        t = points - center
+        t *= t
+        out[:, c] = t.sum(axis=1)
+    return out
+
+
 def _lloyd(points: np.ndarray, k: int, gen: np.random.Generator, max_iters: int):
     """K-Means with k-means++ seeding; returns (labels, objective trace).
 
@@ -104,7 +118,7 @@ def _lloyd(points: np.ndarray, k: int, gen: np.random.Generator, max_iters: int)
     labels = np.full(n, -1, dtype=np.intp)
     trace = []
     for _ in range(max_iters):
-        dist2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        dist2 = _sq_distances(points, centers)
         new_labels = np.argmin(dist2, axis=1)
         point_d2 = dist2[np.arange(n), new_labels]
         for c in range(k):

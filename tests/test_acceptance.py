@@ -265,7 +265,10 @@ class TestDistillationQuality:
         for seed in SEEDS:
             means = class_means(2, 2, 2.5, SeededRng(seed, 20 << 48))
             pool = sample_classes(means, 100, SeededRng(seed, 21 << 48))
-            train, test = split_train_test(pool, 0.3, SeededRng(seed, 22 << 48))
+            train, test = (
+                pool.subset(rows)
+                for rows in split_train_test(pool.n_rows(), 0.3, SeededRng(seed, 22 << 48))
+            )
             gamma = rbf_gamma(train.features)
             kip = KipConfig(4, 1e-6, 0.1, 300, 10)
             ds = distill(train, kip, gamma, SeededRng(seed, 23 << 48))

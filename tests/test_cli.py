@@ -7,6 +7,7 @@ and exit codes exactly as a shell user would see them.
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -142,24 +143,44 @@ def problem_sha256(problem) -> str:
     return h.hexdigest()
 
 
-class TestBuildProblem:
-    """A build holds at most two full-size copies of its data at once: the
-    pool (or the loaded images) with its train/test split, or the split with
-    the clients' gathered block. The bound of 2.2 pool sizes is below the
-    2.6 that holding the pool, the split and the block together takes on
-    these problems."""
+def problem_bytes(problem) -> int:
+    clients, probe, test = problem
+    return sum(d.features.nbytes + d.labels.nbytes for d in [c.data for c in clients] + [probe, test])
 
-    def test_synthetic_build_holds_two_pool_copies(self, tmp_path):
+
+class TestBuildProblem:
+    """A build plans every row from labels and row counts, then makes each
+    block once, so it never holds a copy of the sample pool. A synthetic
+    build peaks below the problem it returns plus two class draws (one
+    class's draw and one bounded gather); an IDX build below the loaded
+    images plus the problem. Holding the pool and its train/test split
+    would take about twice the synthetic bound."""
+
+    def test_synthetic_build_peaks_at_its_problem_plus_two_class_draws(self, tmp_path):
         text = config_text(
             tmp_path / "unused", classes=10, per_class=100, dim=1024, clients=20,
             classes_per_client=1, samples_per_client=30, probe_size=20,
         )
         problem, peak = traced_build(load_config(write_config(tmp_path, "wide.ini", text)))
-        pool_bytes = 10 * 100 * (1024 + 10) * 8
-        assert peak < 2.2 * pool_bytes
-        assert sum(c.data.n_rows() for c in problem[0]) == 600
+        class_draw = 100 * 1024 * 8
+        assert peak < problem_bytes(problem) + 2 * class_draw
+        clients, probe, test = problem
+        assert sum(c.data.n_rows() for c in clients) == 600 and test.n_rows() == 250
+        # drawing only the planned rows must not move a bit of the problem
+        assert problem_sha256(problem) == (
+            "8bf48e999780e7016a46ec67270f00a68e11209c48f152f6521ea72ef4320ea6"
+        )
+        # the clients and the test set are disjoint row views of one block
+        parts = [c.data for c in clients] + [test]
+        assert len({id(p.features.base) for p in parts}) == 1
+        assert parts[0].features.base is not None
+        for i, p in enumerate(parts):
+            assert p.features.flags.c_contiguous and p.labels.flags.c_contiguous
+            for q in parts[i + 1 :]:
+                assert not np.shares_memory(p.features, q.features)
+                assert not np.shares_memory(p.labels, q.labels)
 
-    def test_idx_build_holds_two_image_copies_and_its_bytes(self, tmp_path):
+    def test_idx_build_peaks_at_the_loaded_images_plus_its_problem(self, tmp_path):
         n = 1500
         images = SeededRng(12).generator().integers(0, 256, size=(n, 28, 28))
         img, lab = write_idx_pair(tmp_path, images, [i % 10 for i in range(n)])
@@ -168,7 +189,10 @@ class TestBuildProblem:
             samples_per_client=40, probe_size=20,
         ).replace("[data]\n", f"[data]\nkind = idx\nimages = {img}\nlabels = {lab}\n")
         problem, peak = traced_build(load_config(write_config(tmp_path, "idx.ini", text)))
-        assert peak < 2.2 * n * 28 * 28 * 8
+        # the loaded dataset (pixels as float64, one-hot labels), plus eight
+        # bytes per loaded row for each of the row plans and index temporaries
+        loaded = n * (28 * 28 + 10) * 8
+        assert peak < loaded + problem_bytes(problem) + 8 * 8 * n
         # how the loader holds the bytes must not move a bit of the problem
         assert problem_sha256(problem) == (
             "252a2c280aab7a4073361540c2aa02a2a390a2374fecad5b5c37b4e5a3658f84"
@@ -417,6 +441,49 @@ class TestRunCommand:
         assert not (out / "metrics.csv").exists()
         assert line.split()[0] in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("test_fraction", "0"), ("test_fraction", "1"), ("test_fraction", "-0.5"),
+            ("probe_size", "0"), ("separation", "0"), ("separation", "-2"),
+            ("classes", "0"), ("per_class", "0"), ("dim", "0"),
+        ],
+    )
+    def test_bad_data_value_exits_2_before_the_build(self, tmp_path, capsys, monkeypatch, key, value):
+        monkeypatch.setattr(cli, "_build_problem", lambda xc: pytest.fail("problem was built"))
+        out = tmp_path / "never"
+        text = re.sub(rf"^{key} = .*$", f"{key} = {value}", config_text(out), count=1, flags=re.M)
+        assert main(["run", write_config(tmp_path, "bad.ini", text)]) == 2
+        assert not out.exists()
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", ["18446744073709551616", "-1"])
+    def test_seed_outside_64_bits_exits_2(self, tmp_path, capsys, seed):
+        # the streams take seeds modulo 2^64, so these would replay 0 and 2^64 - 1
+        out = tmp_path / "never"
+        text = config_text(out).replace("seed = 5", f"seed = {seed}")
+        assert main(["run", write_config(tmp_path, "bad.ini", text)]) == 2
+        assert not out.exists()
+        assert "seed" in capsys.readouterr().err
+        top = config_text(tmp_path / "top").replace("seed = 5", f"seed = {(1 << 64) - 1}")
+        assert load_config(write_config(tmp_path, "top.ini", top)).seed == (1 << 64) - 1
+
+    def test_hfldd_support_larger_than_a_client_exits_2_before_the_build(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(cli, "_build_problem", lambda xc: pytest.fail("problem was built"))
+        out = tmp_path / "never"
+        text = config_text(out, algorithm="hfldd", support_size=21)
+        assert main(["run", write_config(tmp_path, "bad.ini", text)]) == 2
+        assert not out.exists()
+        assert "support_size" in capsys.readouterr().err
+        # a support as large as a client is still a valid configuration
+        fits = config_text(out, algorithm="hfldd", support_size=20)
+        assert load_config(write_config(tmp_path, "fits.ini", fits)).kip.support_size == 20
+        # other algorithms never distill, so the support size does not bind them
+        fedavg = config_text(out, support_size=21)
+        assert load_config(write_config(tmp_path, "fedavg.ini", fedavg)).kip.support_size == 21
+
     def test_zero_hidden_size_exits_2_before_the_build(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "_build_problem", lambda xc: pytest.fail("problem was built"))
         out = tmp_path / "never"
@@ -486,8 +553,13 @@ class TestRunCommand:
         assert "error" in capsys.readouterr().err
 
     def test_runtime_error_exits_3_with_stage_tag(self, tmp_path, capsys):
+        # a support larger than a client is a configuration error (exit 2);
+        # a step size that makes the support diverge is known only at run time
         out = tmp_path / "never"
-        cfg = write_config(tmp_path, "bad.ini", config_text(out, algorithm="hfldd", support_size=50))
+        text = config_text(out, algorithm="hfldd").replace(
+            "learning_rate = 0.01", "learning_rate = 1e200"
+        )
+        cfg = write_config(tmp_path, "bad.ini", text)
         assert main(["run", cfg]) == 3
         assert not out.exists()
         assert "[distillation]" in capsys.readouterr().err

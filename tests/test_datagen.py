@@ -17,6 +17,7 @@ from hfldd.datagen import (
     make_probe_dataset,
     one_hot,
     partition_label_skew,
+    pool_labels,
     sample_classes,
     shift_means,
     split_train_test,
@@ -24,15 +25,25 @@ from hfldd.datagen import (
 from hfldd.errors import CapacityError, DomainError, FormatError, ShapeError
 from hfldd.numkernel import SeededRng
 
+POOL_SHA256 = "7dbeb66aee332c812ea853f213e660159c9b536c65721d4b77fb0a77851a0207"
 
 def indexed_dataset(n_classes, per_class):
-    """Dataset whose feature column 0 is the global row index, for tracing
-    exactly which rows a partition handed to each client."""
+    """Dataset whose feature column 0 is the global row index."""
     n = n_classes * per_class
     features = np.zeros((n, 2))
     features[:, 0] = np.arange(n)
-    labels = one_hot(np.arange(n) % n_classes, n_classes)
+    labels = one_hot(interleaved_labels(n_classes, per_class), n_classes)
     return LabeledDataset(features, labels, n_classes)
+
+
+def interleaved_labels(n_classes, per_class):
+    """Class indices 0, 1, ..., n_classes - 1, 0, 1, ... over n_classes * per_class rows."""
+    return np.arange(n_classes * per_class) % n_classes
+
+
+def client_labels(labels, plan, size):
+    """The labels of each client's planned rows."""
+    return [labels[plan[i : i + size]] for i in range(0, len(plan), size)]
 
 
 class TestOneHot:
@@ -68,6 +79,24 @@ class TestLabeledDataset:
         assert not np.shares_memory(out.features, d.features)
         assert not np.shares_memory(out.labels, d.labels)
 
+    @pytest.mark.parametrize("bad, error", [
+        ([12], DomainError), ([-1], DomainError), ([[0, 1]], ShapeError), ([0.0], ShapeError),
+    ])
+    def test_subset_rejects_a_bad_plan(self, bad, error):
+        # a negative index would otherwise wrap around to the last rows
+        with pytest.raises(error):
+            indexed_dataset(3, 4).subset(bad)
+
+    def test_split_rows_hands_out_consecutive_views(self):
+        d = indexed_dataset(3, 4)
+        parts = d.split_rows([5, 0, 7])
+        assert [p.n_rows() for p in parts] == [5, 0, 7]
+        assert np.array_equal(parts[2].features[:, 0], np.arange(5, 12))
+        assert all(np.shares_memory(p.features, d.features) for p in parts if p.n_rows())
+        for bad in ([5, 6], [5, 8], [13, -1]):
+            with pytest.raises(ShapeError):
+                d.split_rows(bad)
+
 
 class TestClassMeans:
     def test_norms_equal_separation(self):
@@ -94,6 +123,7 @@ class TestSampling:
         d = sample_classes(means, 7, SeededRng(2, 1))
         assert d.n_rows() == 21
         assert np.array_equal(d.class_histogram(), [7, 7, 7])
+        assert np.array_equal(d.label_indices(), pool_labels(3, 7))
 
     def test_well_separated_clusters_are_recoverable(self):
         # nearest-neighbor label agreement on widely separated blobs
@@ -109,6 +139,39 @@ class TestSampling:
         b = sample_classes(class_means(2, 3, 4.0, SeededRng(4, 0)), 5, SeededRng(4, 1))
         assert np.array_equal(a.features, b.features)
 
+    def test_pool_bits_pinned(self):
+        # the bits of means[c] + standard_normal((per_class, dim)), class by class
+        d = sample_classes(class_means(3, 5, 2.0, SeededRng(6, 0)), 4, SeededRng(6, 1))
+        h = hashlib.sha256(d.features.tobytes() + d.labels.tobytes()).hexdigest()
+        assert h == POOL_SHA256
+
+    @pytest.mark.parametrize("per_class, dim", [(7, 3), (300, 600), (1, 1)])
+    def test_planned_rows_are_the_pool_rows_bit_for_bit(self, per_class, dim):
+        # every class is drawn whole whatever the plan, so the kept rows
+        # equal the full pool's; 300 x 600 needs several gathers per class
+        means = class_means(4, dim, 3.0, SeededRng(5, 0))
+        pool = sample_classes(means, per_class, SeededRng(5, 1))
+        gen = np.random.default_rng(per_class)
+        plans = [
+            gen.permutation(4 * per_class)[: 2 * per_class],
+            np.array([4 * per_class - 1, 0, 4 * per_class - 1]),
+            np.arange(per_class, 2 * per_class),
+            np.array([], dtype=np.intp),
+        ]
+        for plan in plans:
+            d = sample_classes(means, per_class, SeededRng(5, 1), rows=plan)
+            assert np.array_equal(d.features, pool.features[plan])
+            assert np.array_equal(d.labels, pool.labels[plan])
+            assert d.class_count == 4
+
+    def test_plan_out_of_the_pool(self):
+        means = class_means(2, 3, 4.0, SeededRng(4, 0))
+        for bad in ([10], [-1]):
+            with pytest.raises(DomainError):
+                sample_classes(means, 5, SeededRng(4, 1), rows=bad)
+        with pytest.raises(DomainError):
+            sample_classes(means, 0, SeededRng(4, 1))
+
 
 class TestPartitionSpec:
     def test_validation(self):
@@ -122,45 +185,46 @@ class TestPartitionSpec:
 
 class TestPartition:
     def test_exact_sizes_and_class_counts(self):
-        d = indexed_dataset(4, 100)
-        parts = partition_label_skew(d, PartitionSpec(8, 2, 4, 30), SeededRng(11))
-        assert len(parts) == 8
-        for p in parts:
-            assert p.n_rows() == 30
-            assert np.count_nonzero(p.class_histogram()) == 2
+        labels = interleaved_labels(4, 100)
+        plan = partition_label_skew(labels, 4, PartitionSpec(8, 2, 4, 30), SeededRng(11))
+        assert plan.shape == (8 * 30,)
+        for part in client_labels(labels, plan, 30):
+            assert np.count_nonzero(np.bincount(part, minlength=4)) == 2
 
     def test_clients_are_disjoint(self):
-        d = indexed_dataset(4, 100)
-        parts = partition_label_skew(d, PartitionSpec(8, 2, 4, 30), SeededRng(11))
-        taken = np.concatenate([p.features[:, 0] for p in parts])
-        assert len(np.unique(taken)) == len(taken)
+        labels = interleaved_labels(4, 100)
+        plan = partition_label_skew(labels, 4, PartitionSpec(8, 2, 4, 30), SeededRng(11))
+        assert len(np.unique(plan)) == len(plan)
 
     def test_single_class_clients(self):
-        d = indexed_dataset(5, 50)
-        parts = partition_label_skew(d, PartitionSpec(5, 1, 5, 40), SeededRng(3))
+        labels = interleaved_labels(5, 50)
+        plan = partition_label_skew(labels, 5, PartitionSpec(5, 1, 5, 40), SeededRng(3))
         covered = set()
-        for p in parts:
-            hist = p.class_histogram()
+        for part in client_labels(labels, plan, 40):
+            hist = np.bincount(part, minlength=5)
             assert np.count_nonzero(hist) == 1
             covered.add(int(np.argmax(hist)))
         assert covered == {0, 1, 2, 3, 4}
 
     def test_remainder_spread_over_first_shards(self):
-        d = indexed_dataset(3, 100)
-        parts = partition_label_skew(d, PartitionSpec(3, 3, 3, 10), SeededRng(0))
-        for p in parts:
+        labels = interleaved_labels(3, 100)
+        plan = partition_label_skew(labels, 3, PartitionSpec(3, 3, 3, 10), SeededRng(0))
+        for part in client_labels(labels, plan, 10):
             # 10 = 4 + 3 + 3 over the client's three classes
-            assert sorted(p.class_histogram(), reverse=True) == [4, 3, 3]
+            assert sorted(np.bincount(part, minlength=3), reverse=True) == [4, 3, 3]
 
     def test_capacity_exhaustion(self):
-        d = indexed_dataset(2, 10)
         with pytest.raises(CapacityError):
-            partition_label_skew(d, PartitionSpec(4, 1, 2, 8), SeededRng(0))
+            partition_label_skew(interleaved_labels(2, 10), 2, PartitionSpec(4, 1, 2, 8), SeededRng(0))
 
     def test_class_count_mismatch(self):
-        d = indexed_dataset(3, 10)
         with pytest.raises(DomainError):
-            partition_label_skew(d, PartitionSpec(2, 1, 4, 5), SeededRng(0))
+            partition_label_skew(interleaved_labels(3, 10), 3, PartitionSpec(2, 1, 4, 5), SeededRng(0))
+
+    @pytest.mark.parametrize("bad", [[0, 3], [-1, 0], [[0, 1]], [0.0, 1.0]])
+    def test_labels_must_be_class_indices(self, bad):
+        with pytest.raises(DomainError):
+            partition_label_skew(np.array(bad), 3, PartitionSpec(1, 1, 3, 1), SeededRng(0))
 
     @pytest.mark.parametrize(
         "build, spec, seed, digest",
@@ -176,37 +240,27 @@ class TestPartition:
         ids=["indexed", "remainder", "gaussian"],
     )
     def test_clients_bit_identical_to_per_client_copies(self, build, spec, seed, digest):
-        # The digests were taken when each client's rows were a separate
-        # copy; the clients are now row views of one gathered block.
+        # The digests pin the bytes of every client's planned rows.
         d = build()
-        before = (d.features.tobytes(), d.labels.tobytes())
-        parts = partition_label_skew(d, spec, SeededRng(seed))
+        labels = d.label_indices()
+        before = labels.copy()
+        plan = partition_label_skew(labels, d.class_count, spec, SeededRng(seed))
+        assert np.array_equal(labels, before)
         h = hashlib.sha256()
-        for p in parts:
+        for p in d.subset(plan).split_rows([spec.samples_per_client] * spec.n_clients):
             h.update(p.features.tobytes())
             h.update(p.labels.tobytes())
         assert h.hexdigest() == digest
-        assert (d.features.tobytes(), d.labels.tobytes()) == before
-        # one gathered block per partition, handed out as row views
-        assert len({id(p.features.base) for p in parts}) == 1
-        assert parts[0].features.base is not None
-        for i, p in enumerate(parts):
-            assert p.features.flags.c_contiguous and p.labels.flags.c_contiguous
-            assert not np.shares_memory(p.features, d.features)
-            for q in parts[i + 1 :]:
-                assert not np.shares_memory(p.features, q.features)
-                assert not np.shares_memory(p.labels, q.labels)
 
     def test_deterministic_in_spec_seed(self):
         # the layout is a function of the rng argument alone
-        d = indexed_dataset(4, 50)
+        labels = interleaved_labels(4, 50)
         spec = PartitionSpec(4, 2, 4, 20)
-        a = partition_label_skew(d, spec, SeededRng(9))
-        b = partition_label_skew(d, spec, SeededRng(9))
-        c = partition_label_skew(d, spec, SeededRng(10))
-        for pa, pb in zip(a, b):
-            assert np.array_equal(pa.features, pb.features)
-        assert any(not np.array_equal(pa.features, pc.features) for pa, pc in zip(a, c))
+        a = partition_label_skew(labels, 4, spec, SeededRng(9))
+        b = partition_label_skew(labels, 4, spec, SeededRng(9))
+        c = partition_label_skew(labels, 4, spec, SeededRng(10))
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, c)
 
     @given(
         n_clients=st.integers(1, 8),
@@ -217,41 +271,40 @@ class TestPartition:
     @settings(max_examples=40, deadline=None)
     def test_partition_properties(self, n_clients, classes_per_client, samples_per_client, seed):
         n_classes = 4
-        d = indexed_dataset(n_classes, n_clients * samples_per_client)
+        labels = interleaved_labels(n_classes, n_clients * samples_per_client)
         spec = PartitionSpec(n_clients, classes_per_client, n_classes, samples_per_client)
-        parts = partition_label_skew(d, spec, SeededRng(seed))
-        taken = np.concatenate([p.features[:, 0] for p in parts])
-        assert len(np.unique(taken)) == n_clients * samples_per_client
-        for p in parts:
-            assert p.n_rows() == samples_per_client
-            assert np.count_nonzero(p.class_histogram()) == classes_per_client
+        plan = partition_label_skew(labels, n_classes, spec, SeededRng(seed))
+        assert len(np.unique(plan)) == n_clients * samples_per_client
+        for part in client_labels(labels, plan, samples_per_client):
+            assert len(part) == samples_per_client
+            assert np.count_nonzero(np.bincount(part, minlength=n_classes)) == classes_per_client
 
 
 class TestProbeAndSplit:
     def test_probe_is_subset(self):
-        d = indexed_dataset(2, 20)
-        probe = make_probe_dataset(d, 9, SeededRng(5, 0))
-        assert probe.n_rows() == 9
-        assert set(probe.features[:, 0]) <= set(d.features[:, 0])
+        pick = make_probe_dataset(40, 9, SeededRng(5, 0))
+        assert pick.shape == (9,)
+        assert len(set(pick.tolist())) == 9
+        assert set(pick.tolist()) <= set(range(40))
 
     def test_probe_capacity(self):
-        d = indexed_dataset(2, 3)
         with pytest.raises(CapacityError):
-            make_probe_dataset(d, 7, SeededRng(5, 0))
+            make_probe_dataset(6, 7, SeededRng(5, 0))
+        with pytest.raises(DomainError):
+            make_probe_dataset(6, 0, SeededRng(5, 0))
 
     def test_split_disjoint_and_exhaustive(self):
-        d = indexed_dataset(2, 25)
-        train, test = split_train_test(d, 0.2, SeededRng(6, 0))
-        assert test.n_rows() == 10
-        assert train.n_rows() == 40
-        ids = np.concatenate([train.features[:, 0], test.features[:, 0]])
-        assert sorted(ids) == list(range(50))
+        train, test = split_train_test(50, 0.2, SeededRng(6, 0))
+        assert test.shape == (10,)
+        assert train.shape == (40,)
+        assert sorted(np.concatenate([train, test])) == list(range(50))
 
     def test_split_fraction_domain(self):
-        d = indexed_dataset(2, 5)
         for bad in (0.0, 1.0, -0.1):
             with pytest.raises(DomainError):
-                split_train_test(d, bad, SeededRng(0, 0))
+                split_train_test(10, bad, SeededRng(0, 0))
+        with pytest.raises(CapacityError):
+            split_train_test(1, 0.5, SeededRng(0, 0))
 
 
 class TestConcat:

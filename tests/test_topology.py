@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hfldd import topology
 from hfldd.errors import CapacityError, DomainError, EmptyInputError, ShapeError
 from hfldd.numkernel import SeededRng
 from hfldd.topology import (
@@ -136,6 +137,25 @@ class TestKmeansRows:
         a = kmeans_rows(sim, 2, SeededRng(7, 0))
         b = kmeans_rows(sim, 2, SeededRng(7, 0))
         assert a == b
+
+    @pytest.mark.parametrize("n, k", [(250, 10), (20, 10), (37, 5), (7, 3), (120, 2)])
+    def test_lloyd_matches_the_broadcast_distance_form(self, monkeypatch, n, k):
+        # distances one center at a time keep every bit of the (n, k, n)
+        # broadcast form, so the labels and the objective trace are equal
+        def broadcast(points, centers):
+            return ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+
+        for draw in range(5):
+            points = np.random.default_rng([n, k, draw]).exponential(size=(n, n))
+            np.fill_diagonal(points, 0.0)
+            got = topology._lloyd(points, k, np.random.default_rng(draw), 100)
+            with monkeypatch.context() as m:
+                m.setattr(topology, "_sq_distances", broadcast)
+                want = topology._lloyd(points, k, np.random.default_rng(draw), 100)
+            assert np.array_equal(got[0], want[0])
+            assert got[1] == want[1]
+            centers = points[:k]
+            assert np.array_equal(topology._sq_distances(points, centers), broadcast(points, centers))
 
     def test_k_bounds(self):
         sim = blocky_similarity([(0, 1), (2, 3)])
