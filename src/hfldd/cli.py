@@ -16,7 +16,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -30,14 +30,16 @@ from .datagen import (
     pool_labels,
     sample_classes,
     shift_means,
+    split_sizes,
     split_train_test,
 )
 from .distill import KipConfig
-from .errors import ConfigError, HflddError, ManifestError, StageError
+from .errors import CapacityError, ConfigError, HflddError, ManifestError, StageError
 from .fltrain import (
     ALGORITHMS,
     ClientState,
     RunConfig,
+    _stage,
     run_fedavg,
     run_fedprox,
     run_fedseq_lite,
@@ -66,11 +68,27 @@ def _parse_intlist(v: str) -> tuple[int, ...]:
     return tuple(int(p) for p in v.split(",") if p.strip())
 
 
-def _parse_finite(v: str) -> float:
-    x = float(v)
-    if not math.isfinite(x):
-        raise ValueError(f"must be a finite number, got {v!r}")
-    return x
+def _parse_count(lo: int):
+    def parse(v: str) -> int:
+        x = int(v)
+        if not lo <= x < COUNT_LIMIT:
+            raise ValueError(f"must be an integer in [{lo}, 2^63), got {v!r}")
+        return x
+
+    return parse
+
+
+def _parse_open(lo: float, hi: float):
+    def parse(v: str) -> float:
+        x = float(v)
+        if not lo < x < hi:
+            raise ValueError(f"must be a finite number in ({lo:g}, {hi:g}), got {v!r}")
+        return x
+
+    return parse
+
+
+_parse_finite = _parse_open(-math.inf, math.inf)
 
 
 def _parse_choice(*allowed):
@@ -91,12 +109,12 @@ _SCHEMA = {
     },
     "data": {
         "kind": (_parse_choice("synthetic", "idx"), "synthetic"),
-        "classes": (int, "10"),
-        "per_class": (int, "200"),
-        "dim": (int, "16"),
-        "separation": (_parse_finite, "6.0"),
-        "test_fraction": (_parse_finite, "0.2"),
-        "probe_size": (int, "100"),
+        "classes": (_parse_count(1), "10"),
+        "per_class": (_parse_count(1), "200"),
+        "dim": (_parse_count(1), "16"),
+        "separation": (_parse_open(0, math.inf), "6.0"),
+        "test_fraction": (_parse_open(0, 1), "0.2"),
+        "probe_size": (_parse_count(1), "100"),
         "probe_shift": (_parse_finite, "1.0"),
         "images": (str, ""),
         "labels": (str, ""),
@@ -115,10 +133,10 @@ _SCHEMA = {
         "pretrain_batch": (int, "64"),
         "hidden": (_parse_intlist, "64,64"),
         "prox_mu": (_parse_finite, "0.0"),
-        "bits_per_param": (int, str(DEFAULT_BITS_PER_PARAM)),
-        "bits_per_sample": (int, "0"),
-        "seq_clusters": (int, "0"),
-        "seq_cluster_size": (int, "0"),
+        "bits_per_param": (_parse_count(1), str(DEFAULT_BITS_PER_PARAM)),
+        "bits_per_sample": (_parse_count(0), "0"),
+        "seq_clusters": (_parse_count(0), "0"),
+        "seq_cluster_size": (_parse_count(0), "0"),
     },
     "distill": {
         "support_size": (int, "20"),
@@ -193,22 +211,10 @@ def _normalize(raw: dict) -> dict:
     return echo
 
 
-def _typed(echo: dict, section: str, key: str):
-    parse, _ = _SCHEMA[section][key]
-    return parse(echo[section][key])
-
-
 def _experiment_from_echo(echo: dict) -> ExperimentConfig:
-    get = lambda s, k: _typed(echo, s, k)
+    get = lambda s, k: _SCHEMA[s][k][0](echo[s][k])
     algorithm = get("experiment", "algorithm")
     data = {k: get("data", k) for k in _SCHEMA["data"]}
-    for key in ("classes", "per_class", "dim", "probe_size"):
-        if data[key] < 1:
-            raise ConfigError(f"[data] {key} must be >= 1, got {data[key]}")
-    if data["separation"] <= 0:
-        raise ConfigError(f"[data] separation must be positive, got {data['separation']}")
-    if not 0 < data["test_fraction"] < 1:
-        raise ConfigError(f"[data] test_fraction must be in (0, 1), got {data['test_fraction']}")
     try:
         partition = PartitionSpec(
             n_clients=get("partition", "clients"),
@@ -234,15 +240,15 @@ def _experiment_from_echo(echo: dict) -> ExperimentConfig:
             iterations=get("distill", "iterations"),
             target_batch=get("distill", "target_batch"),
         )
+        # an IDX file's row count is known only once the build reads it
+        if data["kind"] == "synthetic":
+            n_train, _ = split_sizes(data["classes"] * data["per_class"], data["test_fraction"])
+            need = partition.n_clients * partition.samples_per_client
+            if need > n_train:
+                raise CapacityError(f"the partition needs {need} rows, the split leaves {n_train}")
     except HflddError as e:
         raise ConfigError(str(e)) from e
     k = get("cluster", "k")
-    bits_per_param = get("train", "bits_per_param")
-    bits_per_sample = get("train", "bits_per_sample")
-    if bits_per_param < 1:
-        raise ConfigError(f"[train] bits_per_param must be >= 1, got {bits_per_param}")
-    if bits_per_sample < 0:
-        raise ConfigError(f"[train] bits_per_sample must be >= 0, got {bits_per_sample}")
     seq_clusters = get("train", "seq_clusters")
     seq_cluster_size = get("train", "seq_cluster_size")
     if data["kind"] == "idx" and (not data["images"] or not data["labels"]):
@@ -268,8 +274,8 @@ def _experiment_from_echo(echo: dict) -> ExperimentConfig:
         run=run,
         kip=kip,
         k=k,
-        bits_per_param=bits_per_param,
-        bits_per_sample=bits_per_sample,
+        bits_per_param=get("train", "bits_per_param"),
+        bits_per_sample=get("train", "bits_per_sample"),
         seq_clusters=seq_clusters,
         seq_cluster_size=seq_cluster_size,
         echo=echo,
@@ -407,7 +413,8 @@ def cmd_run(args) -> int:
     out_dir = xc.output_dir
     written: list[str] = []
     try:
-        clients, probe, test = _build_problem(xc)
+        with _stage("build"):
+            clients, probe, test = _build_problem(xc)
         if xc.algorithm == "fedavg":
             result = run_fedavg(clients, test, xc.run, xc.bits_per_param)
         elif xc.algorithm == "fedprox":
@@ -436,7 +443,7 @@ def cmd_run(args) -> int:
         }
         for name, text in (
             ("metrics.csv", _metrics_csv(result.metrics)),
-            ("cost.json", json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"),
+            ("cost.json", json.dumps(asdict(report), indent=2, sort_keys=True) + "\n"),
             ("manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n"),
         ):
             path = os.path.join(out_dir, name)
@@ -550,6 +557,7 @@ _COST_FLAG = {
     "class_count": "classes",
 }
 _COST_KEYS = {f.name: _COST_FLAG.get(f.name, f.name) for f in fields(CostModel)}
+_COST_REQUIRED = ("clients", "rounds", "model_params")
 
 
 def _cost_output(inputs: dict) -> tuple[str, dict]:
@@ -584,7 +592,7 @@ def cmd_cost(args) -> int:
             print(f"error: cannot load cost parameters: {e}", file=sys.stderr)
             return EXIT_CONFIG
     else:
-        missing = [f for f in ("clients", "rounds", "model_params") if getattr(args, f) is None]
+        missing = [key for key in _COST_REQUIRED if getattr(args, key) is None]
         if missing:
             flags = ", ".join("--" + f.replace("_", "-") for f in missing)
             print(f"error: missing required flags: {flags}", file=sys.stderr)
@@ -628,24 +636,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.set_defaults(func=cmd_compare)
 
     p_cost = sub.add_parser("cost", help="closed-form communication costs")
-    p_cost.add_argument("--clients", type=int)
-    p_cost.add_argument("--heads", type=int, default=0)
-    p_cost.add_argument("--homogeneous", type=int, default=0)
-    p_cost.add_argument("--rounds", type=int)
-    p_cost.add_argument("--model-params", dest="model_params", type=int)
-    p_cost.add_argument("--probe-size", dest="probe_size", type=int, default=0)
-    p_cost.add_argument("--classes", type=int, default=0)
-    p_cost.add_argument("--bits-per-param", dest="bits_per_param", type=int, default=DEFAULT_BITS_PER_PARAM)
-    p_cost.add_argument("--bits-per-sample", dest="bits_per_sample", type=int, default=0)
-    p_cost.add_argument("--seq-clusters", dest="seq_clusters", type=int, default=0)
-    p_cost.add_argument("--seq-cluster-size", dest="seq_cluster_size", type=int, default=0)
-    p_cost.add_argument(
-        "--distilled-sizes",
-        dest="distilled_sizes",
-        type=_parse_intlist,
-        default=(),
-        help="comma-separated distilled set sizes, one per member",
-    )
+    for f in fields(CostModel):
+        key = _COST_KEYS[f.name]
+        listed = isinstance(f.default, tuple)
+        p_cost.add_argument(
+            "--" + key.replace("_", "-"),
+            type=_parse_intlist if listed else int,
+            default=None if key in _COST_REQUIRED else f.default,
+            help="comma-separated distilled set sizes, one per member" if listed else None,
+        )
     p_cost.add_argument("--json", help="also write inputs and results as JSON")
     p_cost.add_argument("--from-json", dest="from_json", help="load inputs from a cost JSON")
     p_cost.set_defaults(func=cmd_cost)

@@ -264,14 +264,21 @@ def make_probe_dataset(n_rows: int, size: int, rng: SeededRng) -> np.ndarray:
     return rng.generator().permutation(n_rows)[:size]
 
 
-def split_train_test(n_rows: int, test_fraction: float, rng: SeededRng):
-    """Row plan of a random disjoint split of `n_rows` rows: (train, test)
-    index arrays that together hold every row once."""
+def split_sizes(n_rows: int, test_fraction: float) -> tuple[int, int]:
+    """(train, test) row counts of `split_train_test`: the test set is
+    `test_fraction` of the rows, rounded, and each side holds at least one."""
     if not 0.0 < test_fraction < 1.0:
         raise DomainError(f"test_fraction must be in (0, 1), got {test_fraction}")
     n_test = max(1, int(round(n_rows * test_fraction)))
     if n_test >= n_rows:
         raise CapacityError(f"test split of {n_test} rows leaves no training data (n={n_rows})")
+    return n_rows - n_test, n_test
+
+
+def split_train_test(n_rows: int, test_fraction: float, rng: SeededRng):
+    """Row plan of a random disjoint split of `n_rows` rows: (train, test)
+    index arrays that together hold every row once."""
+    _, n_test = split_sizes(n_rows, test_fraction)
     perm = rng.generator().permutation(n_rows)
     return perm[n_test:], perm[:n_test]
 

@@ -230,17 +230,6 @@ class CostReport:
     discrepancy_bits: int
     relative_discrepancy: float
 
-    def to_dict(self) -> dict:
-        return {
-            "algorithm": self.algorithm,
-            "closed_form_bits": self.closed_form_bits,
-            "ledger_bits": self.ledger_bits,
-            "by_kind": dict(sorted(self.by_kind.items())),
-            "megabytes_decimal": self.megabytes_decimal,
-            "discrepancy_bits": self.discrepancy_bits,
-            "relative_discrepancy": self.relative_discrepancy,
-        }
-
 
 def bits_to_megabytes(bits: int) -> float:
     """Decimal megabytes (1 MB = 8e6 bits)."""

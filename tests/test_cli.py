@@ -22,7 +22,14 @@ from hfldd import cli
 from hfldd.cli import load_config, load_manifest, main
 from hfldd.errors import ConfigError, ManifestError
 from hfldd.fltrain import run_fedavg, run_hfldd
-from hfldd.metrics import CostModel, cost_fedavg, cost_fedseq, cost_hfldd, ledger_audit
+from hfldd.metrics import (
+    CostModel,
+    bits_to_megabytes,
+    cost_fedavg,
+    cost_fedseq,
+    cost_hfldd,
+    ledger_audit,
+)
 from hfldd.numkernel import SeededRng
 
 from test_datagen import write_idx_pair
@@ -339,6 +346,29 @@ class TestRunCommand:
         assert report["discrepancy_bits"] == 0
         assert set(report["by_kind"]) == {"model", "soft-labels", "distilled-data"}
 
+    @pytest.mark.parametrize(
+        "algorithm, digest",
+        [
+            ("fedavg", "e7fdf4eab4077a652b7c4a37ac199888ae9f98dc8d964722eb61ecc980477f4e"),
+            ("hfldd", "340a655e5a717b39498e8c0daa13775a47f305603059dd43c0e94ccbe913a784"),
+        ],
+        ids=["fedavg", "hfldd"],
+    )
+    def test_cost_json_text_is_pinned(self, tmp_path, algorithm, digest):
+        # every CostReport field once, keys sorted at both levels; the
+        # digests were taken when cost.json was built key by key
+        out = tmp_path / "run"
+        assert main(["run", write_config(tmp_path, "c.ini", config_text(out, algorithm=algorithm))]) == 0
+        text = (out / "cost.json").read_text(encoding="utf-8")
+        doc = json.loads(text)
+        assert list(doc) == [
+            "algorithm", "by_kind", "closed_form_bits", "discrepancy_bits", "ledger_bits",
+            "megabytes_decimal", "relative_discrepancy",
+        ]
+        assert list(doc["by_kind"]) == ["distilled-data", "model", "soft-labels"]
+        assert doc["megabytes_decimal"] == bits_to_megabytes(doc["ledger_bits"])
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
     def test_idx_distilled_rows_cost_their_pixel_count(self, tmp_path):
         # [data] dim is a synthetic-data key; an 8x8 IDX row has 64 features
         out = tmp_path / "run_idx"
@@ -456,6 +486,76 @@ class TestRunCommand:
         assert main(["run", write_config(tmp_path, "bad.ini", text)]) == 2
         assert not out.exists()
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "algorithm, line",
+        [
+            # -2 clusters of -2 clients multiply out to the 4 clients
+            ("fedseq", "seq_clusters = -2\nseq_cluster_size = -2"),
+            ("fedavg", "seq_clusters = -2"),
+            ("fedavg", "seq_cluster_size = -2"),
+            ("hfldd", "seq_clusters = -2"),
+            ("hfldd", "seq_cluster_size = -2"),
+            ("hfldd", f"bits_per_param = {2**63}"),
+            ("hfldd", f"bits_per_sample = {2**63}"),
+            ("fedavg", f"seq_cluster_size = {2**63}"),
+        ],
+        ids=[
+            "fedseq-negative-shape", "fedavg-seq_clusters", "fedavg-seq_cluster_size",
+            "hfldd-seq_clusters", "hfldd-seq_cluster_size", "bits_per_param-2^63",
+            "bits_per_sample-2^63", "seq_cluster_size-2^63",
+        ],
+    )
+    def test_train_count_outside_its_domain_exits_2_before_the_build(
+        self, tmp_path, capsys, monkeypatch, algorithm, line
+    ):
+        # the cost audit takes counts in [0, 2^63); a run must not train first
+        monkeypatch.setattr(cli, "_build_problem", lambda xc: pytest.fail("problem was built"))
+        out = tmp_path / "never"
+        text = config_text(out, algorithm=algorithm, train_extra=line)
+        assert main(["run", write_config(tmp_path, "bad.ini", text)]) == 2
+        assert not out.exists()
+        assert line.split()[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "per_class, test_fraction, message",
+        [
+            # 9 rows: the test set takes round(8.91) = 9 of them
+            (3, "0.99", "leaves no training data"),
+            # 105 rows: the test set takes 26, and 4 clients need 80 of the 79 left
+            (35, "0.25", "the partition needs 80 rows"),
+        ],
+        ids=["no-training-row", "partition-outgrows-the-split"],
+    )
+    def test_split_the_config_decides_exits_2_before_the_build(
+        self, tmp_path, capsys, monkeypatch, per_class, test_fraction, message
+    ):
+        monkeypatch.setattr(cli, "_build_problem", lambda xc: pytest.fail("problem was built"))
+        out = tmp_path / "never"
+        text = config_text(out, per_class=per_class).replace(
+            "test_fraction = 0.25", f"test_fraction = {test_fraction}"
+        )
+        assert main(["run", write_config(tmp_path, "bad.ini", text)]) == 2
+        assert not out.exists()
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["pool-too-large", "class-exhausted", "missing-idx-file"])
+    def test_build_failure_exits_3_naming_the_build(self, tmp_path, capsys, kind):
+        out = tmp_path / "never"
+        if kind == "pool-too-large":
+            # numpy refuses the pool's label array at once, allocating nothing
+            text = config_text(out, per_class=10**15)
+        elif kind == "class-exhausted":
+            # 81 training rows cover the 4 clients' 80, but 3 shards of 10
+            # rows fall on class 0, which holds about 27: known only once
+            # the split has dealt the rows
+            text = config_text(out, per_class=36)
+        else:
+            absent = tmp_path / "absent.idx"
+            text = re.sub("^images = .*$", f"images = {absent}", idx_config_text(tmp_path, out), flags=re.M)
+        assert main(["run", write_config(tmp_path, "bad.ini", text)]) == 3
+        assert not out.exists()
+        assert "error [build]" in capsys.readouterr().err
 
     @pytest.mark.parametrize("seed", ["18446744073709551616", "-1"])
     def test_seed_outside_64_bits_exits_2(self, tmp_path, capsys, seed):

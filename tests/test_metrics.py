@@ -258,11 +258,3 @@ class TestLedgerAudit:
     def test_unknown_algorithm(self):
         with pytest.raises(DomainError):
             ledger_audit(TransmissionLedger(), CostModel(), "gossip")
-
-    def test_report_dict_is_sorted_and_complete(self):
-        c = CostModel(n_clients=1, rounds=1, model_params=1, bits_per_param=8)
-        led = TransmissionLedger()
-        led.record(1, "a", "b", PAYLOAD_MODEL, 8)
-        doc = ledger_audit(led, c, "fedavg").to_dict()
-        assert list(doc["by_kind"]) == sorted(doc["by_kind"])
-        assert doc["megabytes_decimal"] == bits_to_megabytes(8)

@@ -1,5 +1,5 @@
 """Fuzzed readers: the IDX image/label pair, the run manifest, a run
-directory's metrics.csv and the cost JSON.
+directory's metrics.csv and the cost JSON, and the run configuration.
 
 Whatever bytes these files hold, the library raises only `HflddError`
 subclasses and the command line exits with 0, 2 or 3. Any other exception
@@ -7,13 +7,16 @@ escapes `main` and fails the test, as does any numpy RuntimeWarning (an
 error under the suite's warning filter).
 """
 
+import contextlib
+import io
 import json
+import re
 import shutil
 import struct
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from hfldd import cli
@@ -22,6 +25,7 @@ from hfldd.datagen import load_idx
 from hfldd.errors import HflddError
 
 from test_cli import config_text, write_config
+from test_datagen import write_idx_pair
 
 FUZZ = settings(max_examples=60, deadline=None)
 
@@ -207,3 +211,120 @@ class TestCostJson:
         path = scratch / "cost.json"
         path.write_text(text, encoding="utf-8")
         assert main(["cost", "--from-json", str(path)]) in (0, 2)
+
+
+# Per schema key: values its parser accepts, at and near the domain's edges
+# and at sizes a run finishes in milliseconds (at most 6 clients, dim 8, 2
+# rounds and 5 KIP iterations), then values it rejects. "pair" and "absent"
+# stand for a valid IDX file (24 2x2 images in 3 classes) and a missing one.
+BIG = str(2**63)
+EDGES = {
+    "experiment": {
+        "seed": (["0", "1", str(2**64 - 1)], ["-1", str(2**64)]),
+        "algorithm": (["hfldd", "fedavg", "fedprox", "fedseq"], ["gossip"]),
+        "output_dir": (["set by the test"], []),
+    },
+    "data": {
+        "kind": (["synthetic", "synthetic", "idx"], ["IDX"]),
+        "classes": (["1", "2", "3"], ["0", "-1"]),
+        "per_class": (["1", "2", "6", "12", "1000000000000000"], ["0", BIG]),
+        "dim": (["1", "8"], ["0", BIG]),
+        "separation": (["1e-300", "4", "1e200"], ["0", "-1", "inf", "nan"]),
+        "test_fraction": (["1e-9", "0.25", "0.99"], ["0", "1", "nan"]),
+        "probe_size": (["1", "4", "40"], ["0", BIG]),
+        "probe_shift": (["0", "-1", "1"], ["nan", "inf"]),
+        "images": (["pair", "absent"], [""]),
+        "labels": (["pair", "absent"], [""]),
+    },
+    "partition": {
+        "clients": (["1", "2", "4", "6"], ["0", "-1"]),
+        "classes_per_client": (["1", "2"], ["0"]),
+        "samples_per_client": (["1", "2", "5"], ["0"]),
+    },
+    "train": {
+        "rounds": (["1", "2"], ["0"]),
+        "local_steps": (["1", "2"], ["0"]),
+        "pretrain_steps": (["0", "1"], ["-1"]),
+        "learning_rate": (["1e-300", "0.05", "1e200"], ["0", "inf", "nan"]),
+        "batch_size": (["1", "8"], ["0"]),
+        "pretrain_batch": (["1", "16"], ["0"]),
+        "hidden": (["", "1", "4,4"], ["0", "x"]),
+        "prox_mu": (["0", "0.01", "1e200"], ["-1", "inf"]),
+        "bits_per_param": (["1", "32", str(2**63 - 1)], ["0", BIG]),
+        "bits_per_sample": (["0", "8", str(2**63 - 1)], ["-1", BIG]),
+        "seq_clusters": (["0", "1", "2", "3"], ["-2", BIG]),
+        "seq_cluster_size": (["0", "1", "2", "3"], ["-2", BIG]),
+    },
+    "distill": {
+        "support_size": (["1", "2", "5"], ["0"]),
+        "ridge_lambda": (["1e-300", "1e-6", "1e200"], ["0", "nan"]),
+        "learning_rate": (["1e-300", "0.01", "1e200"], ["0", "-1"]),
+        "iterations": (["0", "1", "5"], ["-1"]),
+        "target_batch": (["1", "4"], ["0"]),
+    },
+    "cluster": {
+        "k": (["1", "2", "3", "6"], ["x", "1.5"]),
+    },
+}
+EDGE_KEYS = [(section, key) for section, keys in EDGES.items() for key in keys]
+
+
+@st.composite
+def schema_configs(draw):
+    """{section: {key: value}} with every schema key: a shape that passes
+    the rules relating keys, then up to two keys redrawn from all of their
+    edge values, accepted or rejected."""
+    config = {s: {k: draw(st.sampled_from(v[0])) for k, v in keys.items()} for s, keys in EDGES.items()}
+    clients, classes = draw(st.integers(2, 6)), draw(st.integers(1, 3))
+    per_client = draw(st.integers(1, classes))
+    rows = draw(st.integers(per_client, 5))
+    seq_clusters = draw(st.sampled_from([d for d in range(1, clients + 1) if clients % d == 0]))
+    config["data"].update(
+        classes=str(classes), per_class=str(-(-2 * clients * rows // classes)),
+        test_fraction="0.25", images="pair", labels="pair",
+    )
+    config["partition"].update(
+        clients=str(clients), classes_per_client=str(per_client), samples_per_client=str(rows)
+    )
+    config["train"].update(seq_clusters=str(seq_clusters), seq_cluster_size=str(clients // seq_clusters))
+    config["distill"]["support_size"] = str(draw(st.integers(1, rows)))
+    config["cluster"]["k"] = str(draw(st.integers(2, clients)))
+    for section, key in draw(st.lists(st.sampled_from(EDGE_KEYS), max_size=2)):
+        config[section][key] = draw(st.sampled_from(sum(EDGES[section][key], [])))
+    return config
+
+
+class TestSchema:
+    def test_edges_cover_the_schema(self):
+        assert {s: list(k) for s, k in EDGES.items()} == {s: list(k) for s, k in cli._SCHEMA.items()}
+
+    @given(config=schema_configs())
+    @settings(max_examples=300, deadline=None)
+    def test_run_exits_0_2_or_3_as_documented(self, scratch, config):
+        """Exit 0 leaves an audited run, exit 2 no output directory and
+        exit 3 names the failing stage."""
+        out = scratch / "schema-run"
+        shutil.rmtree(out, ignore_errors=True)
+        files = {
+            "pair": write_idx_pair(scratch, np.arange(96).reshape(24, 2, 2), [i % 3 for i in range(24)]),
+            "absent": (str(scratch / "absent"),) * 2,
+        }
+        for i, key in enumerate(("images", "labels")):
+            value = config["data"][key]
+            config["data"][key] = files[value][i] if value in files else value
+        config["experiment"]["output_dir"] = str(out)
+        text = "\n".join(
+            f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+            for section, keys in config.items()
+        )
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["run", write_config(scratch, "schema.ini", text)])
+        event(f"exit {code}", err.getvalue()[:60])
+        if code == 0:
+            assert json.loads((out / "cost.json").read_text())["discrepancy_bits"] == 0
+        elif code == 2:
+            assert not out.exists()
+        else:
+            assert code == 3
+            assert re.match(r"error \[[a-z-]+\]: ", err.getvalue()), err.getvalue()
