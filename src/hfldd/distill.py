@@ -16,7 +16,16 @@ import numpy as np
 
 from .datagen import LabeledDataset, one_hot
 from .errors import CapacityError, DomainError, EmptyInputError, ShapeError
-from .numkernel import QUIET, SeededRng, as_matrix, rbf_core, rbf_kernel, ridge_solve, ridge_solver
+from .numkernel import (
+    QUIET,
+    SeededRng,
+    _row_basis,
+    as_matrix,
+    rbf_core,
+    rbf_kernel,
+    ridge_solve,
+    ridge_solver,
+)
 
 LOSS_TRACE_EVERY = 100
 
@@ -150,10 +159,12 @@ def distill(d: LabeledDataset, cfg: KipConfig, gamma: float, rng: SeededRng) -> 
     The RBF kernel sees features only through pairwise distances, and each
     step moves the support by combinations of support and target rows, so
     the support never leaves the row span of `d.features`. The loop runs in
-    coordinates of that span: the economic QR features^T = q r gives
-    features = r^T q^T with orthonormal q columns, so the rows of r^T keep
-    every distance and are min(n, dim) wide instead of dim. The support is
-    mapped back to dim columns once, at the end.
+    coordinates of that span (`numkernel._row_basis`): a pivoted Cholesky
+    of the n x n Gram matrix gives rows that keep every distance and are
+    only rank wide, rank <= min(n, dim) as LAPACK's tolerance decides it, so
+    repeated or dependent rows add no width. The support is mapped back to
+    dim columns once, at the end, and stays in the row span however
+    rank-deficient the data are.
 
     numpy's floating-point warnings are off while the support steps; a
     support whose sum of squares is not finite raises DomainError
@@ -176,25 +187,34 @@ def distill(d: LabeledDataset, cfg: KipConfig, gamma: float, rng: SeededRng) -> 
         pool = np.flatnonzero(labels == cls)
         pick = gen.choice(pool, size=need, replace=need > len(pool))
         chunks.append(pick)
-    q, r = np.linalg.qr(d.features.T)
-    x = np.ascontiguousarray(r.T)
-    support_x = x[np.concatenate(chunks)]
 
     n = d.n_rows()
     with np.errstate(**QUIET):
+        x, back = _row_basis(d.features)
+        support_x = x[np.concatenate(chunks)]
         trace = [kip_loss(support_x, support_y, x, d.labels, cfg.ridge_lambda, gamma)]
-        for it in range(cfg.iterations):
-            batch = gen.choice(n, size=min(cfg.target_batch, n), replace=False)
-            xt, yt = x[batch], d.labels[batch]
-            g = kip_gradient(support_x, support_y, xt, yt, cfg.ridge_lambda, gamma)
-            g *= -cfg.learning_rate
-            support_x += g
-            if (it + 1) % LOSS_TRACE_EVERY == 0 and (it + 1) != cfg.iterations:
-                trace.append(kip_loss(support_x, support_y, x, d.labels, cfg.ridge_lambda, gamma))
-        # A support too large to square has left the data's scale, however
-        # finite its entries and loss trace still look.
-        if not math.isfinite(np.vdot(support_x, support_x)):
-            raise DomainError("support features are not finite or overflow: distillation diverged")
+        try:
+            for it in range(cfg.iterations):
+                batch = gen.choice(n, size=min(cfg.target_batch, n), replace=False)
+                xt, yt = x[batch], d.labels[batch]
+                g = kip_gradient(support_x, support_y, xt, yt, cfg.ridge_lambda, gamma)
+                g *= -cfg.learning_rate
+                support_x += g
+                if (it + 1) % LOSS_TRACE_EVERY == 0 and (it + 1) != cfg.iterations:
+                    trace.append(kip_loss(support_x, support_y, x, d.labels, cfg.ridge_lambda, gamma))
+        except DomainError:
+            # a step that made the support non-finite fails the next
+            # call's input check
+            _check_not_diverged(support_x)
+            raise
+        _check_not_diverged(support_x)
         if cfg.iterations > 0:
             trace.append(kip_loss(support_x, support_y, x, d.labels, cfg.ridge_lambda, gamma))
-    return DistilledSet(LabeledDataset(support_x @ q.T, support_y, d.class_count), tuple(trace))
+    return DistilledSet(LabeledDataset(back(support_x), support_y, d.class_count), tuple(trace))
+
+
+def _check_not_diverged(support_x: np.ndarray) -> None:
+    # A support too large to square has left the data's scale, however
+    # finite its entries and loss trace still look.
+    if not math.isfinite(np.vdot(support_x, support_x)):
+        raise DomainError("support features are not finite or overflow: distillation diverged")

@@ -235,7 +235,8 @@ def _parallel_rounds(
     gradient gains a pull toward the round's global model.
     """
     dim, n_c = _check_clients(clients)
-    model = initial_model(cfg, dim, n_c)
+    with _stage("training"):
+        model = initial_model(cfg, dim, n_c)
     bits = _model_bits(model, bits_per_param)
     weights = [c.data.n_rows() for c in clients]
     out = []
@@ -300,7 +301,8 @@ def run_fedseq_lite(
             f"({cluster_count} * {cluster_size} != {n})"
         )
     ledger = TransmissionLedger()
-    model = initial_model(cfg, dim, n_c)
+    with _stage("training"):
+        model = initial_model(cfg, dim, n_c)
     bits = _model_bits(model, bits_per_param)
     out = []
     for t in range(1, cfg.rounds + 1):
@@ -362,12 +364,11 @@ def run_hfldd(
     if bits_per_sample is None:
         bits_per_sample = dim * DEFAULT_BITS_PER_FEATURE
     ledger = TransmissionLedger()
-    model0 = initial_model(cfg, dim, n_c)
-    bits = _model_bits(model0, bits_per_param)
     by_id = {c.client_id: c for c in clients}
 
     # Stage 1: label knowledge collection.
     with _stage("label-collection"):
+        model0 = initial_model(cfg, dim, n_c)
         soft = []
         soft_bits = probe.n_rows() * n_c * bits_per_param
         for c in clients:

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg.lapack import dpotrf, dpotrs, dpstrf, dtrtrs
 
 from .errors import DomainError, ShapeError, SingularMatrixError
 
@@ -101,6 +101,41 @@ def ridge_solver(k: np.ndarray, lam: float):
             f"system is not positive definite: leading minor of order {info} is not"
         )
     return lambda y: dpotrs(factor, y, lower=1)[0]
+
+
+def _row_basis(f: np.ndarray):
+    """Coordinates of the rows of `f` in an orthonormal basis of their span.
+
+    Returns (x, back): x is (n, rank) with x x^T = f f^T, so its rows keep
+    every inner product and distance of the rows of `f`, and back(s) maps
+    coordinate rows to feature rows, back(x) = f. The rank is LAPACK's, from a
+    pivoted Cholesky of the Gram matrix at its default tolerance:
+    g[piv][:, piv] = c c^T with c lower trapezoidal, and x[piv] = c. The
+    leading `rank` pivot rows b = f[piv[:rank]] span the rows of `f`; with c1
+    their triangular block of c, m = c1^-1 b has orthonormal rows and
+    x = f m^T, so back(s) = s m is one triangular solve and one product.
+
+    The Gram form holds distances to eps * max|f|^2, as `rbf_core` computes
+    them anyway, so directions with singular values below about
+    sqrt(n * eps) of the largest count as rank-deficient. A row outside the
+    pivot set comes back to within about eps * cond(f) * max|f|.
+    """
+    g = f @ f.T
+    # The diagonal bounds every entry, so a finite diagonal is a finite Gram.
+    if not math.isfinite(g.trace()):
+        raise DomainError("features are too large to square")
+    c, piv, rank, _ = dpstrf(g.T, lower=1, overwrite_a=1)
+    piv -= 1
+    x = np.empty((f.shape[0], rank))
+    x[piv] = np.tril(c[:, :rank])
+    lead, rows = x[piv[:rank]], f[piv[:rank]]
+
+    def back(s: np.ndarray) -> np.ndarray:
+        # s m = (c1^-T s^T)^T b; LAPACK rejects the empty rank-0 system.
+        z = dtrtrs(lead.T, s.T, lower=0)[0] if rank else s.T
+        return z.T @ rows
+
+    return x, back
 
 
 def rbf_kernel(a, b, gamma: float) -> np.ndarray:

@@ -20,9 +20,9 @@ import workloads  # noqa: E402
 SEED = 1
 PINNED = {
     ("paired-skew1", "fedavg"): "bdf4b49ebbd50b5c402e0d3708e6b20fb18f15a0cdafb5f473a059a7ef8a9651",
-    ("paired-skew1", "hfldd"): "60535a09e0a4fa1fd05ccace9693e91b43e9e224317509b4b84fbfe4c5342878",
+    ("paired-skew1", "hfldd"): "9a3e6e20f89c1311d3a4c0f7ca76514efb55dd37bad6e043176958e72ac4a86e",
     ("crowd-250", "fedavg"): "5f22dab93601d3ab2cb683a247e21271127e16f8926d05c838e2cbc97ec79b0e",
-    ("crowd-250", "hfldd"): "072ae02f5b091737457b4254aae0dd8df4a001b692e02edac348aa7103d40a80",
+    ("crowd-250", "hfldd"): "f7bdd7811a2e1ca90e62176380e3c3df1d8c7310f319a7feae3819a15df17c09",
     ("prox-seq", "fedprox"): "974b369a413a81e41b7f543920093cfd037fe4ab4692fc12d794a4aab6e492c6",
     ("prox-seq", "fedseq"): "f90a0e6f95aee1468b4cd6660aa096ed00b74258eba4f1cc0015f1b4722ca0d5",
 }

@@ -443,6 +443,29 @@ class TestRunCommand:
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "algorithm, extra, stage",
+        [
+            ("fedavg", "", "[training]"),
+            ("fedprox", "prox_mu = 0.01", "[training]"),
+            ("fedseq", "seq_clusters = 2\nseq_cluster_size = 2", "[training]"),
+            ("hfldd", "", "[label-collection]"),
+        ],
+        ids=["fedavg", "fedprox", "fedseq", "hfldd"],
+    )
+    def test_model_too_large_to_allocate_exits_3_naming_the_stage(
+        self, tmp_path, capsys, algorithm, extra, stage
+    ):
+        # numpy refuses the 28 PiB starting model before touching memory
+        out = tmp_path / "never"
+        text = config_text(out, algorithm=algorithm, train_extra=extra)
+        assert "hidden = 8" in text
+        cfg = write_config(tmp_path, "huge.ini", text.replace("hidden = 8", "hidden = 1000000000000000"))
+        assert main(["run", cfg]) == 3
+        err = capsys.readouterr().err
+        assert stage in err and "allocate" in err
+        assert not out.exists()
+
     def test_distillation_divergence_exits_3_naming_the_stage(self, tmp_path, capsys):
         # the support stays finite but too large to square, so without the
         # check only the head training would overflow, in [training]

@@ -247,16 +247,28 @@ def original_coordinate_distill(d, cfg, gamma, rng):
     return support_x, np.array(trace)
 
 
-class TestRowSpaceDistill:
-    # (rows, dim): fewer rows than features, so the coordinates are narrower
-    # than the features, and more rows, so they are a rotation of them.
-    SHAPES = [(24, 256), (40, 8)]
+def repeated_rows_dataset(distinct, n, dim, seed=0):
+    """n rows cycling through `distinct` random rows; labels cycle through
+    three classes independently of them."""
+    rows = SeededRng(seed, 0).generator().standard_normal((distinct, dim))
+    return LabeledDataset(rows[np.arange(n) % distinct], one_hot(np.arange(n) % 3, 3), 3)
 
-    @pytest.mark.parametrize("n,dim", SHAPES)
-    def test_matches_original_coordinate_loop(self, n, dim):
-        d = blob_dataset(seed=n + dim, n=n, dim=dim, classes=3)
-        cfg = KipConfig(6, 1e-6, 0.05, 150, 8)
-        gamma = rbf_gamma(d.features)
+
+class TestRowSpaceDistill:
+    # Fewer rows than features, so the coordinates are narrower than the
+    # features, and more rows, so they are a rotation of them.
+    FULL_RANK = {
+        "24-256": lambda: blob_dataset(seed=280, n=24, dim=256, classes=3),
+        "40-8": lambda: blob_dataset(seed=48, n=40, dim=8, classes=3),
+    }
+    # Rank-deficient members, whose coordinates are only rank wide.
+    RANK_DEFICIENT = {
+        "one-distinct-row": lambda: repeated_rows_dataset(1, 24, 16, seed=1),
+        "rows-repeated": lambda: repeated_rows_dataset(4, 24, 256, seed=2),
+    }
+
+    @staticmethod
+    def assert_matches_original_coordinate_loop(d, cfg, gamma):
         ref_x, ref_trace = original_coordinate_distill(d, cfg, gamma, SeededRng(3, 4))
         ds = distill(d, cfg, gamma, SeededRng(3, 4))
         assert len(ref_trace) == 3
@@ -266,9 +278,28 @@ class TestRowSpaceDistill:
             ds.loss_trace, ref_trace, rtol=1e-10, atol=1e-10 * np.max(ref_trace)
         )
 
-    @pytest.mark.parametrize("n,dim", SHAPES)
-    def test_support_lies_in_the_data_row_space(self, n, dim):
-        d = blob_dataset(seed=n + dim, n=n, dim=dim, classes=3)
+    @pytest.mark.parametrize("name", FULL_RANK)
+    def test_matches_original_coordinate_loop(self, name):
+        d = self.FULL_RANK[name]()
+        cfg = KipConfig(6, 1e-6, 0.05, 150, 8)
+        self.assert_matches_original_coordinate_loop(d, cfg, rbf_gamma(d.features))
+
+    @pytest.mark.parametrize("name", RANK_DEFICIENT)
+    def test_rank_deficient_member_matches_original_coordinate_loop(self, name):
+        # Repeated rows put repeated rows in the support, so K_ss + lam I has
+        # a condition number near support_size / lam and every step scales
+        # rounding by it. At lam = 1e-6 the original-coordinate loop itself
+        # leaves the row span (by 0.4 of the support's scale on one distinct
+        # row), so it is a reference only where lam bounds that growth. One
+        # distinct row has no variance, where rbf_gamma's floor gives gamma
+        # 3e10; the unit-variance width 1 / (2 dim) stands in.
+        d = self.RANK_DEFICIENT[name]()
+        cfg = KipConfig(6, 1e-2, 0.05, 150, 8)
+        self.assert_matches_original_coordinate_loop(d, cfg, 0.5 / d.dim())
+
+    @pytest.mark.parametrize("name", {**FULL_RANK, **RANK_DEFICIENT})
+    def test_support_lies_in_the_data_row_space(self, name):
+        d = {**self.FULL_RANK, **self.RANK_DEFICIENT}[name]()
         ds = distill(d, KipConfig(6, 1e-6, 0.05, 50, 8), rbf_gamma(d.features), SeededRng(3, 5))
         _, sv, vt = np.linalg.svd(d.features, full_matrices=False)
         basis = vt[sv > sv[0] * 1e-12]

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from hfldd.errors import DomainError, ShapeError, SingularMatrixError
 from hfldd.numkernel import (
+    QUIET,
     SeededRng,
+    _row_basis,
     as_matrix,
     rbf_gamma,
     rbf_kernel,
@@ -140,6 +142,50 @@ class TestRidgeSolve:
             ridge_solve(np.ones((2, 3)), np.ones((2, 1)), 1.0)
         with pytest.raises(ShapeError):
             ridge_solve(np.eye(2), np.ones((3, 1)), 1.0)
+
+
+def conditioned(n, dim, cond, gen):
+    """An n x dim matrix whose singular values fall evenly in log scale from
+    1 to 1 / cond."""
+    k = min(n, dim)
+    u, _ = np.linalg.qr(gen.standard_normal((n, k)))
+    v, _ = np.linalg.qr(gen.standard_normal((dim, k)))
+    return (u * np.logspace(0, -np.log10(cond), k)) @ v.T
+
+
+class TestRowBasis:
+    CASES = {
+        "fewer-rows": lambda gen: gen.standard_normal((12, 40)),
+        "more-rows": lambda gen: gen.standard_normal((40, 12)),
+        "duplicated-rows": lambda gen: gen.standard_normal((3, 20))[np.arange(15) % 3],
+        "cond-1e6": lambda gen: conditioned(30, 12, 1e6, gen),
+        "all-zero": lambda gen: np.zeros((6, 5)),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_coordinates_keep_the_gram_and_map_back(self, name, seed):
+        gen = SeededRng(seed).generator()
+        f = self.CASES[name](gen)
+        x, back = _row_basis(f)
+        rank = np.linalg.matrix_rank(f)
+        assert x.shape == (f.shape[0], rank) and x.flags.c_contiguous
+        scale = np.max(np.abs(f))
+        np.testing.assert_allclose(x @ x.T, f @ f.T, rtol=0, atol=1e-12 * scale**2)
+        # A row outside the pivot set comes back through the inverse of the
+        # pivot rows' factor, so it loses up to eps * cond(f).
+        sv = np.linalg.svd(f, compute_uv=False)
+        cond = sv[0] / sv[rank - 1] if rank else 1.0
+        tol = (1e-12 + 1e-15 * cond) * scale
+        np.testing.assert_allclose(back(x), f, rtol=0, atol=tol)
+        w = gen.standard_normal((4, f.shape[0]))
+        np.testing.assert_allclose(
+            back(w @ x), w @ f, rtol=0, atol=tol * np.abs(w).sum(axis=1).max()
+        )
+
+    def test_rows_too_large_to_square_rejected(self):
+        with np.errstate(**QUIET), pytest.raises(DomainError, match="too large to square"):
+            _row_basis(np.array([[1e200, 0.0], [0.0, 1.0]]))
 
 
 class TestRbfKernel:
