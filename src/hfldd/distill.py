@@ -190,7 +190,8 @@ def distill(d: LabeledDataset, cfg: KipConfig, gamma: float, rng: SeededRng) -> 
 
     n = d.n_rows()
     with np.errstate(**QUIET):
-        x, back = _row_basis(d.features)
+        basis = _row_basis(d.features)
+        x = basis.x
         support_x = x[np.concatenate(chunks)]
         trace = [kip_loss(support_x, support_y, x, d.labels, cfg.ridge_lambda, gamma)]
         try:
@@ -210,7 +211,7 @@ def distill(d: LabeledDataset, cfg: KipConfig, gamma: float, rng: SeededRng) -> 
         _check_not_diverged(support_x)
         if cfg.iterations > 0:
             trace.append(kip_loss(support_x, support_y, x, d.labels, cfg.ridge_lambda, gamma))
-    return DistilledSet(LabeledDataset(back(support_x), support_y, d.class_count), tuple(trace))
+    return DistilledSet(LabeledDataset(basis.back(support_x), support_y, d.class_count), tuple(trace))
 
 
 def _check_not_diverged(support_x: np.ndarray) -> None:

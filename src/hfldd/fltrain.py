@@ -46,7 +46,7 @@ from .model import (
     sgd_step,  # noqa: F401
     soft_labels,
 )
-from .numkernel import QUIET, SeededRng, rbf_gamma
+from .numkernel import QUIET, SeededRng, _row_basis, rbf_gamma
 from .topology import ClusterTopology, build_topology
 
 # bench/tracer.py wraps `backward`, `sgd_step` and `_prox_local_train` in this
@@ -70,6 +70,56 @@ def pass_steps(n_rows: int, batch_size: int, passes: int) -> int:
 def _pass_schedule(cfg: RunConfig, d, batch_size: int, passes: int) -> SgdConfig:
     """SGD over `passes` full passes of dataset d at the run's learning rate."""
     return SgdConfig(cfg.learning_rate, batch_size, pass_steps(d.n_rows(), batch_size, passes))
+
+
+def _row_span_pays(n: int, dim: int, hidden: int, calls: int, passes: int) -> bool:
+    """Whether `calls` trainings of `passes` passes each over n rows of dim
+    features do fewer first-layer multiply-adds in the rows' span.
+
+    Counted per data row, with rank <= n: a pass multiplies every row into
+    the first layer and back, 2 * dim * hidden, and the span cuts dim to at
+    most n. The basis costs the Gram product, n * dim, and its pivoted
+    Cholesky, n^2 / 3, once; projecting the first layer in and lifting its
+    update out cost 2 * dim * hidden on every call.
+    """
+    saved = calls * passes * 2 * (dim - n) * hidden
+    return saved > n * dim + n * n / 3 + calls * 2 * dim * hidden
+
+
+def _local_trainer(d: LabeledDataset, hidden: int, calls: int, passes: int):
+    """train(m, sgd, rng, mu) for client data d, to be called `calls` times
+    for `passes` passes each with a first layer `hidden` wide: the row-span
+    trainer where `_row_span_pays`, else `local_train` on d, bit for bit."""
+    if _row_span_pays(d.n_rows(), d.dim(), hidden, calls, passes):
+        return _row_span_trainer(d)
+    return lambda m, sgd, rng, mu=0.0: local_train(m, d, sgd, rng, mu)
+
+
+def _row_span_trainer(d: LabeledDataset):
+    """train(m, sgd, rng, mu): `local_train` on d, run in the row span of d.
+
+    Every first-layer update x^T delta lies in the row span of d, and so
+    does FedProx's pull mu * (W1 - W0) while W1 - W0 does. With m the basis
+    of that span (`numkernel._row_basis`), built once here, the first layer
+    W1 becomes B0 = m W1, rank x hidden, and the rows become their rank
+    coordinates. `local_train` runs unchanged on both, with the same labels,
+    batches and steps, and its pull is mu * (B - B0). The result is lifted
+    back as W1 + m^T (B - B0), which equals training on d up to rounding.
+    """
+    basis = _row_basis(d.features)
+    coords = LabeledDataset(basis.x, d.labels, d.class_count)
+
+    def train(m: MlpModel, sgd: SgdConfig, rng: SeededRng, mu: float = 0.0) -> MlpModel:
+        cut = m.sizes[0] * m.sizes[1]
+        w1 = m.params[:cut].reshape(m.sizes[0], m.sizes[1])
+        b0 = basis.project(w1)
+        start = MlpModel((basis.rank, *m.sizes[1:]), np.concatenate((b0.ravel(), m.params[cut:])))
+        out = local_train(start, coords, sgd, rng, mu)
+        step = out.params[: b0.size].reshape(b0.shape) - b0
+        w1 = w1 + basis.lift(step)
+        return MlpModel(m.sizes, np.concatenate((w1.ravel(), out.params[b0.size :])))
+
+    return train
 
 
 @dataclass
@@ -237,6 +287,9 @@ def _parallel_rounds(
     dim, n_c = _check_clients(clients)
     with _stage("training"):
         model = initial_model(cfg, dim, n_c)
+        trainers = [
+            _local_trainer(c.data, model.sizes[1], cfg.rounds, cfg.local_steps) for c in clients
+        ]
     bits = _model_bits(model, bits_per_param)
     weights = [c.data.n_rows() for c in clients]
     out = []
@@ -246,10 +299,10 @@ def _parallel_rounds(
                 for c in clients:
                     ledger.record(t, "server", f"client-{c.client_id}", PAYLOAD_MODEL, bits)
             local_models = []
-            for c in clients:
+            for c, train in zip(clients, trainers):
                 sgd = _pass_schedule(cfg, c.data, cfg.batch_size, cfg.local_steps)
                 rng = SeededRng(cfg.seed, streams.train(t, c.client_id))
-                local_models.append(local_train(model, c.data, sgd, rng, prox_mu))
+                local_models.append(train(model, sgd, rng, prox_mu))
                 ledger.record(t, f"client-{c.client_id}", "server", PAYLOAD_MODEL, bits)
             model = aggregate(local_models, weights)
             _check_finite(model, "the global model")
@@ -303,6 +356,10 @@ def run_fedseq_lite(
     ledger = TransmissionLedger()
     with _stage("training"):
         model = initial_model(cfg, dim, n_c)
+        trainers = {
+            c.client_id: _local_trainer(c.data, model.sizes[1], cfg.rounds, cfg.local_steps)
+            for c in clients
+        }
     bits = _model_bits(model, bits_per_param)
     out = []
     for t in range(1, cfg.rounds + 1):
@@ -321,7 +378,7 @@ def run_fedseq_lite(
                     holder = f"client-{c.client_id}"
                     sgd = _pass_schedule(cfg, c.data, cfg.batch_size, cfg.local_steps)
                     rng = SeededRng(cfg.seed, streams.train(t, c.client_id))
-                    m = local_train(m, c.data, sgd, rng)
+                    m = trainers[c.client_id](m, sgd, rng)
                 ledger.record(t, holder, "server", PAYLOAD_MODEL, bits)
                 cluster_models.append(m)
                 cluster_weights.append(sum(c.data.n_rows() for c in group))
@@ -374,7 +431,8 @@ def run_hfldd(
         for c in clients:
             pre_sgd = _pass_schedule(cfg, c.data, cfg.pretrain_batch, cfg.pretrain_steps)
             pre_rng = SeededRng(cfg.seed, streams.PRETRAIN + c.client_id)
-            pre = local_train(model0, c.data, pre_sgd, pre_rng)
+            train = _local_trainer(c.data, model0.sizes[1], 1, cfg.pretrain_steps)
+            pre = train(model0, pre_sgd, pre_rng)
             _check_finite(pre, f"client {c.client_id}'s pretrained model")
             soft.append(soft_labels(pre, probe))
             ledger.record(0, f"client-{c.client_id}", "server", PAYLOAD_SOFT_LABELS, soft_bits)

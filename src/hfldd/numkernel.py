@@ -103,22 +103,69 @@ def ridge_solver(k: np.ndarray, lam: float):
     return lambda y: dpotrs(factor, y, lower=1)[0]
 
 
-def _row_basis(f: np.ndarray):
-    """Coordinates of the rows of `f` in an orthonormal basis of their span.
+@dataclass(frozen=True, eq=False)
+class RowBasis:
+    """An orthonormal basis m (rank x dim) of the row span of a matrix f.
 
-    Returns (x, back): x is (n, rank) with x x^T = f f^T, so its rows keep
-    every inner product and distance of the rows of `f`, and back(s) maps
-    coordinate rows to feature rows, back(x) = f. The rank is LAPACK's, from a
-    pivoted Cholesky of the Gram matrix at its default tolerance:
-    g[piv][:, piv] = c c^T with c lower trapezoidal, and x[piv] = c. The
-    leading `rank` pivot rows b = f[piv[:rank]] span the rows of `f`; with c1
-    their triangular block of c, m = c1^-1 b has orthonormal rows and
-    x = f m^T, so back(s) = s m is one triangular solve and one product.
+    The rows of `x` = f m^T are the coordinates of the rows of f: x x^T =
+    f f^T, so they keep every inner product and distance. The basis is
+    m = c1^-1 b, where b = f[lead] are the rank pivot rows that span the
+    rows of f and c1 = x[lead] is their lower triangular factor. m is never
+    formed and the basis stores no copy of f: every map reads f itself
+    through a triangular solve with c1 and one product. As in a Cholesky
+    QR, m is orthonormal to about eps * cond(f)^2, while each map is exact
+    to about eps * cond(f) against the coordinates x.
+    """
 
-    The Gram form holds distances to eps * max|f|^2, as `rbf_core` computes
-    them anyway, so directions with singular values below about
-    sqrt(n * eps) of the largest count as rank-deficient. A row outside the
-    pivot set comes back to within about eps * cond(f) * max|f|.
+    f: np.ndarray
+    x: np.ndarray
+    lead: np.ndarray
+
+    @property
+    def rank(self) -> int:
+        return self.x.shape[1]
+
+    def _solve(self, y: np.ndarray, trans: int) -> np.ndarray:
+        # c1 z = y (trans 1) or c1^T z = y (trans 0), through the Fortran
+        # view of c1^T; LAPACK rejects the empty rank-0 system.
+        c1t = self.x[self.lead].T
+        return dtrtrs(c1t, y, lower=0, trans=trans)[0] if self.rank else y
+
+    def project(self, w: np.ndarray) -> np.ndarray:
+        """m w: the (rank, k) coordinates of the (dim, k) columns w."""
+        return self._solve((self.f @ w)[self.lead], 1)
+
+    def lift(self, a: np.ndarray) -> np.ndarray:
+        """m^T a: the (dim, k) columns in the row span with coordinates a.
+
+        m^T a = b^T c1^-T a = f^T u, where u is c1^-T a on the pivot rows
+        and zero on the others.
+        """
+        u = np.zeros((self.f.shape[0], a.shape[1]))
+        u[self.lead] = self._solve(a, 0)
+        return self.f.T @ u
+
+    def back(self, s: np.ndarray) -> np.ndarray:
+        """s m: the feature rows with coordinate rows s, back(x) = f.
+
+        This is lift(s^T)^T summed over the pivot rows alone, through a
+        gather that lives for the call: summing through all of f, as lift
+        does, would round `distill`'s support differently.
+        """
+        return self._solve(s.T, 0).T @ self.f[self.lead]
+
+
+def _row_basis(f: np.ndarray) -> RowBasis:
+    """The basis of the row span of `f` that a pivoted Cholesky of the Gram
+    matrix gives.
+
+    The rank is LAPACK's at its default tolerance: g[piv][:, piv] = c c^T
+    with c lower trapezoidal, x[piv] = c, and the leading `rank` pivots are
+    the basis's pivot rows. The Gram form holds distances to
+    eps * max|f|^2, as `rbf_core` computes them anyway, so directions with
+    singular values below about sqrt(n * eps) of the largest count as
+    rank-deficient. A row outside the pivot set comes back to within about
+    eps * cond(f) * max|f|.
     """
     g = f @ f.T
     # The diagonal bounds every entry, so a finite diagonal is a finite Gram.
@@ -128,14 +175,7 @@ def _row_basis(f: np.ndarray):
     piv -= 1
     x = np.empty((f.shape[0], rank))
     x[piv] = np.tril(c[:, :rank])
-    lead, rows = x[piv[:rank]], f[piv[:rank]]
-
-    def back(s: np.ndarray) -> np.ndarray:
-        # s m = (c1^-T s^T)^T b; LAPACK rejects the empty rank-0 system.
-        z = dtrtrs(lead.T, s.T, lower=0)[0] if rank else s.T
-        return z.T @ rows
-
-    return x, back
+    return RowBasis(f, x, piv[:rank])
 
 
 def rbf_kernel(a, b, gamma: float) -> np.ndarray:

@@ -95,6 +95,15 @@ def tiny_problem(seed=7, n_clients=6, classes_per_client=2, n_classes=4, dim=8,
     )
 
 
+def conditioned(n, dim, cond, gen):
+    """An n x dim matrix whose singular values fall evenly in log scale from
+    1 to 1 / cond."""
+    k = min(n, dim)
+    u, _ = np.linalg.qr(gen.standard_normal((n, k)))
+    v, _ = np.linalg.qr(gen.standard_normal((dim, k)))
+    return (u * np.logspace(0, -np.log10(cond), k)) @ v.T
+
+
 def models_equal(a, b) -> bool:
     """Bit-exact parameter equality."""
     return a.sizes == b.sizes and np.array_equal(a.params, b.params)

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import hfldd
-from hfldd import cli
+from hfldd import cli, fltrain
 from hfldd.cli import load_config, load_manifest, main
 from hfldd.errors import ConfigError, ManifestError
 from hfldd.fltrain import run_fedavg, run_hfldd
@@ -717,6 +717,28 @@ class TestRunCommand:
         # OpenBLAS to split them across threads
         cfg = write_config(
             tmp_path, "hf.ini", config_text(tmp_path / "unused", algorithm="hfldd", dim=1024)
+        )
+        out = lambda threads: tmp_path / f"threads{threads}"
+        runs = run_per_blas_thread_count(
+            lambda threads: ["-m", "hfldd.cli", "run", cfg, "--out", str(out(threads))]
+        )
+        outputs = [(out(threads) / "metrics.csv").read_bytes() for threads in runs]
+        assert all(o == outputs[0] for o in outputs)
+
+    @pytest.mark.parametrize("algorithm", ["hfldd", "fedprox"])
+    def test_row_span_metrics_independent_of_blas_threads(self, tmp_path, algorithm):
+        # 20-row 1024-d clients with 2 passes over 3 rounds, and 10 passes of
+        # pretraining, train in the row span of their data (hidden = 8): the
+        # basis, projection and lift products run on every thread count
+        assert fltrain._row_span_pays(20, 1024, 8, 3, 2)
+        assert fltrain._row_span_pays(20, 1024, 8, 1, 10)
+        text = config_text(
+            tmp_path / "unused", algorithm=algorithm, train_extra="prox_mu = 0.1",
+            dim=1024, rounds=3,
+        )
+        text = text.replace("local_steps = 1", "local_steps = 2")
+        cfg = write_config(
+            tmp_path, "span.ini", text.replace("pretrain_steps = 1", "pretrain_steps = 10")
         )
         out = lambda threads: tmp_path / f"threads{threads}"
         runs = run_per_blas_thread_count(

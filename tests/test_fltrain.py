@@ -46,7 +46,7 @@ from hfldd.model import (
 )
 from hfldd.numkernel import SeededRng
 
-from helpers import build_problem, models_close, models_equal, tiny_problem
+from helpers import build_problem, conditioned, models_close, models_equal, tiny_problem
 
 TINY_KIP = KipConfig(5, 1e-6, 0.01, 50, 5)
 
@@ -67,6 +67,16 @@ def tiny_config(seed=7, **overrides):
 
 def fresh_clients(clients):
     return [ClientState(c.client_id, c.data) for c in clients]
+
+
+def fields(c):
+    """A client's fields, with its dataset as bytes."""
+    return {
+        k: (v.features.tobytes(), v.labels.tobytes(), v.class_count)
+        if isinstance(v, LabeledDataset)
+        else v
+        for k, v in vars(c).items()
+    }
 
 
 class TestPassSteps:
@@ -409,14 +419,6 @@ class TestRunHfldd:
         assert models_equal(result.final_model, central)
 
     def test_inputs_not_mutated(self):
-        def fields(c):
-            return {
-                k: (v.features.tobytes(), v.labels.tobytes(), v.class_count)
-                if isinstance(v, LabeledDataset)
-                else v
-                for k, v in vars(c).items()
-            }
-
         clients, probe, test = tiny_problem()
         before = [fields(c) for c in clients]
         run_hfldd(clients, probe, test, tiny_config(), TINY_KIP, 3)
@@ -447,6 +449,106 @@ class TestRunHfldd:
         with pytest.raises(StageError) as err:
             run_hfldd(clients, probe, test, tiny_config(), greedy, 3)
         assert err.value.stage == "distillation"
+
+
+def labeled(features, classes, gen):
+    labels = gen.integers(0, classes, size=features.shape[0])
+    return LabeledDataset(features, one_hot(labels, classes), classes)
+
+
+def widths_trained_on(monkeypatch):
+    """Record the feature width of every dataset fltrain.local_train sees."""
+    widths = []
+    real = fltrain.local_train
+
+    def spy(m, d, *rest):
+        widths.append(d.dim())
+        return real(m, d, *rest)
+
+    monkeypatch.setattr(fltrain, "local_train", spy)
+    return widths
+
+
+class TestRowSpanTraining:
+    """Training a client in the row span of its data (fltrain._local_trainer)
+    against `local_train` on the data itself."""
+
+    def test_rule_on_the_benchmark_shapes(self):
+        # 160-row 1024-d clients over 3 rounds of 2 passes, and pretraining's
+        # 10 passes, take the row span
+        assert fltrain._row_span_pays(160, 1024, 64, 3, 2)
+        assert fltrain._row_span_pays(160, 1024, 64, 1, 10)
+        # hfldd's 880-row heads and crowd's 40-row 32-d clients do not
+        assert not fltrain._row_span_pays(880, 1024, 64, 3, 2)
+        assert not fltrain._row_span_pays(40, 32, 64, 3, 2)
+        # nor does one pass a call: the lift costs what the pass saves
+        assert not fltrain._row_span_pays(160, 1024, 64, 50, 1)
+
+    # (calls, passes, batch, mu) of one round of fedavg and fedprox over 3
+    # rounds, and of hfldd's pretraining
+    SHAPES = {
+        "fedavg": (3, 2, 16, 0.0),
+        "fedprox": (3, 2, 16, 0.5),
+        "pretrain": (1, 10, 64, 0.0),
+    }
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_full_rank_client_matches_local_train(self, shape, monkeypatch):
+        calls, passes, batch, mu = self.SHAPES[shape]
+        gen = SeededRng(11).generator()
+        d = labeled(gen.standard_normal((160, 1024)), 10, gen)
+        m = init_mlp((1024, 64, 64, 10), SeededRng(11, 1))
+        before = m.params.tobytes()
+        sgd = SgdConfig(0.05, batch, pass_steps(160, batch, passes))
+        ref = local_train(m, d, sgd, SeededRng(11, 2), mu)
+        widths = widths_trained_on(monkeypatch)
+        got = fltrain._local_trainer(d, 64, calls, passes)(m, sgd, SeededRng(11, 2), mu)
+        assert widths == [160]
+        assert m.params.tobytes() == before
+        assert got.sizes == ref.sizes
+        assert np.abs(got.params - ref.params).max() <= 1e-12 * np.abs(ref.params).max()
+
+    RANK_DEFICIENT = {
+        "one-distinct-row": lambda gen: np.repeat(gen.standard_normal((1, 48)), 12, axis=0),
+        "repeated-rows": lambda gen: gen.standard_normal((3, 48))[np.arange(12) % 3],
+        "cond-1e6": lambda gen: conditioned(30, 12, 1e6, gen),
+        "cond-1e6-wide": lambda gen: conditioned(12, 30, 1e6, gen),
+    }
+
+    @pytest.mark.parametrize("mu", [0.0, 0.5])
+    @pytest.mark.parametrize("name", RANK_DEFICIENT)
+    def test_rank_deficient_client_matches_local_train(self, name, mu):
+        gen = SeededRng(5).generator()
+        f = self.RANK_DEFICIENT[name](gen)
+        d = labeled(f, 3, gen)
+        dim = f.shape[1]
+        m = init_mlp((dim, 8, 3), SeededRng(5, 1))
+        sgd = SgdConfig(0.2, 4, 24)
+        got = fltrain._row_span_trainer(d)(m, sgd, SeededRng(5, 2), mu)
+        ref = local_train(m, d, sgd, SeededRng(5, 2), mu)
+        rank = np.linalg.matrix_rank(f)
+        u, sv, _ = np.linalg.svd(f.T, full_matrices=False)
+        cond = sv[0] / sv[rank - 1]
+        tol = 1e-12 + 1e-15 * cond
+        assert np.abs(got.params - ref.params).max() <= tol * np.abs(ref.params).max()
+        # the first layer moved only inside the row span of the data
+        cut = dim * 8
+        step = (got.params[:cut] - m.params[:cut]).reshape(dim, 8)
+        span = u[:, :rank]
+        off_span = step - span @ (span.T @ step)
+        assert np.abs(off_span).max() <= tol * np.abs(step).max()
+
+    @pytest.mark.parametrize("rows, dim", [(40, 32), (880, 1024)])
+    def test_clients_the_rule_leaves_out_return_local_train_bytes(self, rows, dim, monkeypatch):
+        gen = SeededRng(3).generator()
+        d = labeled(gen.standard_normal((rows, dim)), 10, gen)
+        m = init_mlp((dim, 64, 64, 10), SeededRng(3, 1))
+        sgd = SgdConfig(0.01, 16, pass_steps(rows, 16, 2))
+        ref = local_train(m, d, sgd, SeededRng(3, 2), 0.5)
+        widths = widths_trained_on(monkeypatch)
+        got = fltrain._local_trainer(d, 64, 3, 2)(m, sgd, SeededRng(3, 2), 0.5)
+        assert widths == [dim]
+        assert got.params.tobytes() == ref.params.tobytes()
 
 
 class TestIidParity:
@@ -505,6 +607,33 @@ class TestNumericFailuresAndPurity:
             d.labels.setflags(write=False)
         result = run_algorithm(name, clients, probe, test, tiny_config(prox_mu=0.1))
         assert len(result.metrics) == 3
+
+    @pytest.mark.parametrize("name", ALGORITHM_NAMES)
+    def test_inputs_not_mutated_in_the_row_span(self, name, monkeypatch):
+        # 20-row 256-d clients take the row span in every training call;
+        # the data and the starting model are read-only and must come out
+        # with the same bytes
+        clients, probe, test = tiny_problem(dim=256, samples_per_client=20)
+        for d in [c.data for c in clients] + [probe, test]:
+            d.features.setflags(write=False)
+            d.labels.setflags(write=False)
+        before = [fields(c) for c in clients]
+        starts = []
+        real = fltrain.initial_model
+
+        def read_only_start(*args):
+            m = real(*args)
+            m.params.setflags(write=False)
+            starts.append((m, m.params.tobytes()))
+            return m
+
+        monkeypatch.setattr(fltrain, "initial_model", read_only_start)
+        widths = widths_trained_on(monkeypatch)
+        result = run_algorithm(name, clients, probe, test, tiny_config(prox_mu=0.1))
+        assert len(result.metrics) == 3
+        assert widths and max(widths) <= 40
+        assert [fields(c) for c in clients] == before
+        assert starts and all(m.params.tobytes() == b for m, b in starts)
 
     @pytest.mark.parametrize("name", ALGORITHM_NAMES)
     def test_divergence_names_the_training_round_without_warnings(self, name):

@@ -17,6 +17,8 @@ from hfldd.numkernel import (
     ridge_solver,
 )
 
+from helpers import conditioned
+
 
 class TestSeededRng:
     def test_same_pair_same_sequence(self):
@@ -144,15 +146,6 @@ class TestRidgeSolve:
             ridge_solve(np.eye(2), np.ones((3, 1)), 1.0)
 
 
-def conditioned(n, dim, cond, gen):
-    """An n x dim matrix whose singular values fall evenly in log scale from
-    1 to 1 / cond."""
-    k = min(n, dim)
-    u, _ = np.linalg.qr(gen.standard_normal((n, k)))
-    v, _ = np.linalg.qr(gen.standard_normal((dim, k)))
-    return (u * np.logspace(0, -np.log10(cond), k)) @ v.T
-
-
 class TestRowBasis:
     CASES = {
         "fewer-rows": lambda gen: gen.standard_normal((12, 40)),
@@ -167,21 +160,59 @@ class TestRowBasis:
     def test_coordinates_keep_the_gram_and_map_back(self, name, seed):
         gen = SeededRng(seed).generator()
         f = self.CASES[name](gen)
-        x, back = _row_basis(f)
+        basis = _row_basis(f)
+        x = basis.x
         rank = np.linalg.matrix_rank(f)
-        assert x.shape == (f.shape[0], rank) and x.flags.c_contiguous
+        assert x.shape == (f.shape[0], rank) and basis.rank == rank and x.flags.c_contiguous
         scale = np.max(np.abs(f))
         np.testing.assert_allclose(x @ x.T, f @ f.T, rtol=0, atol=1e-12 * scale**2)
         # A row outside the pivot set comes back through the inverse of the
         # pivot rows' factor, so it loses up to eps * cond(f).
-        sv = np.linalg.svd(f, compute_uv=False)
-        cond = sv[0] / sv[rank - 1] if rank else 1.0
-        tol = (1e-12 + 1e-15 * cond) * scale
-        np.testing.assert_allclose(back(x), f, rtol=0, atol=tol)
+        tol = (1e-12 + 1e-15 * self.cond(f, rank)) * scale
+        np.testing.assert_allclose(basis.back(x), f, rtol=0, atol=tol)
         w = gen.standard_normal((4, f.shape[0]))
         np.testing.assert_allclose(
-            back(w @ x), w @ f, rtol=0, atol=tol * np.abs(w).sum(axis=1).max()
+            basis.back(w @ x), w @ f, rtol=0, atol=tol * np.abs(w).sum(axis=1).max()
         )
+
+    @staticmethod
+    def cond(f, rank):
+        sv = np.linalg.svd(f, compute_uv=False)
+        return sv[0] / sv[rank - 1] if rank else 1.0
+
+    @pytest.mark.parametrize("name", CASES)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_weight_columns_project_and_lift(self, name, seed):
+        gen = SeededRng(seed).generator()
+        f = self.CASES[name](gen)
+        basis = _row_basis(f)
+        rank = basis.rank
+        cond = self.cond(f, rank)
+        a = gen.standard_normal((rank, 7))
+        w = gen.standard_normal((f.shape[1], 7))
+        # The basis comes from the Gram matrix, so it is orthonormal to about
+        # eps * cond(f)^2, as in Cholesky QR; training never relies on that
+        # (see fltrain._row_span_trainer).
+        tol = 1e-12 + 1e-15 * cond**2
+        lifted = basis.lift(a)
+        assert lifted.shape == w.shape
+        np.testing.assert_allclose(basis.project(lifted), a, rtol=0, atol=tol * np.linalg.norm(a))
+        # lift(project(w)) is the orthogonal projection of w onto the rows' span
+        u, _, _ = np.linalg.svd(f.T, full_matrices=False)
+        span = u[:, :rank]
+        np.testing.assert_allclose(
+            basis.lift(basis.project(w)), span @ (span.T @ w), rtol=0, atol=tol * np.linalg.norm(w)
+        )
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_basis_holds_no_copy_of_the_features(self, name):
+        f = self.CASES[name](SeededRng(0).generator())
+        basis = _row_basis(f)
+        assert basis.f is f
+        n = f.shape[0]
+        owned = basis.x.nbytes + basis.lead.nbytes
+        assert owned <= n * basis.rank * 8 + n * 8
+        assert not np.shares_memory(basis.x, f)
 
     def test_rows_too_large_to_square_rejected(self):
         with np.errstate(**QUIET), pytest.raises(DomainError, match="too large to square"):
