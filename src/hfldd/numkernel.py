@@ -136,21 +136,14 @@ class RowBasis:
         return self._solve((self.f @ w)[self.lead], 1)
 
     def lift(self, a: np.ndarray) -> np.ndarray:
-        """m^T a: the (dim, k) columns in the row span with coordinates a.
-
-        m^T a = b^T c1^-T a = f^T u, where u is c1^-T a on the pivot rows
-        and zero on the others.
-        """
-        u = np.zeros((self.f.shape[0], a.shape[1]))
-        u[self.lead] = self._solve(a, 0)
-        return self.f.T @ u
+        """m^T a: the (dim, k) columns in the row span with coordinates a."""
+        return self.back(a.T).T
 
     def back(self, s: np.ndarray) -> np.ndarray:
         """s m: the feature rows with coordinate rows s, back(x) = f.
 
-        This is lift(s^T)^T summed over the pivot rows alone, through a
-        gather that lives for the call: summing through all of f, as lift
-        does, would round `distill`'s support differently.
+        s m = s c1^-1 b, one triangular solve and one product with the pivot
+        rows b = f[lead], gathered for the call only.
         """
         return self._solve(s.T, 0).T @ self.f[self.lead]
 

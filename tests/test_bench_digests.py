@@ -24,7 +24,7 @@ PINNED = {
     ("crowd-250", "fedavg"): "5f22dab93601d3ab2cb683a247e21271127e16f8926d05c838e2cbc97ec79b0e",
     ("crowd-250", "hfldd"): "f7bdd7811a2e1ca90e62176380e3c3df1d8c7310f319a7feae3819a15df17c09",
     ("prox-seq", "fedprox"): "e20ce6d3daa1c998d290ff0c57e5249245ff9442539541cee172139ed40ab834",
-    ("prox-seq", "fedseq"): "f90a0e6f95aee1468b4cd6660aa096ed00b74258eba4f1cc0015f1b4722ca0d5",
+    ("prox-seq", "fedseq"): "b20dafe6f80def4ec2151c01ffcca587fe9a50e80d83aa74f3f4aca9bf1b499a",
 }
 
 

@@ -767,6 +767,28 @@ class TestRunCommand:
         assert len(outputs[0]) == 80 * 1024 * 8
         assert all(o == outputs[0] for o in outputs)
 
+    @pytest.mark.parametrize(
+        "given, first, seen",
+        [
+            ({}, "hfldd", "1 1 1"),
+            ({"OPENBLAS_NUM_THREADS": "2"}, "hfldd", "2 1 1"),
+            ({}, "numpy", "None None None"),
+        ],
+    )
+    def test_importing_hfldd_first_defaults_to_one_blas_thread(self, given, first, seen):
+        # `hfldd` and `python -m hfldd.cli` import the package before numpy
+        # loads OpenBLAS; a count the environment gives wins, and once numpy
+        # is loaded the variables would act too late and are left alone
+        names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(hfldd.__file__)))
+        env = {k: v for k, v in os.environ.items() if k not in names}
+        env.update(given, PYTHONPATH=src)
+        script = f"import {first}, hfldd, os; print(*(os.environ.get(v) for v in {names}))"
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, check=True, capture_output=True, timeout=60
+        )
+        assert out.stdout.decode().strip() == seen
+
     def test_manifest_loader_errors(self, tmp_path):
         missing = tmp_path / "absent.json"
         with pytest.raises(ManifestError):

@@ -593,6 +593,12 @@ def run_algorithm(name, clients, probe, test, cfg):
 
 
 ALGORITHM_NAMES = ["fedavg", "fedprox", "fedseq", "hfldd"]
+# tiny_problem arguments whose clients train directly or in the row span,
+# and a fedavg learning rate that keeps round 1 finite and diverges in round 2
+DIVERGING = {
+    "direct": ({}, 60.0),
+    "row-span": ({"dim": 256, "samples_per_client": 20}, 100.0),
+}
 
 
 class TestNumericFailuresAndPurity:
@@ -635,24 +641,33 @@ class TestNumericFailuresAndPurity:
         assert [fields(c) for c in clients] == before
         assert starts and all(m.params.tobytes() == b for m, b in starts)
 
+    @pytest.mark.parametrize("shape", DIVERGING)
     @pytest.mark.parametrize("name", ALGORITHM_NAMES)
-    def test_divergence_names_the_training_round_without_warnings(self, name):
-        clients, probe, test = tiny_problem()
+    def test_divergence_names_the_training_round_without_warnings(self, name, shape, monkeypatch):
+        clients, probe, test = tiny_problem(**DIVERGING[shape][0])
         cfg = tiny_config(learning_rate=1e200, prox_mu=0.1, pretrain_steps=0)
+        widths = widths_trained_on(monkeypatch)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with pytest.raises(StageError) as err:
                 run_algorithm(name, clients, probe, test, cfg)
+        # the call that diverged ran in the row span, or on the raw rows
+        assert (widths[-1] < clients[0].data.dim()) == (shape == "row-span")
         assert err.value.stage == "training"
         assert err.value.round_index == 1
         assert "round 1" in str(err.value) and "diverged" in str(err.value)
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
-    def test_divergence_in_a_later_round_names_that_round(self):
-        clients, _, test = tiny_problem()
+    @pytest.mark.parametrize("shape", DIVERGING)
+    def test_divergence_in_a_later_round_names_that_round(self, shape, monkeypatch):
+        problem, rate = DIVERGING[shape]
+        clients, _, test = tiny_problem(**problem)
+        widths = widths_trained_on(monkeypatch)
         # finite for a round, then the parameters blow up
         with pytest.raises(StageError) as err:
-            run_fedavg(clients, test, tiny_config(learning_rate=60.0, rounds=6))
+            run_fedavg(clients, test, tiny_config(learning_rate=rate, rounds=6))
+        # the call that diverged ran in the row span, or on the raw rows
+        assert (widths[-1] < clients[0].data.dim()) == (shape == "row-span")
         assert err.value.stage == "training"
         assert err.value.round_index == 2
 
@@ -687,12 +702,15 @@ class TestNumericFailuresAndPurity:
         assert err.value.round_index is None
         assert isinstance(err.value.cause, RuntimeError)
 
-    def test_pretraining_divergence_names_label_collection(self):
-        clients, probe, test = tiny_problem()
+    @pytest.mark.parametrize("shape", DIVERGING)
+    def test_pretraining_divergence_names_label_collection(self, shape, monkeypatch):
+        clients, probe, test = tiny_problem(**DIVERGING[shape][0])
+        widths = widths_trained_on(monkeypatch)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with pytest.raises(StageError) as err:
                 run_hfldd(clients, probe, test, tiny_config(learning_rate=1e200), TINY_KIP, 3)
+        assert (widths[-1] < clients[0].data.dim()) == (shape == "row-span")
         assert err.value.stage == "label-collection"
         assert "pretrained model" in str(err.value)
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
