@@ -9,13 +9,50 @@ re-derived from one experiment seed.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs, dpstrf, dtrtrs
 
-from .errors import DomainError, ShapeError, SingularMatrixError
+from .errors import DomainError, EmptyInputError, ShapeError, SingularMatrixError
+
+
+def _load_flapack():
+    """scipy's compiled LAPACK wrappers, without running `scipy.linalg`.
+
+    Importing `scipy.linalg` runs some 300 modules (about 0.15 s and 25 MB
+    of RSS on a 2-core x86 host) for the four routines used here, so the
+    `_flapack` extension is loaded from its file. It is registered under its own name, so `scipy.linalg`
+    imported before or after hfldd shares the one module, and its wrappers
+    are the objects `scipy.linalg.lapack` exports. The load is eager: pages
+    mapped at the first factorization would land on top of the heap that
+    the problem builds leave behind and raise the peak RSS.
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec("scipy")
+    if spec is None:
+        raise ImportError("hfldd needs scipy", name="scipy")
+    stem = os.path.join(spec.submodule_search_locations[0], "linalg", "_flapack")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        if os.path.isfile(stem + suffix):
+            break
+    else:
+        raise ImportError(f"scipy's LAPACK extension is missing: {stem}.*", name=name, path=stem)
+    loader = importlib.machinery.ExtensionFileLoader(name, stem + suffix)
+    module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
+    sys.modules[name] = module
+    loader.exec_module(module)
+    return module
+
+
+_flapack = _load_flapack()
+dpotrf, dpotrs, dpstrf, dtrtrs = _flapack.dpotrf, _flapack.dpotrs, _flapack.dpstrf, _flapack.dtrtrs
 
 _MASK64 = (1 << 64) - 1
 _TINY = float(np.finfo(np.float64).tiny)
@@ -218,10 +255,17 @@ def rbf_gamma(features) -> float:
     """Default kernel bandwidth: 1 / (2 * d * var) for feature matrix rows.
 
     `var` is the mean per-feature variance, floored so constant data still
-    yields a finite positive gamma.
+    yields a finite positive gamma. Features whose squares overflow have no
+    finite variance and are rejected.
     """
     x = as_matrix(features, "features")
+    if not x.size:
+        raise EmptyInputError(f"features must be non-empty, got shape {x.shape}")
     d = x.shape[1]
-    var = float(np.mean(np.var(x, axis=0)))
-    var = max(var, 1e-12)
-    return 1.0 / (2.0 * d * var)
+    with np.errstate(**QUIET):
+        var = float(np.mean(np.var(x, axis=0)))
+    gamma = 1.0 / (2.0 * d * max(var, 1e-12))
+    # An overflowed variance (inf or NaN) leaves gamma 0 or NaN.
+    if not gamma > 0.0:
+        raise DomainError("features are too large to square")
+    return gamma

@@ -1,10 +1,15 @@
-"""Every import in the package's modules is used.
+"""Every import in the package's modules is used, and only `numkernel`
+reaches scipy.
 
 A name a module imports but never reads is a leftover of an edit. The one
 exception is a binding that `bench/tracer.py` wraps by name: the tracer
 replaces `module.name` to time callers in that namespace, so the import is
 the site even where the module itself never reads it. `__init__.py` is left
 out, since its imports are the package's re-exports.
+
+`numkernel` loads scipy's LAPACK extension without importing `scipy.linalg`;
+any other module that imported or located scipy could pull that package
+back in, so the boundary is kept to the one module.
 """
 
 import ast
@@ -13,7 +18,8 @@ import pathlib
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
-MODULES = sorted(p for p in (ROOT / "src" / "hfldd").glob("*.py") if p.name != "__init__.py")
+PACKAGE = sorted((ROOT / "src" / "hfldd").glob("*.py"))
+MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
 
 
 def tracer_sites() -> set[tuple[str, str]]:
@@ -50,3 +56,38 @@ def test_the_check_sees_an_unused_import(tmp_path):
     module = tmp_path / "m.py"
     module.write_text("import os\nfrom a.b import c, d as e\n\nprint(c)\n", encoding="utf-8")
     assert unused_imports(module) == ["e", "os"]
+
+
+def scipy_lines(path: pathlib.Path) -> list[int]:
+    """Lines that import scipy or name a scipy module in a string."""
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names = [node.value]
+        else:
+            continue
+        if any(n == "scipy" or n.startswith("scipy.") for n in names):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_only_numkernel_reaches_scipy():
+    assert [p.stem for p in PACKAGE if scipy_lines(p)] == ["numkernel"]
+
+
+def test_the_check_sees_a_stray_scipy_import(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        '"""scipy is not used here."""\n'
+        "import scipyx\n"
+        "import scipy.linalg\n"
+        "from scipy import linalg\n"
+        "import importlib\n"
+        'importlib.import_module("scipy.linalg")\n',
+        encoding="utf-8",
+    )
+    assert scipy_lines(module) == [3, 4, 6]

@@ -1,11 +1,17 @@
 """Linear algebra and seeded randomness."""
 
+import os
+import subprocess
+import sys
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hfldd.errors import DomainError, ShapeError, SingularMatrixError
+import hfldd
+from hfldd.errors import DomainError, EmptyInputError, ShapeError, SingularMatrixError
 from hfldd.numkernel import (
     QUIET,
     SeededRng,
@@ -288,3 +294,75 @@ class TestRbfGamma:
     def test_constant_features_still_positive(self):
         g = rbf_gamma(np.zeros((5, 3)))
         assert np.isfinite(g) and g > 0.0
+
+    @pytest.mark.parametrize(
+        "features",
+        [[[1e200, 0.0], [-1e200, 0.0]], [[1e308, 0.0], [1e308, 0.0]], [[1e154], [-1e154]]],
+        ids=["squares", "sum", "variance-sum"],
+    )
+    @pytest.mark.parametrize("quiet", [False, True], ids=["warn", "quiet"])
+    def test_features_too_large_to_square_rejected(self, features, quiet):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with np.errstate(**(QUIET if quiet else {})):
+                with pytest.raises(DomainError, match="too large to square"):
+                    rbf_gamma(features)
+        assert caught == []
+
+    @pytest.mark.parametrize("shape", [(3, 0), (0, 3)])
+    def test_empty_features_rejected(self, shape):
+        with pytest.raises(EmptyInputError):
+            rbf_gamma(np.zeros(shape))
+
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(hfldd.__file__)))
+LAPACK = ("dpotrf", "dpotrs", "dpstrf", "dtrtrs")
+
+
+def run_python(code, *path):
+    """Run `code` in a fresh interpreter with `path` and the package's
+    sources first on its import path; returns its stdout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (*path, SRC, env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+class TestLapackLoader:
+    """numkernel takes its LAPACK routines from scipy's `_flapack` extension
+    without importing `scipy.linalg`."""
+
+    def test_cli_import_leaves_scipy_linalg_out(self):
+        out = run_python(
+            "import sys, hfldd.cli\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        )
+        assert out.split() == ["['scipy.linalg._flapack']"]
+
+    @pytest.mark.parametrize("first", ["hfldd.numkernel", "scipy.linalg.lapack"])
+    def test_same_wrappers_in_either_import_order(self, first):
+        out = run_python(
+            f"import sys, {first}\n"
+            "import numpy as np, scipy.linalg, scipy.linalg.lapack as lapack\n"
+            "from hfldd import numkernel\n"
+            f"print(all(getattr(numkernel, n) is getattr(lapack, n) for n in {LAPACK}))\n"
+            "print(lapack._flapack is sys.modules['scipy.linalg._flapack'])\n"
+            "c = scipy.linalg.cho_factor(np.array([[4.0, 0.0], [0.0, 9.0]]))\n"
+            "print(scipy.linalg.cho_solve(c, np.array([8.0, 18.0])).tolist())"
+        )
+        assert out.split("\n")[:3] == ["True", "True", "[2.0, 2.0]"]
+
+    def test_missing_extension_fails_at_import_naming_the_path(self, tmp_path):
+        (tmp_path / "scipy" / "linalg").mkdir(parents=True)
+        (tmp_path / "scipy" / "__init__.py").write_text("", encoding="utf-8")
+        out = run_python(
+            "try:\n"
+            "    import hfldd.numkernel\n"
+            "except ImportError as e:\n"
+            "    print(e)",
+            str(tmp_path),
+        )
+        assert out.strip() == f"scipy's LAPACK extension is missing: {tmp_path / 'scipy' / 'linalg' / '_flapack'}.*"
