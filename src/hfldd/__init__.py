@@ -63,7 +63,6 @@ from .model import MlpModel, SgdConfig, backward, forward, init_mlp, local_train
 from .numkernel import SeededRng, rbf_gamma, rbf_kernel, ridge_solve
 from .topology import (
     ClusterTopology,
-    SimilarityMatrix,
     build_similarity,
     cluster_sampling,
     elect_heads,

@@ -67,11 +67,6 @@ def pass_steps(n_rows: int, batch_size: int, passes: int) -> int:
     return passes * per_pass
 
 
-def _pass_schedule(cfg: RunConfig, d, batch_size: int, passes: int) -> SgdConfig:
-    """SGD over `passes` full passes of dataset d at the run's learning rate."""
-    return SgdConfig(cfg.learning_rate, batch_size, pass_steps(d.n_rows(), batch_size, passes))
-
-
 def _row_span_pays(n: int, dim: int, hidden: int, calls: int, passes: int) -> bool:
     """Whether `calls` trainings of `passes` passes each over n rows of dim
     features do fewer first-layer multiply-adds in the rows' span.
@@ -86,17 +81,20 @@ def _row_span_pays(n: int, dim: int, hidden: int, calls: int, passes: int) -> bo
     return saved > n * dim + n * n / 3 + calls * 2 * dim * hidden
 
 
-def _local_trainer(d: LabeledDataset, hidden: int, calls: int, passes: int):
-    """train(m, sgd, rng, mu) for client data d, to be called `calls` times
-    for `passes` passes each with a first layer `hidden` wide: the row-span
-    trainer where `_row_span_pays`, else `local_train` on d, bit for bit."""
+def _local_trainer(cfg: RunConfig, d: LabeledDataset, hidden: int, calls: int, batch: int, passes: int):
+    """train(m, rng, mu) for client data d: `passes` passes of `batch`-row SGD
+    at the run's learning rate, scheduled once here, to be called `calls`
+    times with a first layer `hidden` wide. It is the row-span trainer where
+    `_row_span_pays`, else `local_train` on d, bit for bit."""
+    sgd = SgdConfig(cfg.learning_rate, batch, pass_steps(d.n_rows(), batch, passes))
     if _row_span_pays(d.n_rows(), d.dim(), hidden, calls, passes):
-        return _row_span_trainer(d)
-    return lambda m, sgd, rng, mu=0.0: local_train(m, d, sgd, rng, mu)
+        return _row_span_trainer(d, sgd)
+    return lambda m, rng, mu=0.0: local_train(m, d, sgd, rng, mu)
 
 
-def _row_span_trainer(d: LabeledDataset):
-    """train(m, sgd, rng, mu): `local_train` on d, run in the row span of d.
+def _row_span_trainer(d: LabeledDataset, sgd: SgdConfig):
+    """train(m, rng, mu): `local_train` on d with schedule sgd, run in the
+    row span of d.
 
     Every first-layer update x^T delta lies in the row span of d, and so
     does FedProx's pull mu * (W1 - W0) while W1 - W0 does. With m the basis
@@ -109,7 +107,7 @@ def _row_span_trainer(d: LabeledDataset):
     basis = _row_basis(d.features)
     coords = LabeledDataset(basis.x, d.labels, d.class_count)
 
-    def train(m: MlpModel, sgd: SgdConfig, rng: SeededRng, mu: float = 0.0) -> MlpModel:
+    def train(m: MlpModel, rng: SeededRng, mu: float = 0.0) -> MlpModel:
         cut = m.sizes[0] * m.sizes[1]
         w1 = m.params[:cut].reshape(m.sizes[0], m.sizes[1])
         b0 = basis.project(w1)
@@ -253,7 +251,9 @@ def _model_bits(model: MlpModel, bits_per_param: int) -> int:
     return model.parameter_count() * bits_per_param
 
 
-def _check_clients(clients):
+def _check_clients(clients, test):
+    """The clients' shared (width, class count); the test set must share it
+    and hold rows."""
     if not clients:
         raise EmptyInputError("no clients")
     ids = [c.client_id for c in clients]
@@ -266,54 +266,79 @@ def _check_clients(clients):
             raise ShapeError(f"client {c.client_id} data dimensions differ from client {ids[0]}")
         if c.data.n_rows() == 0:
             raise EmptyInputError(f"client {c.client_id} has no data")
+    if test.dim() != dim or test.class_count != n_c:
+        raise ShapeError("test dimensions do not match client data")
+    if test.n_rows() == 0:
+        raise EmptyInputError("test set is empty")
     return dim, n_c
 
 
-def _parallel_rounds(
+def _rounds(
     clients,
     test,
     cfg: RunConfig,
     ledger: TransmissionLedger,
     bits_per_param: int,
+    groups,
     prox_mu: float = 0.0,
 ) -> tuple[list[RoundMetrics], MlpModel]:
-    """Shared engine: T rounds of broadcast, local steps, weighted averaging.
+    """The one round loop: T rounds in which groups of clients train the
+    global model and the server averages what the groups upload.
 
-    The first broadcast is free (the starting model is reproducible from the
-    seed); uploads happen every round and downloads from round 2 on, so total
-    model traffic is N * (2T - 1) transmissions. With prox_mu > 0 every local
-    gradient gains a pull toward the round's global model.
+    groups(t) lists round t's (holder, members). The holder fetches the
+    global model from round 2 on (the first broadcast is free: the starting
+    model is reproducible from the seed). The model is handed to each
+    member that is not the holder, and each member trains it in turn; the
+    last one to hold it uploads. Uploads are averaged weighted by their
+    groups' rows. A group per client, held by that client, is FedAvg:
+    N * (2T - 1) transmissions. With prox_mu > 0 every local gradient gains
+    a pull toward the model its trainer started from.
     """
-    dim, n_c = _check_clients(clients)
     with _stage("training"):
-        model = initial_model(cfg, dim, n_c)
-        trainers = [
-            _local_trainer(c.data, model.sizes[1], cfg.rounds, cfg.local_steps) for c in clients
-        ]
+        model = initial_model(cfg, clients[0].data.dim(), clients[0].data.class_count)
+        trainers = {
+            c.client_id: _local_trainer(
+                cfg, c.data, model.sizes[1], cfg.rounds, cfg.batch_size, cfg.local_steps
+            )
+            for c in clients
+        }
     bits = _model_bits(model, bits_per_param)
-    weights = [c.data.n_rows() for c in clients]
     out = []
     for t in range(1, cfg.rounds + 1):
         with _stage("training", t):
-            if t > 1:
-                for c in clients:
-                    ledger.record(t, "server", f"client-{c.client_id}", PAYLOAD_MODEL, bits)
-            local_models = []
-            for c, train in zip(clients, trainers):
-                sgd = _pass_schedule(cfg, c.data, cfg.batch_size, cfg.local_steps)
-                rng = SeededRng(cfg.seed, streams.train(t, c.client_id))
-                local_models.append(train(model, sgd, rng, prox_mu))
-                ledger.record(t, f"client-{c.client_id}", "server", PAYLOAD_MODEL, bits)
-            model = aggregate(local_models, weights)
+            uploads, weights = [], []
+            for holder, members in groups(t):
+                if t > 1:
+                    ledger.record(t, "server", holder, PAYLOAD_MODEL, bits)
+                m = model
+                for c in members:
+                    name = f"client-{c.client_id}"
+                    if holder != name:
+                        ledger.record(t, holder, name, PAYLOAD_MODEL, bits)
+                        holder = name
+                    rng = SeededRng(cfg.seed, streams.train(t, c.client_id))
+                    m = trainers[c.client_id](m, rng, prox_mu)
+                ledger.record(t, holder, "server", PAYLOAD_MODEL, bits)
+                uploads.append(m)
+                weights.append(sum(c.data.n_rows() for c in members))
+            model = aggregate(uploads, weights)
             _check_finite(model, "the global model")
             out.append(_round_metrics(t, model, test, clients, ledger))
     return out, model
 
 
+def _solo(clients):
+    """Every client as its own group, every round: FedAvg's groups."""
+    groups = [(f"client-{c.client_id}", [c]) for c in clients]
+    return lambda t: groups
+
+
 def run_fedavg(clients, test, cfg: RunConfig, bits_per_param: int = DEFAULT_BITS_PER_PARAM) -> RunResult:
     """Parallel training over all clients with sample-count weighting."""
+    clients = list(clients)
+    _check_clients(clients, test)
     ledger = TransmissionLedger()
-    metrics, model = _parallel_rounds(list(clients), test, cfg, ledger, bits_per_param)
+    metrics, model = _rounds(clients, test, cfg, ledger, bits_per_param, _solo(clients))
     return RunResult(metrics, ledger, model)
 
 
@@ -323,9 +348,11 @@ def run_fedprox(clients, test, cfg: RunConfig, bits_per_param: int = DEFAULT_BIT
     With prox_mu == 0 the proximal term is skipped entirely, so the run is
     bit-identical to run_fedavg.
     """
+    clients = list(clients)
+    _check_clients(clients, test)
     ledger = TransmissionLedger()
-    metrics, model = _parallel_rounds(
-        list(clients), test, cfg, ledger, bits_per_param, prox_mu=cfg.prox_mu
+    metrics, model = _rounds(
+        clients, test, cfg, ledger, bits_per_param, _solo(clients), prox_mu=cfg.prox_mu
     )
     return RunResult(metrics, ledger, model)
 
@@ -346,46 +373,26 @@ def run_fedseq_lite(
     the global model (from round 2 on), one delivery per member, one upload.
     """
     clients = list(clients)
-    dim, n_c = _check_clients(clients)
+    _check_clients(clients, test)
     n = len(clients)
+    if cluster_count < 1 or cluster_size < 1:
+        raise DomainError(f"cluster shape must be >= 1, got {cluster_count} x {cluster_size}")
     if cluster_count * cluster_size != n:
         raise CapacityError(
             f"cluster_count * cluster_size must equal client count "
             f"({cluster_count} * {cluster_size} != {n})"
         )
+
+    def chains(t):
+        perm = SeededRng(cfg.seed, streams.SEQ_PARTITION | t).generator().permutation(n)
+        return [
+            (f"seq-{o}", [clients[int(p)] for p in perm[o * cluster_size : (o + 1) * cluster_size]])
+            for o in range(cluster_count)
+        ]
+
     ledger = TransmissionLedger()
-    with _stage("training"):
-        model = initial_model(cfg, dim, n_c)
-        trainers = {
-            c.client_id: _local_trainer(c.data, model.sizes[1], cfg.rounds, cfg.local_steps)
-            for c in clients
-        }
-    bits = _model_bits(model, bits_per_param)
-    out = []
-    for t in range(1, cfg.rounds + 1):
-        with _stage("training", t):
-            perm = SeededRng(cfg.seed, streams.SEQ_PARTITION | t).generator().permutation(n)
-            cluster_models = []
-            cluster_weights = []
-            for o in range(cluster_count):
-                group = [clients[int(p)] for p in perm[o * cluster_size : (o + 1) * cluster_size]]
-                holder = f"seq-{o}"
-                if t > 1:
-                    ledger.record(t, "server", holder, PAYLOAD_MODEL, bits)
-                m = model
-                for c in group:
-                    ledger.record(t, holder, f"client-{c.client_id}", PAYLOAD_MODEL, bits)
-                    holder = f"client-{c.client_id}"
-                    sgd = _pass_schedule(cfg, c.data, cfg.batch_size, cfg.local_steps)
-                    rng = SeededRng(cfg.seed, streams.train(t, c.client_id))
-                    m = trainers[c.client_id](m, sgd, rng)
-                ledger.record(t, holder, "server", PAYLOAD_MODEL, bits)
-                cluster_models.append(m)
-                cluster_weights.append(sum(c.data.n_rows() for c in group))
-            model = aggregate(cluster_models, cluster_weights)
-            _check_finite(model, "the global model")
-            out.append(_round_metrics(t, model, test, clients, ledger))
-    return RunResult(out, ledger, model)
+    metrics, model = _rounds(clients, test, cfg, ledger, bits_per_param, chains)
+    return RunResult(metrics, ledger, model)
 
 
 def run_hfldd(
@@ -413,7 +420,7 @@ def run_hfldd(
     times DEFAULT_BITS_PER_FEATURE); the result records the price charged.
     """
     clients = list(clients)
-    dim, n_c = _check_clients(clients)
+    dim, n_c = _check_clients(clients, test)
     if len(clients) < 2:
         raise DomainError("the pipeline needs at least 2 clients")
     if probe.dim() != dim or probe.class_count != n_c:
@@ -429,10 +436,10 @@ def run_hfldd(
         soft = []
         soft_bits = probe.n_rows() * n_c * bits_per_param
         for c in clients:
-            pre_sgd = _pass_schedule(cfg, c.data, cfg.pretrain_batch, cfg.pretrain_steps)
-            pre_rng = SeededRng(cfg.seed, streams.PRETRAIN + c.client_id)
-            train = _local_trainer(c.data, model0.sizes[1], 1, cfg.pretrain_steps)
-            pre = train(model0, pre_sgd, pre_rng)
+            train = _local_trainer(
+                cfg, c.data, model0.sizes[1], 1, cfg.pretrain_batch, cfg.pretrain_steps
+            )
+            pre = train(model0, SeededRng(cfg.seed, streams.PRETRAIN + c.client_id))
             _check_finite(pre, f"client {c.client_id}'s pretrained model")
             soft.append(soft_labels(pre, probe))
             ledger.record(0, f"client-{c.client_id}", "server", PAYLOAD_SOFT_LABELS, soft_bits)
@@ -480,10 +487,10 @@ def run_hfldd(
             head_states.append(ClientState(head_id, hybrid))
             head_data[head_id] = hybrid
 
-    # Stage 4: head-only training, identical in structure to run_fedavg over
-    # the head clients (and over the same rng streams).
+    # Stage 4: head-only training, identical to run_fedavg over the head
+    # clients (and over the same rng streams).
     with _stage("training"):
-        metrics, model = _parallel_rounds(head_states, test, cfg, ledger, bits_per_param)
+        metrics, model = _rounds(head_states, test, cfg, ledger, bits_per_param, _solo(head_states))
     return RunResult(
         metrics,
         ledger,

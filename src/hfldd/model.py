@@ -261,6 +261,8 @@ def accuracy(m: MlpModel, d) -> float:
     """Top-1 accuracy against the argmax of the label rows."""
     if d.n_rows() == 0:
         raise EmptyInputError("cannot evaluate on an empty dataset")
+    if d.labels.shape[1] != m.sizes[-1]:
+        raise ShapeError(f"label dim {d.labels.shape[1]} != model output {m.sizes[-1]}")
     pred = np.argmax(forward(m, d.features), axis=1)
     truth = np.argmax(d.labels, axis=1)
     return float(np.mean(pred == truth))

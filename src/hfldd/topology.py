@@ -37,30 +37,11 @@ def kl_divergence(si, sj) -> float:
     return max(float(t.sum() / si.shape[0]), 0.0)
 
 
-@dataclass
-class SimilarityMatrix:
-    """Pairwise divergence matrix; zero diagonal, nonnegative entries."""
-
-    m: np.ndarray
-
-    def __post_init__(self):
-        self.m = as_matrix(self.m, "m")
-        if self.m.shape[0] != self.m.shape[1]:
-            raise ShapeError(f"similarity matrix must be square, got {self.m.shape}")
-        if np.any(np.diag(self.m) != 0.0):
-            raise DomainError("similarity diagonal must be exactly zero")
-        if np.any(self.m < 0.0):
-            raise DomainError("similarity entries must be nonnegative")
-
-    def n_clients(self) -> int:
-        return self.m.shape[0]
-
-
-def build_similarity(soft_label_list) -> SimilarityMatrix:
+def build_similarity(soft_label_list) -> np.ndarray:
     """Full pairwise divergence matrix over per-client soft labels.
 
-    Entry (i, j) is kl_divergence(S_i, S_j); the matrix is intentionally not
-    symmetrized.
+    Entry (i, j) is kl_divergence(S_i, S_j), so the diagonal is zero and
+    every entry nonnegative; the matrix is intentionally not symmetrized.
     """
     mats = [as_matrix(s, f"soft labels of client {i}") for i, s in enumerate(soft_label_list)]
     n = len(mats)
@@ -77,7 +58,7 @@ def build_similarity(soft_label_list) -> SimilarityMatrix:
         for j in range(n):
             if i != j:
                 m[i, j] = kl_divergence(mats[i], mats[j])
-    return SimilarityMatrix(m)
+    return m
 
 
 def _sq_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -142,21 +123,25 @@ def _lloyd(points: np.ndarray, k: int, gen: np.random.Generator, max_iters: int)
 
 
 def kmeans_rows(
-    m: SimilarityMatrix, k: int, rng: SeededRng, max_iters: int = DEFAULT_KMEANS_ITERS
+    m, k: int, rng: SeededRng, max_iters: int = DEFAULT_KMEANS_ITERS
 ) -> list[tuple[int, ...]]:
-    """Cluster clients by treating each similarity-matrix row as a point.
+    """Cluster clients by treating each row of the finite square similarity
+    matrix m as a point.
 
     Returns k non-empty clusters of client indices, each sorted ascending,
     ordered by centroid index; deterministic for a fixed rng.
     """
-    n = m.n_clients()
+    m = as_matrix(m, "similarity matrix")
+    n = m.shape[0]
+    if m.shape[1] != n:
+        raise ShapeError(f"similarity matrix must be square, got {m.shape}")
     if k > n:
         raise CapacityError(f"k={k} exceeds client count {n}")
     if k < 2:
         raise DomainError(f"k must be at least 2, got {k}")
     if max_iters < 1:
         raise DomainError(f"max_iters must be >= 1, got {max_iters}")
-    labels, _ = _lloyd(m.m, k, rng.generator(), max_iters)
+    labels, _ = _lloyd(m, k, rng.generator(), max_iters)
     return [tuple(int(i) for i in np.flatnonzero(labels == c)) for c in range(k)]
 
 

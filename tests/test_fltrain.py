@@ -9,6 +9,7 @@ exact traffic accounting, determinism, and algorithm equivalences.
 import importlib
 import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -34,7 +35,15 @@ from hfldd.fltrain import (
     run_fedseq_lite,
     run_hfldd,
 )
-from hfldd.metrics import CostModel, cost_fedavg, cost_fedseq, cost_hfldd
+from hfldd.metrics import (
+    PAYLOAD_DISTILLED,
+    PAYLOAD_MODEL,
+    PAYLOAD_SOFT_LABELS,
+    CostModel,
+    cost_fedavg,
+    cost_fedseq,
+    cost_hfldd,
+)
 from hfldd.model import (
     MlpModel,
     SgdConfig,
@@ -344,6 +353,26 @@ class TestRunFedseqLite:
         with pytest.raises(CapacityError):
             run_fedseq_lite(clients, test, tiny_config(), 4, 2)
 
+    @pytest.mark.parametrize("shape", [(-2, -3), (-1, -6), (0, 6), (6, 0)])
+    def test_cluster_shape_below_one_rejected_at_entry(self, shape, monkeypatch):
+        # (-2, -3) multiplies out to the 6 clients, so only the sign check
+        # stops it before a round with no chains to aggregate
+        clients, _, test = tiny_problem()
+        widths = widths_trained_on(monkeypatch)
+        with pytest.raises(DomainError, match=">= 1"):
+            run_fedseq_lite(clients, test, tiny_config(), *shape)
+        assert widths == []
+
+    def test_client_and_test_errors_come_before_the_cluster_shape(self):
+        clients, _, test = tiny_problem()
+        with pytest.raises(EmptyInputError):
+            run_fedseq_lite([], test, tiny_config(), -2, -3)
+        narrow = LabeledDataset(np.zeros((4, 9)), one_hot([0, 1, 2, 3], 4), 4)
+        with pytest.raises(ShapeError):
+            run_fedseq_lite(clients, narrow, tiny_config(), -2, -3)
+        with pytest.raises(ShapeError):
+            run_fedseq_lite(clients, narrow, tiny_config(), 4, 2)
+
 
 class TestRunHfldd:
     def run_tiny(self, **overrides):
@@ -502,7 +531,8 @@ class TestRowSpanTraining:
         sgd = SgdConfig(0.05, batch, pass_steps(160, batch, passes))
         ref = local_train(m, d, sgd, SeededRng(11, 2), mu)
         widths = widths_trained_on(monkeypatch)
-        got = fltrain._local_trainer(d, 64, calls, passes)(m, sgd, SeededRng(11, 2), mu)
+        cfg = tiny_config(learning_rate=0.05)
+        got = fltrain._local_trainer(cfg, d, 64, calls, batch, passes)(m, SeededRng(11, 2), mu)
         assert widths == [160]
         assert m.params.tobytes() == before
         assert got.sizes == ref.sizes
@@ -524,7 +554,7 @@ class TestRowSpanTraining:
         dim = f.shape[1]
         m = init_mlp((dim, 8, 3), SeededRng(5, 1))
         sgd = SgdConfig(0.2, 4, 24)
-        got = fltrain._row_span_trainer(d)(m, sgd, SeededRng(5, 2), mu)
+        got = fltrain._row_span_trainer(d, sgd)(m, SeededRng(5, 2), mu)
         ref = local_train(m, d, sgd, SeededRng(5, 2), mu)
         rank = np.linalg.matrix_rank(f)
         u, sv, _ = np.linalg.svd(f.T, full_matrices=False)
@@ -546,7 +576,8 @@ class TestRowSpanTraining:
         sgd = SgdConfig(0.01, 16, pass_steps(rows, 16, 2))
         ref = local_train(m, d, sgd, SeededRng(3, 2), 0.5)
         widths = widths_trained_on(monkeypatch)
-        got = fltrain._local_trainer(d, 64, 3, 2)(m, sgd, SeededRng(3, 2), 0.5)
+        cfg = tiny_config(learning_rate=0.01)
+        got = fltrain._local_trainer(cfg, d, 64, 3, 16, 2)(m, SeededRng(3, 2), 0.5)
         assert widths == [dim]
         assert got.params.tobytes() == ref.params.tobytes()
 
@@ -599,6 +630,88 @@ DIVERGING = {
     "direct": ({}, 60.0),
     "row-span": ({"dim": 256, "samples_per_client": 20}, 100.0),
 }
+
+
+# test sets that disagree with tiny_problem's 8-d, 4-class clients
+MISMATCHED_TESTS = {
+    "width": lambda: LabeledDataset(np.zeros((4, 9)), one_hot([0, 1, 2, 3], 4), 4),
+    "classes": lambda: LabeledDataset(np.zeros((5, 8)), one_hot([0, 1, 2, 3, 4], 5), 5),
+    "fewer-classes": lambda: LabeledDataset(np.zeros((3, 8)), one_hot([0, 1, 2], 3), 3),
+}
+
+
+class TestEntryChecks:
+    @pytest.mark.parametrize("bad", MISMATCHED_TESTS)
+    @pytest.mark.parametrize("name", ALGORITHM_NAMES)
+    def test_mismatched_test_set_rejected_before_training(self, name, bad, monkeypatch):
+        clients, probe, _ = tiny_problem()
+        widths = widths_trained_on(monkeypatch)
+        with pytest.raises(ShapeError, match="test dimensions"):
+            run_algorithm(name, clients, probe, MISMATCHED_TESTS[bad](), tiny_config())
+        assert widths == []
+
+    @pytest.mark.parametrize("name", ALGORITHM_NAMES)
+    def test_empty_test_set_rejected_before_training(self, name, monkeypatch):
+        clients, probe, _ = tiny_problem()
+        widths = widths_trained_on(monkeypatch)
+        empty = LabeledDataset(np.zeros((0, 8)), np.zeros((0, 4)), 4)
+        with pytest.raises(EmptyInputError, match="test set is empty"):
+            run_algorithm(name, clients, probe, empty, tiny_config())
+        assert widths == []
+
+
+def logged_traffic(ledger):
+    """Round -> multiset of (sender, receiver, kind, bits) in the ledger."""
+    out = {}
+    for e in ledger.events:
+        out.setdefault(e.round_index, Counter())[(e.sender, e.receiver, e.kind, e.bits)] += 1
+    return out
+
+
+def expected_traffic(name, clients, probe, cfg, result):
+    """Round -> the multiset each algorithm's protocol prescribes: every
+    trainer uploads, fetches from round 2 on, and fedseq's chains relay the
+    model from member to member; hfldd adds round 0's soft labels and
+    distilled sets, then trains its heads like fedavg."""
+    bits = result.final_model.parameter_count() * 32
+    trainers = [f"client-{c.client_id}" for c in clients]
+    out = {}
+    if name == "hfldd":
+        topo = result.topology
+        soft = probe.n_rows() * clients[0].data.class_count * 32
+        distilled = TINY_KIP.support_size * clients[0].data.dim() * 64
+        out[0] = Counter([(c, "server", PAYLOAD_SOFT_LABELS, soft) for c in trainers])
+        for cluster, head in zip(topo.heterogeneous, topo.heads):
+            for member in cluster:
+                if member != head:
+                    out[0][(f"client-{member}", f"client-{head}", PAYLOAD_DISTILLED, distilled)] += 1
+        trainers = [f"client-{h}" for h in topo.heads]
+    for t in range(1, cfg.rounds + 1):
+        if name == "fedseq":
+            # run_algorithm runs fedseq as 2 chains of 3 over the 6 clients
+            perm = SeededRng(cfg.seed, streams.SEQ_PARTITION | t).generator().permutation(6)
+            chains = [
+                [f"seq-{o}"] + [f"client-{clients[p].client_id}" for p in perm[3 * o : 3 * o + 3]]
+                for o in range(2)
+            ]
+        else:
+            chains = [[c] for c in trainers]
+        events = []
+        for chain in chains:
+            if t > 1:
+                events.append(("server", chain[0]))
+            events += list(zip(chain, chain[1:])) + [(chain[-1], "server")]
+        out[t] = Counter((a, b, PAYLOAD_MODEL, bits) for a, b in events)
+    return out
+
+
+class TestTrafficPattern:
+    @pytest.mark.parametrize("name", ALGORITHM_NAMES)
+    def test_each_round_logs_the_protocol_transmissions(self, name):
+        clients, probe, test = tiny_problem()
+        cfg = tiny_config(prox_mu=0.1)
+        result = run_algorithm(name, clients, probe, test, cfg)
+        assert logged_traffic(result.ledger) == expected_traffic(name, clients, probe, cfg, result)
 
 
 class TestNumericFailuresAndPurity:

@@ -400,3 +400,11 @@ class TestLossAndAccuracy:
         assert accuracy(m, d) == 1.0
         wrong = MlpModel((3, 3), np.concatenate([-np.eye(3).ravel() * 5.0, np.zeros(3)]))
         assert accuracy(wrong, d) < 1.0
+
+    def test_accuracy_rejects_labels_of_another_width(self):
+        # 4-class labels against a 3-class model: argmax over 4 columns
+        # would score the rows anyway
+        gen = SeededRng(2).generator()
+        d = LabeledDataset(gen.standard_normal((10, 8)), one_hot(gen.integers(0, 4, 10), 4), 4)
+        with pytest.raises(ShapeError):
+            accuracy(init_mlp((8, 5, 3), SeededRng(2, 1)), d)

@@ -12,7 +12,6 @@ from hfldd.errors import CapacityError, DomainError, EmptyInputError, ShapeError
 from hfldd.numkernel import SeededRng
 from hfldd.topology import (
     ClusterTopology,
-    SimilarityMatrix,
     build_similarity,
     build_topology,
     cluster_sampling,
@@ -74,27 +73,19 @@ class TestKlDivergence:
 
 
 class TestSimilarityMatrix:
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            SimilarityMatrix(np.array([[1.0, 0.5], [0.5, 0.0]]))
-        with pytest.raises(DomainError):
-            SimilarityMatrix(np.array([[0.0, -0.5], [0.5, 0.0]]))
-        with pytest.raises(ShapeError):
-            SimilarityMatrix(np.zeros((2, 3)))
-
     def test_build_has_zero_diagonal(self):
         gen = SeededRng(1, 0).generator()
         soft = [stochastic_rows(gen, 5, 3) for _ in range(4)]
         sim = build_similarity(soft)
-        assert sim.n_clients() == 4
-        assert np.array_equal(np.diag(sim.m), np.zeros(4))
-        assert np.all(sim.m >= 0.0)
+        assert sim.shape == (4, 4)
+        assert np.array_equal(np.diag(sim), np.zeros(4))
+        assert np.all(sim >= 0.0)
 
     def test_build_not_symmetrized(self):
         a = np.array([[0.5, 0.5]])
         b = np.array([[0.25, 0.75]])
         sim = build_similarity([a, b])
-        assert sim.m[0, 1] != sim.m[1, 0]
+        assert sim[0, 1] != sim[1, 0]
 
     def test_build_input_checks(self):
         with pytest.raises(DomainError):
@@ -113,7 +104,7 @@ def blocky_similarity(groups, gap=10.0, jitter=0.01, seed=0):
             for j in g:
                 m[i, j] = 0.0 if i == j else jitter * (1 + gen.uniform())
     np.fill_diagonal(m, 0.0)
-    return SimilarityMatrix(m)
+    return m
 
 
 class TestKmeansRows:
@@ -165,6 +156,16 @@ class TestKmeansRows:
             kmeans_rows(sim, 1, SeededRng(0, 0))
         with pytest.raises(DomainError):
             kmeans_rows(sim, 2, SeededRng(0, 0), max_iters=0)
+
+    def test_matrix_must_be_finite_and_square(self):
+        with pytest.raises(ShapeError):
+            kmeans_rows(np.zeros((2, 3)), 2, SeededRng(0, 0))
+        with pytest.raises(ShapeError):
+            kmeans_rows(np.zeros(4), 2, SeededRng(0, 0))
+        sim = blocky_similarity([(0, 1), (2, 3)])
+        sim[1, 2] = np.nan
+        with pytest.raises(DomainError):
+            kmeans_rows(sim, 2, SeededRng(0, 0))
 
 
 class TestClusterSampling:
