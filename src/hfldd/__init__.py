@@ -4,19 +4,6 @@ calculators."""
 
 __version__ = "0.1.0"
 
-import os
-import sys
-
-# One BLAS thread unless the environment sets a count. The products here are
-# small (16-row batches, row-span steps a few hundred wide); on two threads
-# OpenBLAS wakes its idle thread for each larger GEMM between them, which
-# costs more than the thread gains. The variables are read when numpy
-# loads, so they are set only where hfldd is imported first, as by the
-# `hfldd` command and `python -m hfldd.cli`.
-if "numpy" not in sys.modules:
-    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(_var, "1")
-
 from .datagen import (
     LabeledDataset,
     PartitionSpec,

@@ -55,7 +55,7 @@ from .metrics import (
     cost_hfldd,
     ledger_audit,
 )
-from .numkernel import SeededRng
+from .numkernel import BLAS_THREADS, SeededRng
 
 MANIFEST_SCHEMA = "hfldd-run-manifest-v1"
 
@@ -440,6 +440,8 @@ def cmd_run(args) -> int:
             "git_describe": _git_describe(),
             "package_version": __version__,
             "model_params": model_params,
+            # 1 when every stage pinned both OpenBLAS builds, numpy's and scipy's.
+            "blas_threads": 1 if len(BLAS_THREADS) == 2 else "unmanaged",
         }
         for name, text in (
             ("metrics.csv", _metrics_csv(result.metrics)),

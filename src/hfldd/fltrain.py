@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -28,6 +29,7 @@ from .errors import (
     StageError,
 )
 from .metrics import (
+    COUNT_LIMIT,
     DEFAULT_BITS_PER_FEATURE,
     DEFAULT_BITS_PER_PARAM,
     PAYLOAD_DISTILLED,
@@ -46,7 +48,7 @@ from .model import (
     sgd_step,  # noqa: F401
     soft_labels,
 )
-from .numkernel import QUIET, SeededRng, _row_basis, rbf_gamma
+from .numkernel import BLAS_THREADS, QUIET, SeededRng, _row_basis, rbf_gamma
 from .topology import ClusterTopology, build_topology
 
 # bench/tracer.py wraps `backward`, `sgd_step` and `_prox_local_train` in this
@@ -236,8 +238,13 @@ def _check_finite(model: MlpModel, what: str) -> None:
 
 @contextmanager
 def _stage(name: str, round_index: int | None = None):
-    """Run one stage, or one training round, with numpy's QUIET warnings off; any
-    failure inside is a StageError naming it, unless a nested stage named it."""
+    """Run one stage, or one training round, with numpy's QUIET warnings off
+    and each OpenBLAS build on one thread, the faster setting for these small
+    products; the caller's counts come back after. Any failure inside is a
+    StageError naming the stage, unless a nested stage named it."""
+    saved = [(put, get()) for get, put in BLAS_THREADS]
+    for put, _ in saved:
+        put(1)
     with np.errstate(**QUIET):
         try:
             yield
@@ -245,6 +252,16 @@ def _stage(name: str, round_index: int | None = None):
             raise
         except Exception as e:
             raise StageError(name, e, round_index) from e
+        finally:
+            for put, n in saved:
+                put(n)
+
+
+def _check_bits(name: str, bits) -> None:
+    """A bit price is an integer in [1, 2^63), checked before any training
+    so that a bad one fails at entry, not in the ledger or the audit."""
+    if isinstance(bits, bool) or not isinstance(bits, Integral) or not 1 <= bits < COUNT_LIMIT:
+        raise DomainError(f"{name} must be an integer in [1, 2^63), got {bits!r}")
 
 
 def _model_bits(model: MlpModel, bits_per_param: int) -> int:
@@ -337,6 +354,7 @@ def run_fedavg(clients, test, cfg: RunConfig, bits_per_param: int = DEFAULT_BITS
     """Parallel training over all clients with sample-count weighting."""
     clients = list(clients)
     _check_clients(clients, test)
+    _check_bits("bits_per_param", bits_per_param)
     ledger = TransmissionLedger()
     metrics, model = _rounds(clients, test, cfg, ledger, bits_per_param, _solo(clients))
     return RunResult(metrics, ledger, model)
@@ -350,6 +368,7 @@ def run_fedprox(clients, test, cfg: RunConfig, bits_per_param: int = DEFAULT_BIT
     """
     clients = list(clients)
     _check_clients(clients, test)
+    _check_bits("bits_per_param", bits_per_param)
     ledger = TransmissionLedger()
     metrics, model = _rounds(
         clients, test, cfg, ledger, bits_per_param, _solo(clients), prox_mu=cfg.prox_mu
@@ -374,6 +393,7 @@ def run_fedseq_lite(
     """
     clients = list(clients)
     _check_clients(clients, test)
+    _check_bits("bits_per_param", bits_per_param)
     n = len(clients)
     if cluster_count < 1 or cluster_size < 1:
         raise DomainError(f"cluster shape must be >= 1, got {cluster_count} x {cluster_size}")
@@ -425,8 +445,10 @@ def run_hfldd(
         raise DomainError("the pipeline needs at least 2 clients")
     if probe.dim() != dim or probe.class_count != n_c:
         raise ShapeError("probe dimensions do not match client data")
+    _check_bits("bits_per_param", bits_per_param)
     if bits_per_sample is None:
         bits_per_sample = dim * DEFAULT_BITS_PER_FEATURE
+    _check_bits("bits_per_sample", bits_per_sample)
     ledger = TransmissionLedger()
     by_id = {c.client_id: c for c in clients}
 

@@ -9,6 +9,7 @@ re-derived from one experiment seed.
 
 from __future__ import annotations
 
+import ctypes
 import importlib.machinery
 import importlib.util
 import math
@@ -53,6 +54,18 @@ def _load_flapack():
 
 _flapack = _load_flapack()
 dpotrf, dpotrs, dpstrf, dtrtrs = _flapack.dpotrf, _flapack.dpotrs, _flapack.dpstrf, _flapack.dtrtrs
+
+# Each OpenBLAS build's thread-count (get, set): numpy's runs the GEMMs and
+# scipy's the LAPACK routines. A handle on an extension's file also searches
+# its dependencies; a build that exports neither pair stays unpinned.
+_GET, _SET = ctypes.CFUNCTYPE(ctypes.c_int), ctypes.CFUNCTYPE(None, ctypes.c_int)
+BLAS_THREADS = [
+    (_GET((get, lib)), _SET((put, lib)))
+    for lib in map(ctypes.CDLL, (np._core._multiarray_umath.__file__, _flapack.__file__))
+    for get, put in (("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+                     ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"))
+    if hasattr(lib, get) and hasattr(lib, put)
+]
 
 _MASK64 = (1 << 64) - 1
 _TINY = float(np.finfo(np.float64).tiny)

@@ -75,8 +75,9 @@ def _sq_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return out
 
 
-def _lloyd(points: np.ndarray, k: int, gen: np.random.Generator, max_iters: int):
-    """K-Means with k-means++ seeding; returns (labels, objective trace).
+def _lloyd(points: np.ndarray, k: int, gen: np.random.Generator):
+    """K-Means with k-means++ seeding and at most DEFAULT_KMEANS_ITERS Lloyd
+    steps; returns (labels, objective trace).
 
     Empty clusters are repaired by handing them the point farthest from its
     assigned centroid (the donor cluster must keep at least one point); the
@@ -98,7 +99,7 @@ def _lloyd(points: np.ndarray, k: int, gen: np.random.Generator, max_iters: int)
 
     labels = np.full(n, -1, dtype=np.intp)
     trace = []
-    for _ in range(max_iters):
+    for _ in range(DEFAULT_KMEANS_ITERS):
         dist2 = _sq_distances(points, centers)
         new_labels = np.argmin(dist2, axis=1)
         point_d2 = dist2[np.arange(n), new_labels]
@@ -122,9 +123,7 @@ def _lloyd(points: np.ndarray, k: int, gen: np.random.Generator, max_iters: int)
     return labels, trace
 
 
-def kmeans_rows(
-    m, k: int, rng: SeededRng, max_iters: int = DEFAULT_KMEANS_ITERS
-) -> list[tuple[int, ...]]:
+def kmeans_rows(m, k: int, rng: SeededRng) -> list[tuple[int, ...]]:
     """Cluster clients by treating each row of the finite square similarity
     matrix m as a point.
 
@@ -139,9 +138,7 @@ def kmeans_rows(
         raise CapacityError(f"k={k} exceeds client count {n}")
     if k < 2:
         raise DomainError(f"k must be at least 2, got {k}")
-    if max_iters < 1:
-        raise DomainError(f"max_iters must be >= 1, got {max_iters}")
-    labels, _ = _lloyd(m, k, rng.generator(), max_iters)
+    labels, _ = _lloyd(m, k, rng.generator())
     return [tuple(int(i) for i in np.flatnonzero(labels == c)) for c in range(k)]
 
 

@@ -767,28 +767,6 @@ class TestRunCommand:
         assert len(outputs[0]) == 80 * 1024 * 8
         assert all(o == outputs[0] for o in outputs)
 
-    @pytest.mark.parametrize(
-        "given, first, seen",
-        [
-            ({}, "hfldd", "1 1 1"),
-            ({"OPENBLAS_NUM_THREADS": "2"}, "hfldd", "2 1 1"),
-            ({}, "numpy", "None None None"),
-        ],
-    )
-    def test_importing_hfldd_first_defaults_to_one_blas_thread(self, given, first, seen):
-        # `hfldd` and `python -m hfldd.cli` import the package before numpy
-        # loads OpenBLAS; a count the environment gives wins, and once numpy
-        # is loaded the variables would act too late and are left alone
-        names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-        src = os.path.dirname(os.path.dirname(os.path.abspath(hfldd.__file__)))
-        env = {k: v for k, v in os.environ.items() if k not in names}
-        env.update(given, PYTHONPATH=src)
-        script = f"import {first}, hfldd, os; print(*(os.environ.get(v) for v in {names}))"
-        out = subprocess.run(
-            [sys.executable, "-c", script], env=env, check=True, capture_output=True, timeout=60
-        )
-        assert out.stdout.decode().strip() == seen
-
     def test_manifest_loader_errors(self, tmp_path):
         missing = tmp_path / "absent.json"
         with pytest.raises(ManifestError):
@@ -811,6 +789,100 @@ class TestRunCommand:
             bad_echo.write_text(json.dumps(doc), encoding="utf-8")
             with pytest.raises(ManifestError):
                 load_manifest(str(bad_echo))
+
+
+# Runs an hfldd config three times from a caller that imported numpy first:
+# as given, with distill failing inside its stage, and with the control table
+# emptied. Both OpenBLAS getters are read where the stages call the wrapped
+# functions, and before and after each run; prints them as JSON.
+PIN_SCRIPT = """
+import json, sys
+import numpy
+from hfldd import cli, fltrain, numkernel
+
+cfg, out = sys.argv[1:]
+getters = [get for get, _ in numkernel.BLAS_THREADS]
+seen, fail = {}, []
+
+def read():
+    return [get() for get in getters]
+
+def watch(name, f, key=None):
+    def wrapped(*a, **kw):
+        seen.setdefault(key(*a) if key else name, []).append(read())
+        if fail and name == "distill":
+            raise RuntimeError("injected")
+        return f(*a, **kw)
+    return wrapped
+
+cli._build_problem = watch("build", cli._build_problem)
+fltrain.soft_labels = watch("soft_labels", fltrain.soft_labels)
+fltrain.local_train = watch("local_train", fltrain.local_train)
+fltrain.build_topology = watch("build_topology", fltrain.build_topology)
+fltrain.distill = watch("distill", fltrain.distill)
+fltrain._round_metrics = watch("round", fltrain._round_metrics, key=lambda t, *a: f"round {t}")
+report = {"before": read()}
+report["exit"] = cli.main(["run", cfg, "--out", out + "/pinned"])
+report["after"], report["seen"], seen = read(), seen, {}
+fail.append(1)
+report["failed_exit"] = cli.main(["run", cfg, "--out", out + "/failed"])
+report["after_failure"] = read()
+fail.clear()
+numkernel.BLAS_THREADS.clear()
+report["unmanaged_exit"] = cli.main(["run", cfg, "--out", out + "/unmanaged"])
+print(json.dumps(report))
+"""
+
+
+class TestBlasThreadPin:
+    """Every run stage pins both OpenBLAS builds, numpy's and scipy's, to one
+    thread and hands the caller's counts back, whatever was imported first."""
+
+    ROUNDS = 3
+
+    @pytest.fixture(scope="class")
+    def runs(self, tmp_path_factory):
+        """{threads: (report, out dir)} for each OPENBLAS_NUM_THREADS that
+        run_per_blas_thread_count sets, 2 last on a multi-core host."""
+        tmp = tmp_path_factory.mktemp("pin")
+        # 20-row 256-d clients train in their rows' span
+        text = config_text(tmp / "unused", algorithm="hfldd", dim=256, rounds=self.ROUNDS)
+        cfg = write_config(tmp, "pin.ini", text)
+        out = lambda threads: tmp / f"t{threads}"
+        stdout = run_per_blas_thread_count(lambda threads: ["-c", PIN_SCRIPT, cfg, str(out(threads))])
+        return {t: (json.loads(raw.splitlines()[-1]), out(t)) for t, raw in stdout.items()}
+
+    def test_every_stage_reads_one_thread_on_both_builds(self, runs):
+        report, _ = runs[max(runs)]
+        assert report["exit"] == 0
+        seen = report["seen"]
+        rounds = [f"round {t}" for t in range(1, self.ROUNDS + 1)]
+        assert sorted(seen) == sorted(
+            ["build", "soft_labels", "build_topology", "distill", "local_train", *rounds]
+        )
+        assert all(reading == [1, 1] for readings in seen.values() for reading in readings)
+
+    def test_caller_counts_come_back_after_a_run_and_a_failed_one(self, runs):
+        threads = max(runs)
+        report, out = runs[threads]
+        assert report["before"] == [threads, threads]
+        assert report["after"] == report["before"]
+        assert report["failed_exit"] == 3
+        assert not (out / "failed").exists()
+        assert report["after_failure"] == report["before"]
+
+    def test_metrics_match_a_one_thread_run(self, runs):
+        csv = [(out / "pinned" / "metrics.csv").read_bytes() for _, out in runs.values()]
+        assert csv[-1] == csv[0]
+
+    def test_manifest_records_the_pin(self, runs):
+        report, out = runs[max(runs)]
+        manifest = lambda run: json.loads((out / run / "manifest.json").read_text())
+        assert manifest("pinned")["blas_threads"] == 1
+        assert report["unmanaged_exit"] == 0
+        assert manifest("unmanaged")["blas_threads"] == "unmanaged"
+        csv = [(out / run / "metrics.csv").read_bytes() for run in ("pinned", "unmanaged")]
+        assert csv[0] == csv[1]
 
 
 class TestCompareCommand:

@@ -613,14 +613,14 @@ class TestIidParity:
         assert abs(fa.metrics[-1].accuracy - accuracy(central, test)) <= 0.02
 
 
-def run_algorithm(name, clients, probe, test, cfg):
+def run_algorithm(name, clients, probe, test, cfg, **bits):
     if name == "fedavg":
-        return run_fedavg(clients, test, cfg)
+        return run_fedavg(clients, test, cfg, **bits)
     if name == "fedprox":
-        return run_fedprox(clients, test, cfg)
+        return run_fedprox(clients, test, cfg, **bits)
     if name == "fedseq":
-        return run_fedseq_lite(clients, test, cfg, 2, 3)
-    return run_hfldd(clients, probe, test, cfg, TINY_KIP, 3)
+        return run_fedseq_lite(clients, test, cfg, 2, 3, **bits)
+    return run_hfldd(clients, probe, test, cfg, TINY_KIP, 3, **bits)
 
 
 ALGORITHM_NAMES = ["fedavg", "fedprox", "fedseq", "hfldd"]
@@ -638,6 +638,11 @@ MISMATCHED_TESTS = {
     "classes": lambda: LabeledDataset(np.zeros((5, 8)), one_hot([0, 1, 2, 3, 4], 5), 5),
     "fewer-classes": lambda: LabeledDataset(np.zeros((3, 8)), one_hot([0, 1, 2], 3), 3),
 }
+
+
+# bit prices that are not integers in [1, 2^63); bool is rejected as CostModel
+# rejects it. None is bits_per_sample's default, the data's width in float64s.
+BAD_BIT_PRICES = [0, -32, 1.5, 2.5, 32.0, True, 2**63, "32"]
 
 
 class TestEntryChecks:
@@ -658,6 +663,43 @@ class TestEntryChecks:
         with pytest.raises(EmptyInputError, match="test set is empty"):
             run_algorithm(name, clients, probe, empty, tiny_config())
         assert widths == []
+
+    @pytest.mark.parametrize("bits", [*BAD_BIT_PRICES, None], ids=repr)
+    @pytest.mark.parametrize("name", ALGORITHM_NAMES)
+    def test_bad_bits_per_param_rejected_before_training(self, name, bits, monkeypatch):
+        # 0 used to fail in round 1's ledger, and 2.5 and 1.5 were truncated
+        # by the ledger and then failed the audit's integer check
+        clients, probe, test = tiny_problem()
+        widths = widths_trained_on(monkeypatch)
+        with pytest.raises(DomainError, match=r"bits_per_param must be an integer in \[1, 2\^63\)"):
+            run_algorithm(name, clients, probe, test, tiny_config(), bits_per_param=bits)
+        assert widths == []
+
+    @pytest.mark.parametrize("bits", BAD_BIT_PRICES, ids=repr)
+    def test_bad_bits_per_sample_rejected_before_training(self, bits, monkeypatch):
+        # 0 used to fail only after pretraining, clustering and distillation
+        clients, probe, test = tiny_problem()
+        widths = widths_trained_on(monkeypatch)
+        with pytest.raises(DomainError, match=r"bits_per_sample must be an integer in \[1, 2\^63\)"):
+            run_algorithm("hfldd", clients, probe, test, tiny_config(), bits_per_sample=bits)
+        assert widths == []
+
+    @pytest.mark.parametrize("name", ALGORITHM_NAMES)
+    def test_client_errors_come_before_the_bit_price(self, name):
+        _, probe, test = tiny_problem()
+        with pytest.raises(EmptyInputError, match="no clients"):
+            run_algorithm(name, [], probe, test, tiny_config(), bits_per_param=0)
+
+    @pytest.mark.parametrize("name", ALGORITHM_NAMES)
+    def test_numpy_integer_bit_prices_are_charged_exactly(self, name):
+        clients, probe, test = tiny_problem()
+        bits = {"bits_per_param": np.int64(16)}
+        if name == "hfldd":
+            bits["bits_per_sample"] = np.uint32(100)
+        got = run_algorithm(name, clients, probe, test, tiny_config(), **bits)
+        plain = {k: int(v) for k, v in bits.items()}
+        want = run_algorithm(name, clients, probe, test, tiny_config(), **plain)
+        assert got.ledger.events == want.ledger.events
 
 
 def logged_traffic(ledger):
