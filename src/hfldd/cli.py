@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from . import __version__, streams
+from . import __version__, numkernel, streams
 from .datagen import (
     PartitionSpec,
     class_means,
@@ -55,7 +55,7 @@ from .metrics import (
     cost_hfldd,
     ledger_audit,
 )
-from .numkernel import BLAS_THREADS, SeededRng
+from .numkernel import SeededRng
 
 MANIFEST_SCHEMA = "hfldd-run-manifest-v1"
 
@@ -441,7 +441,7 @@ def cmd_run(args) -> int:
             "package_version": __version__,
             "model_params": model_params,
             # 1 when every stage pinned both OpenBLAS builds, numpy's and scipy's.
-            "blas_threads": 1 if len(BLAS_THREADS) == 2 else "unmanaged",
+            "blas_threads": 1 if numkernel.BLAS_PINNED else "unmanaged",
         }
         for name, text in (
             ("metrics.csv", _metrics_csv(result.metrics)),

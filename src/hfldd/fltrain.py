@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from numbers import Integral
 
 import numpy as np
 
@@ -29,13 +28,13 @@ from .errors import (
     StageError,
 )
 from .metrics import (
-    COUNT_LIMIT,
     DEFAULT_BITS_PER_FEATURE,
     DEFAULT_BITS_PER_PARAM,
     PAYLOAD_DISTILLED,
     PAYLOAD_MODEL,
     PAYLOAD_SOFT_LABELS,
     TransmissionLedger,
+    check_count,
 )
 from .model import (
     MlpModel,
@@ -238,10 +237,9 @@ def _check_finite(model: MlpModel, what: str) -> None:
 
 @contextmanager
 def _stage(name: str, round_index: int | None = None):
-    """Run one stage, or one training round, with numpy's QUIET warnings off
-    and each OpenBLAS build on one thread, the faster setting for these small
-    products; the caller's counts come back after. Any failure inside is a
-    StageError naming the stage, unless a nested stage named it."""
+    """Run one stage, or one training round, on one BLAS thread with numpy's
+    QUIET warnings off; any failure inside is a StageError naming it, unless
+    a nested stage named it. The caller's BLAS thread counts come back after."""
     saved = [(put, get()) for get, put in BLAS_THREADS]
     for put, _ in saved:
         put(1)
@@ -255,13 +253,6 @@ def _stage(name: str, round_index: int | None = None):
         finally:
             for put, n in saved:
                 put(n)
-
-
-def _check_bits(name: str, bits) -> None:
-    """A bit price is an integer in [1, 2^63), checked before any training
-    so that a bad one fails at entry, not in the ledger or the audit."""
-    if isinstance(bits, bool) or not isinstance(bits, Integral) or not 1 <= bits < COUNT_LIMIT:
-        raise DomainError(f"{name} must be an integer in [1, 2^63), got {bits!r}")
 
 
 def _model_bits(model: MlpModel, bits_per_param: int) -> int:
@@ -354,7 +345,7 @@ def run_fedavg(clients, test, cfg: RunConfig, bits_per_param: int = DEFAULT_BITS
     """Parallel training over all clients with sample-count weighting."""
     clients = list(clients)
     _check_clients(clients, test)
-    _check_bits("bits_per_param", bits_per_param)
+    check_count("bits_per_param", bits_per_param, 1)
     ledger = TransmissionLedger()
     metrics, model = _rounds(clients, test, cfg, ledger, bits_per_param, _solo(clients))
     return RunResult(metrics, ledger, model)
@@ -368,7 +359,7 @@ def run_fedprox(clients, test, cfg: RunConfig, bits_per_param: int = DEFAULT_BIT
     """
     clients = list(clients)
     _check_clients(clients, test)
-    _check_bits("bits_per_param", bits_per_param)
+    check_count("bits_per_param", bits_per_param, 1)
     ledger = TransmissionLedger()
     metrics, model = _rounds(
         clients, test, cfg, ledger, bits_per_param, _solo(clients), prox_mu=cfg.prox_mu
@@ -393,7 +384,7 @@ def run_fedseq_lite(
     """
     clients = list(clients)
     _check_clients(clients, test)
-    _check_bits("bits_per_param", bits_per_param)
+    check_count("bits_per_param", bits_per_param, 1)
     n = len(clients)
     if cluster_count < 1 or cluster_size < 1:
         raise DomainError(f"cluster shape must be >= 1, got {cluster_count} x {cluster_size}")
@@ -445,10 +436,10 @@ def run_hfldd(
         raise DomainError("the pipeline needs at least 2 clients")
     if probe.dim() != dim or probe.class_count != n_c:
         raise ShapeError("probe dimensions do not match client data")
-    _check_bits("bits_per_param", bits_per_param)
+    check_count("bits_per_param", bits_per_param, 1)
     if bits_per_sample is None:
         bits_per_sample = dim * DEFAULT_BITS_PER_FEATURE
-    _check_bits("bits_per_sample", bits_per_sample)
+    check_count("bits_per_sample", bits_per_sample, 1)
     ledger = TransmissionLedger()
     by_id = {c.client_id: c for c in clients}
 

@@ -27,6 +27,17 @@ DEFAULT_BITS_PER_FEATURE = 64
 COUNT_LIMIT = 2**63
 
 
+def check_count(name: str, value, least: int = 0) -> None:
+    """Raise DomainError unless `value` is an integer in [least, 2^63); a
+    bool is not a count."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise DomainError(f"{name}: {value!r} is not an integer")
+    if value < least:
+        raise DomainError(f"{name} must be >= {least}, got {value}")
+    if value >= COUNT_LIMIT:
+        raise DomainError(f"{name}: {value} is not below 2^63")
+
+
 @dataclass(frozen=True)
 class TransmissionEvent:
     round_index: int
@@ -45,8 +56,7 @@ class TransmissionLedger:
     def record(self, round_index: int, sender: str, receiver: str, kind: str, bits: int):
         if kind not in _PAYLOAD_KINDS:
             raise DomainError(f"unknown payload kind {kind!r}")
-        if bits <= 0:
-            raise DomainError(f"transmission must move a positive bit count, got {bits}")
+        check_count("transmission bits", bits, 1)
         self.events.append(TransmissionEvent(round_index, sender, receiver, kind, int(bits)))
 
     def total_bits(self) -> int:
@@ -86,14 +96,7 @@ class CostModel:
         for f in fields(self):
             value = getattr(self, f.name)
             for v in value if f.name == "distilled_sizes" else (value,):
-                if isinstance(v, bool) or not isinstance(v, Integral):
-                    raise DomainError(f"{f.name}: {v!r} is not an integer")
-                if v < 0:
-                    raise DomainError(f"{f.name}: {v} is negative")
-                if v >= COUNT_LIMIT:
-                    raise DomainError(f"{f.name}: {v} is not below 2^63")
-        if self.bits_per_param < 1:
-            raise DomainError(f"bits_per_param must be >= 1, got {self.bits_per_param}")
+                check_count(f.name, v, 1 if f.name == "bits_per_param" else 0)
 
 
 def _updown_rounds(rounds: int) -> int:

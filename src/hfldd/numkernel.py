@@ -57,15 +57,19 @@ dpotrf, dpotrs, dpstrf, dtrtrs = _flapack.dpotrf, _flapack.dpotrs, _flapack.dpst
 
 # Each OpenBLAS build's thread-count (get, set): numpy's runs the GEMMs and
 # scipy's the LAPACK routines. A handle on an extension's file also searches
-# its dependencies; a build that exports neither pair stays unpinned.
+# its dependencies (numpy 1 and 2 both link their BLAS to `_umath_linalg`). A
+# build that exports neither pair stays unpinned; BLAS_PINNED is true when
+# both builds have one.
 _GET, _SET = ctypes.CFUNCTYPE(ctypes.c_int), ctypes.CFUNCTYPE(None, ctypes.c_int)
-BLAS_THREADS = [
-    (_GET((get, lib)), _SET((put, lib)))
-    for lib in map(ctypes.CDLL, (np._core._multiarray_umath.__file__, _flapack.__file__))
-    for get, put in (("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-                     ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"))
-    if hasattr(lib, get) and hasattr(lib, put)
+_NAMES = (("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+          ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"))
+_controls = [
+    next(((_GET((get, lib)), _SET((put, lib))) for get, put in _NAMES
+          if hasattr(lib, get) and hasattr(lib, put)), None)
+    for lib in map(ctypes.CDLL, (np.linalg._umath_linalg.__file__, _flapack.__file__))
 ]
+BLAS_THREADS = [c for c in _controls if c]
+BLAS_PINNED = None not in _controls
 
 _MASK64 = (1 << 64) - 1
 _TINY = float(np.finfo(np.float64).tiny)

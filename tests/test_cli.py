@@ -119,6 +119,29 @@ def run_per_blas_thread_count(argv_for):
     return stdout
 
 
+# `hfldd run` on a build whose OpenBLAS thread counts hfldd cannot set: with
+# the controls removed, every stage runs at the caller's OPENBLAS_NUM_THREADS.
+UNMANAGED_RUN = """
+import sys
+from hfldd import cli, numkernel
+numkernel.BLAS_THREADS.clear()
+numkernel.BLAS_PINNED = False
+sys.exit(cli.main(["run", *sys.argv[1:]]))
+"""
+
+
+def unmanaged_metrics_per_thread_count(cfg, out):
+    """metrics.csv bytes of an unmanaged `hfldd run cfg` per OpenBLAS thread
+    count that run_per_blas_thread_count sets; out(threads) is the run dir."""
+    runs = run_per_blas_thread_count(
+        lambda threads: ["-c", UNMANAGED_RUN, cfg, "--out", str(out(threads))]
+    )
+    for threads in runs:
+        manifest = json.loads((out(threads) / "manifest.json").read_text())
+        assert manifest["blas_threads"] == "unmanaged"
+    return [(out(threads) / "metrics.csv").read_bytes() for threads in runs]
+
+
 def write_config(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
@@ -718,11 +741,7 @@ class TestRunCommand:
         cfg = write_config(
             tmp_path, "hf.ini", config_text(tmp_path / "unused", algorithm="hfldd", dim=1024)
         )
-        out = lambda threads: tmp_path / f"threads{threads}"
-        runs = run_per_blas_thread_count(
-            lambda threads: ["-m", "hfldd.cli", "run", cfg, "--out", str(out(threads))]
-        )
-        outputs = [(out(threads) / "metrics.csv").read_bytes() for threads in runs]
+        outputs = unmanaged_metrics_per_thread_count(cfg, lambda t: tmp_path / f"threads{t}")
         assert all(o == outputs[0] for o in outputs)
 
     @pytest.mark.parametrize("algorithm", ["hfldd", "fedprox"])
@@ -740,11 +759,7 @@ class TestRunCommand:
         cfg = write_config(
             tmp_path, "span.ini", text.replace("pretrain_steps = 1", "pretrain_steps = 10")
         )
-        out = lambda threads: tmp_path / f"threads{threads}"
-        runs = run_per_blas_thread_count(
-            lambda threads: ["-m", "hfldd.cli", "run", cfg, "--out", str(out(threads))]
-        )
-        outputs = [(out(threads) / "metrics.csv").read_bytes() for threads in runs]
+        outputs = unmanaged_metrics_per_thread_count(cfg, lambda t: tmp_path / f"threads{t}")
         assert all(o == outputs[0] for o in outputs)
 
     def test_distilled_support_independent_of_blas_threads(self):
@@ -792,9 +807,9 @@ class TestRunCommand:
 
 
 # Runs an hfldd config three times from a caller that imported numpy first:
-# as given, with distill failing inside its stage, and with the control table
-# emptied. Both OpenBLAS getters are read where the stages call the wrapped
-# functions, and before and after each run; prints them as JSON.
+# as given, with distill failing inside its stage, and with the thread-count
+# controls removed. Both OpenBLAS getters are read where the stages call the
+# wrapped functions, and before and after each run; prints them as JSON.
 PIN_SCRIPT = """
 import json, sys
 import numpy
@@ -829,6 +844,7 @@ report["failed_exit"] = cli.main(["run", cfg, "--out", out + "/failed"])
 report["after_failure"] = read()
 fail.clear()
 numkernel.BLAS_THREADS.clear()
+numkernel.BLAS_PINNED = False
 report["unmanaged_exit"] = cli.main(["run", cfg, "--out", out + "/unmanaged"])
 print(json.dumps(report))
 """

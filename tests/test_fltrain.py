@@ -671,7 +671,7 @@ class TestEntryChecks:
         # by the ledger and then failed the audit's integer check
         clients, probe, test = tiny_problem()
         widths = widths_trained_on(monkeypatch)
-        with pytest.raises(DomainError, match=r"bits_per_param must be an integer in \[1, 2\^63\)"):
+        with pytest.raises(DomainError, match=r"^bits_per_param\b"):
             run_algorithm(name, clients, probe, test, tiny_config(), bits_per_param=bits)
         assert widths == []
 
@@ -680,7 +680,7 @@ class TestEntryChecks:
         # 0 used to fail only after pretraining, clustering and distillation
         clients, probe, test = tiny_problem()
         widths = widths_trained_on(monkeypatch)
-        with pytest.raises(DomainError, match=r"bits_per_sample must be an integer in \[1, 2\^63\)"):
+        with pytest.raises(DomainError, match=r"^bits_per_sample\b"):
             run_algorithm("hfldd", clients, probe, test, tiny_config(), bits_per_sample=bits)
         assert widths == []
 

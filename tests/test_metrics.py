@@ -37,6 +37,15 @@ class TestLedger:
         with pytest.raises(DomainError):
             led.record(0, "a", "b", PAYLOAD_MODEL, 0)
 
+    def test_bits_must_be_a_count(self):
+        # a float used to be truncated and a bool logged as 1 bit
+        led = TransmissionLedger()
+        for bits in (2.5, np.float64(32), True, 2**63):
+            with pytest.raises(DomainError, match="transmission bits"):
+                led.record(0, "a", "b", PAYLOAD_MODEL, bits)
+        led.record(0, "a", "b", PAYLOAD_MODEL, np.int64(5))
+        assert led.events[0].bits == 5 and type(led.events[0].bits) is int
+
 
 class TestCostModel:
     def test_negative_counts_rejected(self):
