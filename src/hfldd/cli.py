@@ -34,7 +34,7 @@ from .datagen import (
     split_train_test,
 )
 from .distill import KipConfig
-from .errors import CapacityError, ConfigError, HflddError, ManifestError, StageError
+from .errors import CapacityError, ConfigError, DomainError, HflddError, ManifestError, StageError
 from .fltrain import (
     ALGORITHMS,
     ClientState,
@@ -46,7 +46,6 @@ from .fltrain import (
     run_hfldd,
 )
 from .metrics import (
-    COUNT_LIMIT,
     DEFAULT_BITS_PER_PARAM,
     CostModel,
     bits_to_megabytes,
@@ -55,7 +54,7 @@ from .metrics import (
     cost_hfldd,
     ledger_audit,
 )
-from .numkernel import SeededRng
+from .numkernel import SeededRng, check_count, check_real
 
 MANIFEST_SCHEMA = "hfldd-run-manifest-v1"
 
@@ -69,23 +68,11 @@ def _parse_intlist(v: str) -> tuple[int, ...]:
 
 
 def _parse_count(lo: int):
-    def parse(v: str) -> int:
-        x = int(v)
-        if not lo <= x < COUNT_LIMIT:
-            raise ValueError(f"must be an integer in [{lo}, 2^63), got {v!r}")
-        return x
-
-    return parse
+    return lambda v: check_count("value", int(v), lo)
 
 
 def _parse_open(lo: float, hi: float):
-    def parse(v: str) -> float:
-        x = float(v)
-        if not lo < x < hi:
-            raise ValueError(f"must be a finite number in ({lo:g}, {hi:g}), got {v!r}")
-        return x
-
-    return parse
+    return lambda v: check_real("value", float(v), above=lo, below=hi)
 
 
 _parse_finite = _parse_open(-math.inf, math.inf)
@@ -205,7 +192,7 @@ def _normalize(raw: dict) -> dict:
                 raise ConfigError(f"missing required key '{key}' in section [{section}]")
             try:
                 parse(value)
-            except ValueError as e:
+            except (ValueError, DomainError) as e:
                 raise ConfigError(f"bad value for [{section}] {key}: {e}") from e
             echo[section][key] = value
     return echo
@@ -491,10 +478,8 @@ def _load_run_dir(run_dir: str):
     for line in lines[1:]:
         try:
             r, acc, loss, bits = line.split(",")
-            row = (int(r), float(acc), float(loss), int(bits))
-            if not 0 <= row[3] < COUNT_LIMIT:
-                raise ValueError("cumulative_bits must be in [0, 2^63)")
-        except ValueError as e:
+            row = (int(r), float(acc), float(loss), check_count("cumulative_bits", int(bits)))
+        except (ValueError, DomainError) as e:
             raise ManifestError(
                 f"run directory {run_dir} has a bad metrics row {line!r}: {e}"
             ) from e

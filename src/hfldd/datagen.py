@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, DomainError, FormatError, ShapeError
-from .numkernel import SeededRng, as_matrix
+from .numkernel import SeededRng, as_matrix, check_count, check_real
 
 _IDX_IMAGES_MAGIC = 0x00000803
 _IDX_LABELS_MAGIC = 0x00000801
@@ -115,9 +115,11 @@ class PartitionSpec:
     samples_per_client: int
 
     def __post_init__(self):
-        if self.n_clients < 1:
-            raise DomainError(f"n_clients must be >= 1, got {self.n_clients}")
-        if not 1 <= self.classes_per_client <= self.total_classes:
+        check_count("n_clients", self.n_clients, 1)
+        check_count("total_classes", self.total_classes, 1)
+        check_count("classes_per_client", self.classes_per_client, 1)
+        check_count("samples_per_client", self.samples_per_client, 1)
+        if self.classes_per_client > self.total_classes:
             raise DomainError(
                 f"classes_per_client must be in [1, {self.total_classes}], "
                 f"got {self.classes_per_client}"
@@ -138,10 +140,9 @@ def one_hot(indices, class_count: int) -> np.ndarray:
 
 def class_means(n_classes: int, dim: int, separation: float, rng: SeededRng) -> np.ndarray:
     """Class centers at `separation` times random unit directions."""
-    if n_classes < 1 or dim < 1:
-        raise DomainError("n_classes and dim must be >= 1")
-    if separation <= 0:
-        raise DomainError(f"separation must be positive, got {separation}")
+    check_count("n_classes", n_classes, 1)
+    check_count("dim", dim, 1)
+    check_real("separation", separation, above=0)
     directions = rng.generator().standard_normal((n_classes, dim))
     norms = np.linalg.norm(directions, axis=1, keepdims=True)
     norms[norms == 0.0] = 1.0
@@ -179,8 +180,7 @@ def sample_classes(means, per_class: int, rng: SeededRng, rows=None) -> LabeledD
     plan.
     """
     means = as_matrix(means, "means")
-    if per_class < 1:
-        raise DomainError(f"per_class must be >= 1, got {per_class}")
+    check_count("per_class", per_class, 1)
     n_classes, dim = means.shape
     n = n_classes * per_class
     rows = np.arange(n) if rows is None else _row_plan(rows, n)
@@ -257,8 +257,7 @@ def partition_label_skew(
 def make_probe_dataset(n_rows: int, size: int, rng: SeededRng) -> np.ndarray:
     """Row plan of a uniform subsample of `size` of `n_rows` rows, without
     replacement."""
-    if size < 1:
-        raise DomainError(f"size must be >= 1, got {size}")
+    check_count("size", size, 1)
     if size > n_rows:
         raise CapacityError(f"requested {size} rows but source has {n_rows}")
     return rng.generator().permutation(n_rows)[:size]
@@ -267,8 +266,7 @@ def make_probe_dataset(n_rows: int, size: int, rng: SeededRng) -> np.ndarray:
 def split_sizes(n_rows: int, test_fraction: float) -> tuple[int, int]:
     """(train, test) row counts of `split_train_test`: the test set is
     `test_fraction` of the rows, rounded, and each side holds at least one."""
-    if not 0.0 < test_fraction < 1.0:
-        raise DomainError(f"test_fraction must be in (0, 1), got {test_fraction}")
+    check_real("test_fraction", test_fraction, above=0, below=1)
     n_test = max(1, int(round(n_rows * test_fraction)))
     if n_test >= n_rows:
         raise CapacityError(f"test split of {n_test} rows leaves no training data (n={n_rows})")

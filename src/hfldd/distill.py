@@ -21,6 +21,8 @@ from .numkernel import (
     SeededRng,
     _row_basis,
     as_matrix,
+    check_count,
+    check_real,
     rbf_core,
     rbf_kernel,
     ridge_solve,
@@ -41,16 +43,11 @@ class KipConfig:
     target_batch: int
 
     def __post_init__(self):
-        if self.support_size < 1:
-            raise DomainError(f"support_size must be >= 1, got {self.support_size}")
-        if not 0 < self.ridge_lambda < math.inf:
-            raise DomainError(f"ridge_lambda must be finite and positive, got {self.ridge_lambda}")
-        if not 0 < self.learning_rate < math.inf:
-            raise DomainError(f"learning_rate must be finite and positive, got {self.learning_rate}")
-        if self.iterations < 0:
-            raise DomainError(f"iterations must be >= 0, got {self.iterations}")
-        if self.target_batch < 1:
-            raise DomainError(f"target_batch must be >= 1, got {self.target_batch}")
+        check_count("support_size", self.support_size, 1)
+        check_real("ridge_lambda", self.ridge_lambda, above=0)
+        check_real("learning_rate", self.learning_rate, above=0)
+        check_count("iterations", self.iterations)
+        check_count("target_batch", self.target_batch, 1)
 
 
 @dataclass
@@ -80,8 +77,7 @@ def _kip_inputs(xs, ys, xt, yt, gamma: float):
         raise DomainError(f"label dims differ: support {ys.shape[1]}, target {yt.shape[1]}")
     if ys.shape[0] != xs.shape[0] or yt.shape[0] != xt.shape[0]:
         raise ShapeError("labels and features must have the same number of rows")
-    if not 0 < gamma < math.inf:
-        raise DomainError(f"gamma must be finite and positive, got {gamma}")
+    check_real("gamma", gamma, above=0)
     return xs, ys, xt, yt
 
 

@@ -34,7 +34,6 @@ from .metrics import (
     PAYLOAD_MODEL,
     PAYLOAD_SOFT_LABELS,
     TransmissionLedger,
-    check_count,
 )
 from .model import (
     MlpModel,
@@ -47,7 +46,7 @@ from .model import (
     sgd_step,  # noqa: F401
     soft_labels,
 )
-from .numkernel import BLAS_THREADS, QUIET, SeededRng, _row_basis, rbf_gamma
+from .numkernel import BLAS_THREADS, QUIET, SeededRng, _row_basis, check_count, check_real, rbf_gamma
 from .topology import ClusterTopology, build_topology
 
 # bench/tracer.py wraps `backward`, `sgd_step` and `_prox_local_train` in this
@@ -64,6 +63,8 @@ def pass_steps(n_rows: int, batch_size: int, passes: int) -> int:
     """Mini-batch steps in `passes` full passes over an n_rows dataset."""
     if n_rows < 1:
         raise EmptyInputError("cannot schedule passes over an empty dataset")
+    check_count("batch_size", batch_size, 1)
+    check_count("passes", passes)
     per_pass = -(-n_rows // min(batch_size, n_rows))
     return passes * per_pass
 
@@ -144,22 +145,16 @@ class RunConfig:
     hidden_sizes: tuple[int, ...] = DEFAULT_HIDDEN
 
     def __post_init__(self):
-        if not 1 <= self.rounds < streams.MAX_ID:
-            raise DomainError(f"rounds must be in [1, {streams.MAX_ID}), got {self.rounds}")
-        if self.local_steps < 1:
-            raise DomainError(f"local_steps must be >= 1, got {self.local_steps}")
-        if self.pretrain_steps < 0:
-            raise DomainError(f"pretrain_steps must be >= 0, got {self.pretrain_steps}")
-        if not 0 < self.learning_rate < math.inf:
-            raise DomainError(f"learning_rate must be finite and positive, got {self.learning_rate}")
-        if self.batch_size < 1 or self.pretrain_batch < 1:
-            raise DomainError("batch sizes must be >= 1")
-        if any(h < 1 for h in self.hidden_sizes):
-            raise DomainError(f"hidden layer sizes must be >= 1, got {self.hidden_sizes}")
-        if not 0 <= self.prox_mu < math.inf:
-            raise DomainError(f"prox_mu must be finite and nonnegative, got {self.prox_mu}")
-        if not 0 <= self.seed < 1 << 64:
-            raise DomainError(f"seed must be in [0, 2^64), got {self.seed}")
+        check_count("rounds", self.rounds, 1, streams.MAX_ID)
+        check_count("local_steps", self.local_steps, 1)
+        check_count("pretrain_steps", self.pretrain_steps)
+        check_real("learning_rate", self.learning_rate, above=0)
+        check_count("batch_size", self.batch_size, 1)
+        check_count("pretrain_batch", self.pretrain_batch, 1)
+        for h in self.hidden_sizes:
+            check_count("hidden_sizes", h, 1)
+        check_real("prox_mu", self.prox_mu, 0)
+        check_count("seed", self.seed, 0, 1 << 64)
 
 
 @dataclass
@@ -168,8 +163,7 @@ class ClientState:
     data: LabeledDataset
 
     def __post_init__(self):
-        if not 0 <= self.client_id < streams.MAX_ID:
-            raise DomainError(f"client_id must be in [0, {streams.MAX_ID}), got {self.client_id}")
+        check_count("client_id", self.client_id, 0, streams.MAX_ID)
 
 
 @dataclass(frozen=True)
@@ -201,7 +195,7 @@ def initial_model(cfg: RunConfig, dim: int, class_count: int) -> MlpModel:
 def aggregate(models, weights) -> MlpModel:
     """Parameter-wise weighted average; weights are normalized to sum 1."""
     models = list(models)
-    weights = [float(w) for w in weights]
+    weights = [check_real("weights", w, 0) for w in weights]
     if not models:
         raise EmptyInputError("no models to aggregate")
     if len(models) != len(weights):
@@ -210,8 +204,6 @@ def aggregate(models, weights) -> MlpModel:
     for i, m in enumerate(models[1:], start=1):
         if m.sizes != sizes:
             raise ShapeError(f"model {i} architecture {m.sizes} != {sizes}")
-    if not all(0 <= w < math.inf for w in weights):
-        raise DomainError("aggregation weights must be finite and nonnegative")
     total = sum(weights)
     if not 0 < total < math.inf:
         raise DomainError("aggregation weights must sum to a finite positive value")
@@ -223,10 +215,15 @@ def aggregate(models, weights) -> MlpModel:
 
 def _round_metrics(t: int, model: MlpModel, test, clients, ledger) -> RoundMetrics:
     """Round t's row: test accuracy, the training loss over all clients
-    weighted by their row counts, and the bits logged so far."""
+    weighted by their row counts, and the bits logged so far. Finite
+    parameters whose outputs overflow give NaN probabilities, which the
+    loss rejects: that round diverged too."""
     acc = accuracy(model, test)
     total = float(sum(c.data.n_rows() for c in clients))
-    loss = sum(c.data.n_rows() / total * dataset_loss(model, c.data) for c in clients)
+    try:
+        loss = sum(c.data.n_rows() / total * dataset_loss(model, c.data) for c in clients)
+    except DomainError as e:
+        raise DomainError("the global model's outputs are not finite: training diverged") from e
     return RoundMetrics(t, acc, loss, ledger.total_bits())
 
 
@@ -238,16 +235,14 @@ def _check_finite(model: MlpModel, what: str) -> None:
 @contextmanager
 def _stage(name: str, round_index: int | None = None):
     """Run one stage, or one training round, on one BLAS thread with numpy's
-    QUIET warnings off; any failure inside is a StageError naming it, unless
-    a nested stage named it. The caller's BLAS thread counts come back after."""
+    QUIET warnings off; any failure inside is a StageError naming it. Stages
+    do not nest. The caller's BLAS thread counts come back after."""
     saved = [(put, get()) for get, put in BLAS_THREADS]
     for put, _ in saved:
         put(1)
     with np.errstate(**QUIET):
         try:
             yield
-        except StageError:
-            raise
         except Exception as e:
             raise StageError(name, e, round_index) from e
         finally:
@@ -259,9 +254,12 @@ def _model_bits(model: MlpModel, bits_per_param: int) -> int:
     return model.parameter_count() * bits_per_param
 
 
-def _check_clients(clients, test):
-    """The clients' shared (width, class count); the test set must share it
-    and hold rows."""
+def _check_clients(clients, test, bits_per_param):
+    """The entry checks of every run: (the clients as a list, their shared
+    width, their shared class count). Client ids are unique, every client
+    and the test set hold rows of that width and class count, and the bit
+    price is a count >= 1."""
+    clients = list(clients)
     if not clients:
         raise EmptyInputError("no clients")
     ids = [c.client_id for c in clients]
@@ -278,7 +276,8 @@ def _check_clients(clients, test):
         raise ShapeError("test dimensions do not match client data")
     if test.n_rows() == 0:
         raise EmptyInputError("test set is empty")
-    return dim, n_c
+    check_count("bits_per_param", bits_per_param, 1)
+    return clients, dim, n_c
 
 
 def _rounds(
@@ -341,14 +340,17 @@ def _solo(clients):
     return lambda t: groups
 
 
+def _run_parallel(clients, test, cfg: RunConfig, bits_per_param: int, prox_mu: float) -> RunResult:
+    """FedAvg, or FedProx with prox_mu > 0: every client its own group."""
+    clients, _, _ = _check_clients(clients, test, bits_per_param)
+    ledger = TransmissionLedger()
+    metrics, model = _rounds(clients, test, cfg, ledger, bits_per_param, _solo(clients), prox_mu)
+    return RunResult(metrics, ledger, model)
+
+
 def run_fedavg(clients, test, cfg: RunConfig, bits_per_param: int = DEFAULT_BITS_PER_PARAM) -> RunResult:
     """Parallel training over all clients with sample-count weighting."""
-    clients = list(clients)
-    _check_clients(clients, test)
-    check_count("bits_per_param", bits_per_param, 1)
-    ledger = TransmissionLedger()
-    metrics, model = _rounds(clients, test, cfg, ledger, bits_per_param, _solo(clients))
-    return RunResult(metrics, ledger, model)
+    return _run_parallel(clients, test, cfg, bits_per_param, 0.0)
 
 
 def run_fedprox(clients, test, cfg: RunConfig, bits_per_param: int = DEFAULT_BITS_PER_PARAM) -> RunResult:
@@ -357,14 +359,7 @@ def run_fedprox(clients, test, cfg: RunConfig, bits_per_param: int = DEFAULT_BIT
     With prox_mu == 0 the proximal term is skipped entirely, so the run is
     bit-identical to run_fedavg.
     """
-    clients = list(clients)
-    _check_clients(clients, test)
-    check_count("bits_per_param", bits_per_param, 1)
-    ledger = TransmissionLedger()
-    metrics, model = _rounds(
-        clients, test, cfg, ledger, bits_per_param, _solo(clients), prox_mu=cfg.prox_mu
-    )
-    return RunResult(metrics, ledger, model)
+    return _run_parallel(clients, test, cfg, bits_per_param, cfg.prox_mu)
 
 
 def run_fedseq_lite(
@@ -382,12 +377,10 @@ def run_fedseq_lite(
     the group uploads. Ledger accounting per cluster and round: one fetch of
     the global model (from round 2 on), one delivery per member, one upload.
     """
-    clients = list(clients)
-    _check_clients(clients, test)
-    check_count("bits_per_param", bits_per_param, 1)
+    clients, _, _ = _check_clients(clients, test, bits_per_param)
     n = len(clients)
-    if cluster_count < 1 or cluster_size < 1:
-        raise DomainError(f"cluster shape must be >= 1, got {cluster_count} x {cluster_size}")
+    check_count("cluster_count", cluster_count, 1)
+    check_count("cluster_size", cluster_size, 1)
     if cluster_count * cluster_size != n:
         raise CapacityError(
             f"cluster_count * cluster_size must equal client count "
@@ -430,13 +423,11 @@ def run_hfldd(
     A distilled row costs bits_per_sample bits (default: the data's width
     times DEFAULT_BITS_PER_FEATURE); the result records the price charged.
     """
-    clients = list(clients)
-    dim, n_c = _check_clients(clients, test)
+    clients, dim, n_c = _check_clients(clients, test, bits_per_param)
     if len(clients) < 2:
         raise DomainError("the pipeline needs at least 2 clients")
     if probe.dim() != dim or probe.class_count != n_c:
         raise ShapeError("probe dimensions do not match client data")
-    check_count("bits_per_param", bits_per_param, 1)
     if bits_per_sample is None:
         bits_per_sample = dim * DEFAULT_BITS_PER_FEATURE
     check_count("bits_per_sample", bits_per_sample, 1)
@@ -501,9 +492,8 @@ def run_hfldd(
             head_data[head_id] = hybrid
 
     # Stage 4: head-only training, identical to run_fedavg over the head
-    # clients (and over the same rng streams).
-    with _stage("training"):
-        metrics, model = _rounds(head_states, test, cfg, ledger, bits_per_param, _solo(head_states))
+    # clients (and over the same rng streams); _rounds runs its own stages.
+    metrics, model = _rounds(head_states, test, cfg, ledger, bits_per_param, _solo(head_states))
     return RunResult(
         metrics,
         ledger,

@@ -9,9 +9,9 @@ can be compared to its formula with zero tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from numbers import Integral
 
 from .errors import DomainError
+from .numkernel import check_count, check_real
 
 PAYLOAD_MODEL = "model"
 PAYLOAD_SOFT_LABELS = "soft-labels"
@@ -22,20 +22,6 @@ _PAYLOAD_KINDS = (PAYLOAD_MODEL, PAYLOAD_SOFT_LABELS, PAYLOAD_DISTILLED)
 DEFAULT_BITS_PER_PARAM = 32
 # A distilled row ships each of its features as one float64.
 DEFAULT_BITS_PER_FEATURE = 64
-# Counts and bit totals are below 2^63, so every cost the formulas form (a
-# product of at most five counts) converts to a float for megabytes.
-COUNT_LIMIT = 2**63
-
-
-def check_count(name: str, value, least: int = 0) -> None:
-    """Raise DomainError unless `value` is an integer in [least, 2^63); a
-    bool is not a count."""
-    if isinstance(value, bool) or not isinstance(value, Integral):
-        raise DomainError(f"{name}: {value!r} is not an integer")
-    if value < least:
-        raise DomainError(f"{name} must be >= {least}, got {value}")
-    if value >= COUNT_LIMIT:
-        raise DomainError(f"{name}: {value} is not below 2^63")
 
 
 @dataclass(frozen=True)
@@ -56,8 +42,8 @@ class TransmissionLedger:
     def record(self, round_index: int, sender: str, receiver: str, kind: str, bits: int):
         if kind not in _PAYLOAD_KINDS:
             raise DomainError(f"unknown payload kind {kind!r}")
-        check_count("transmission bits", bits, 1)
-        self.events.append(TransmissionEvent(round_index, sender, receiver, kind, int(bits)))
+        bits = check_count("transmission bits", bits, 1)
+        self.events.append(TransmissionEvent(round_index, sender, receiver, kind, bits))
 
     def total_bits(self) -> int:
         return sum(e.bits for e in self.events)
@@ -146,22 +132,20 @@ class ConvergenceParams:
     init_gap: float
 
     def __post_init__(self):
-        if self.strong_convexity <= 0:
-            raise DomainError("strong convexity constant must be positive")
+        check_real("strong_convexity", self.strong_convexity, above=0)
+        check_real("smoothness", self.smoothness)
         if self.smoothness < self.strong_convexity:
             raise DomainError("smoothness must be at least the strong convexity constant")
-        if self.local_steps < 1:
-            raise DomainError("local_steps must be >= 1")
+        check_count("local_steps", self.local_steps, 1)
         if len(self.noise_bounds) != len(self.weights):
             raise DomainError("need one noise bound per weight")
-        if any(w < 0 for w in self.weights) or any(s < 0 for s in self.noise_bounds):
-            raise DomainError("weights and noise bounds must be nonnegative")
+        for name in ("gradient_bound", "cluster_divergence", "distill_divergence", "init_gap"):
+            check_real(name, getattr(self, name), 0)
+        for w, s in zip(self.weights, self.noise_bounds):
+            check_real("weights", w, 0)
+            check_real("noise_bounds", s, 0)
         if abs(sum(self.weights) - 1.0) > 1e-12:
             raise DomainError("weights must sum to 1")
-        if self.gradient_bound < 0 or self.cluster_divergence < 0 or self.distill_divergence < 0:
-            raise DomainError("bound constants must be nonnegative")
-        if self.init_gap < 0:
-            raise DomainError("init_gap must be nonnegative")
 
 
 def convergence_bound(p: ConvergenceParams, t: int) -> float:
@@ -171,12 +155,10 @@ def convergence_bound(p: ConvergenceParams, t: int) -> float:
     Q = sum(w_h^2 sigma_h^2) + 6L(cluster + distill divergence) + 8(E2-1)^2 G^2;
     bound = (L / (t + tau)) * (2Q / mu^2 + (tau + 1)/2 * init_gap).
     """
-    if t < 0:
-        raise DomainError(f"t must be nonnegative, got {t}")
+    check_count("t", t)
     big_l, mu = p.smoothness, p.strong_convexity
+    # L >= mu makes tau >= 7, so t + tau is positive
     tau = max(8.0 * big_l / mu, float(p.local_steps)) - 1.0
-    if t + tau <= 0:
-        raise DomainError("t + tau must be positive")
     q = (
         sum(w * w * s * s for w, s in zip(p.weights, p.noise_bounds))
         + 6.0 * big_l * (p.cluster_divergence + p.distill_divergence)
@@ -207,8 +189,7 @@ def complexity_estimates(
         ("batch_size", batch_size),
         ("kip_iters", kip_iters),
     ):
-        if v < 0:
-            raise DomainError(f"{name} must be nonnegative")
+        check_count(name, v)
     largest = max(c.distilled_sizes) if c.distilled_sizes else 0
     return {
         "server_similarity": c.n_clients**2 * c.probe_size * c.class_count,

@@ -9,13 +9,12 @@ updates its own copy in place, step by step.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, EmptyInputError, ShapeError
-from .numkernel import SeededRng, as_matrix
+from .numkernel import SeededRng, as_matrix, check_count, check_real
 
 SOFT_LABEL_FLOOR = 1e-12
 
@@ -29,12 +28,9 @@ class SgdConfig:
     steps: int
 
     def __post_init__(self):
-        if not 0 < self.learning_rate < math.inf:
-            raise DomainError(f"learning_rate must be finite and positive, got {self.learning_rate}")
-        if self.batch_size < 1:
-            raise DomainError(f"batch_size must be at least 1, got {self.batch_size}")
-        if self.steps < 0:
-            raise DomainError(f"steps must be nonnegative, got {self.steps}")
+        check_real("learning_rate", self.learning_rate, above=0)
+        check_count("batch_size", self.batch_size, 1)
+        check_count("steps", self.steps)
 
 
 @dataclass(eq=False)
@@ -78,9 +74,9 @@ def _layers(sizes, flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
 
 def init_mlp(layer_sizes, rng: SeededRng) -> MlpModel:
     """Uniform Glorot weight init in +-sqrt(6/(fan_in+fan_out)); zero biases."""
-    sizes = tuple(int(s) for s in layer_sizes)
-    if len(sizes) < 2 or any(s < 1 for s in sizes):
-        raise DomainError(f"layer sizes must be >= 1 with >= 2 layers, got {sizes}")
+    sizes = tuple(check_count("layer_sizes", s, 1) for s in layer_sizes)
+    if len(sizes) < 2:
+        raise DomainError(f"layer_sizes must hold >= 2 layers, got {sizes}")
     gen = rng.generator()
     parts = []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
@@ -208,8 +204,7 @@ def local_train(m: MlpModel, d, cfg: SgdConfig, rng: SeededRng, mu: float = 0.0)
     as `sgd_step` (the pull goes through a second buffer), so the result is
     bit-identical to chaining `backward` and `sgd_step`.
     """
-    if not 0 <= mu < math.inf:
-        raise DomainError(f"mu must be finite and nonnegative, got {mu}")
+    check_real("mu", mu, 0)
     if d.n_rows() == 0:
         raise EmptyInputError("cannot train on an empty dataset")
     if cfg.steps == 0:

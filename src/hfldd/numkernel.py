@@ -1,7 +1,8 @@
 """Dense linear algebra and seeded randomness used by every other module.
 
 Matrices are plain 2-D float64 numpy arrays in C order; `as_matrix` is the
-boundary validator that public operations apply to their inputs. Randomness
+boundary validator that public operations apply to their inputs, and
+`check_count` and `check_real` are the two rules for their scalars. Randomness
 flows exclusively through `SeededRng`, a (seed, stream) pair that maps to an
 independent PCG64 stream, so that every component of a simulation can be
 re-derived from one experiment seed.
@@ -16,6 +17,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -73,6 +75,9 @@ BLAS_PINNED = None not in _controls
 
 _MASK64 = (1 << 64) - 1
 _TINY = float(np.finfo(np.float64).tiny)
+# Counts and bit totals are below 2^63, so every cost the metrics formulas
+# form (a product of at most five counts) converts to a float for megabytes.
+COUNT_LIMIT = 2**63
 
 # numpy's overflow, invalid-value and divide warnings are off while models
 # train and supports are distilled (`np.errstate(**QUIET)`): divergence is
@@ -115,6 +120,39 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
+def check_count(name: str, value, least: int = 0, below: int = COUNT_LIMIT) -> int:
+    """`value` as an int if it is an integer in [least, below), else
+    DomainError. A bool is not a count; `below` is a power of two (a count
+    limit is a bit width). A plain int skips the ABC isinstance test, which
+    costs about a microsecond."""
+    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, Integral)):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise DomainError(f"{name} must be >= {least}, got {value}")
+    if value >= below:
+        raise DomainError(f"{name} must be < 2^{below.bit_length() - 1}, got {value}")
+    return int(value)
+
+
+def check_real(
+    name: str, value, least: float = -math.inf, above: float = -math.inf, below: float = math.inf
+) -> float:
+    """`value` as a float if it is a finite real number in [least, below)
+    and above `above`, else DomainError. A bool is not a real number; a
+    plain float or int skips the ABC isinstance test."""
+    if type(value) not in (float, int) and (isinstance(value, bool) or not isinstance(value, Real)):
+        raise DomainError(f"{name} must be a real number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:  # an int beyond the float range
+        x = math.inf
+    if not (math.isfinite(x) and least <= x < below and x > above):
+        bounds = ((">=", least), (">", above), ("<", below))
+        rule = "".join(f" and {op} {b:g}" for op, b in bounds if math.isfinite(b))
+        raise DomainError(f"{name} must be finite{rule}, got {value!r}")
+    return x
+
+
 def ridge_solve(k, y, lam: float) -> np.ndarray:
     """Solve (k + lam*I) alpha = y for symmetric positive definite k + lam*I.
 
@@ -144,8 +182,7 @@ def ridge_solver(k: np.ndarray, lam: float):
     exactly symmetric `k` and matching `y`; `lam` is still checked. LAPACK
     factors the Fortran-ordered view of the symmetric copy in place.
     """
-    if not 0 <= lam < math.inf:
-        raise DomainError(f"lambda must be finite and nonnegative, got {lam}")
+    check_real("lam", lam, 0)
     a = k.copy()
     if lam:
         a.flat[:: a.shape[0] + 1] += lam
@@ -238,8 +275,7 @@ def rbf_kernel(a, b, gamma: float) -> np.ndarray:
     b = a if same else as_matrix(b, "b")
     if a.shape[1] != b.shape[1]:
         raise ShapeError(f"feature dimensions differ: {a.shape[1]} vs {b.shape[1]}")
-    if not 0 < gamma < math.inf:
-        raise DomainError(f"gamma must be finite and positive, got {gamma}")
+    check_real("gamma", gamma, above=0)
     return rbf_core(a, b, gamma)
 
 

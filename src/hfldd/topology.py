@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, DomainError, EmptyInputError, ShapeError
-from .numkernel import SeededRng, as_matrix
+from .numkernel import SeededRng, as_matrix, check_count
 
 DEFAULT_KMEANS_ITERS = 100
 
@@ -134,10 +134,9 @@ def kmeans_rows(m, k: int, rng: SeededRng) -> list[tuple[int, ...]]:
     n = m.shape[0]
     if m.shape[1] != n:
         raise ShapeError(f"similarity matrix must be square, got {m.shape}")
+    check_count("k", k, 2)
     if k > n:
         raise CapacityError(f"k={k} exceeds client count {n}")
-    if k < 2:
-        raise DomainError(f"k must be at least 2, got {k}")
     labels, _ = _lloyd(m, k, rng.generator())
     return [tuple(int(i) for i in np.flatnonzero(labels == c)) for c in range(k)]
 

@@ -507,6 +507,30 @@ class TestRunCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "algorithm, separation, extra",
+        [("fedseq", "1e30", "seq_clusters = 2\nseq_cluster_size = 3"), ("hfldd", "1e50", "")],
+        ids=["fedseq", "hfldd"],
+    )
+    def test_finite_model_with_non_finite_outputs_exits_3_as_divergence(
+        self, tmp_path, capsys, algorithm, separation, extra
+    ):
+        # round 1's global model is finite, but its outputs on rows this far
+        # apart overflow to NaN probabilities, which the round's loss rejects
+        out = tmp_path / "never"
+        text = (
+            f"[experiment]\nseed = 1\nalgorithm = {algorithm}\noutput_dir = {out}\n"
+            f"[data]\nper_class = 60\nseparation = {separation}\n"
+            "[partition]\nclients = 6\nsamples_per_client = 20\n"
+            f"[train]\nrounds = 2\n{extra}\n"
+            "[distill]\nsupport_size = 4\niterations = 5\n"
+            "[cluster]\nk = 3\n"
+        )
+        assert main(["run", write_config(tmp_path, "diverge.ini", text)]) == 3
+        err = capsys.readouterr().err
+        assert "[training]" in err and "round 1" in err and "diverged" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "line", ["bits_per_param = 0", "bits_per_param = -32", "bits_per_sample = -8"],
         ids=["param-zero", "param-negative", "sample-negative"],
     )
@@ -1046,7 +1070,7 @@ class TestCostCommand:
         capsys.readouterr()
         assert main(["cost", "--from-json", str(doc_path)]) == 2
         captured = capsys.readouterr()
-        assert "not an integer" in captured.err
+        assert "must be an integer" in captured.err
         assert captured.out == ""
 
     def test_bad_json_exits_2(self, tmp_path, capsys):

@@ -78,7 +78,7 @@ class TestCostModel:
             dict(distilled_sizes=(4, 1.5)),
             dict(distilled_sizes=(np.bool_(True),)),
         ):
-            with pytest.raises(DomainError, match="not an integer"):
+            with pytest.raises(DomainError, match="must be an integer"):
                 CostModel(**kw)
 
 

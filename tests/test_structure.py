@@ -1,9 +1,16 @@
-"""The package's shape: one function runs federated rounds.
+"""The package's shape: one function runs federated rounds, and two rules
+check scalars.
 
 FedAvg, FedProx, FedSeq-lite and hfldd's head training differ only in who
 holds the model within a round, so they share one round loop. Averaging the
 uploads is the step every round ends with, so the functions that call
 `aggregate` are the round loops; there must be exactly one.
+
+A count or a real number is checked by `numkernel.check_count` or
+`numkernel.check_real`, so that a config field and a library argument fail
+with one message and neither lets a float count or a bool through. A
+hand-written range check is an `if` that compares a parameter, or a field
+of `self`, with a number and raises `DomainError`; there must be none.
 """
 
 import ast
@@ -13,16 +20,17 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "hfldd").glob("*.py"))
 
 
-def callers(path: pathlib.Path, name: str) -> list[str]:
-    """Qualified names of the functions whose own body calls `name`."""
+def functions(path: pathlib.Path):
+    """(qualified name, node) of every function in the module, nested ones
+    included."""
     out = []
 
     def visit(node, prefix):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 qual = f"{prefix}{child.name}"
-                if not isinstance(child, ast.ClassDef) and calls(child, name):
-                    out.append(qual)
+                if not isinstance(child, ast.ClassDef):
+                    out.append((qual, child))
                 visit(child, qual + ".")
             else:
                 visit(child, prefix)
@@ -31,20 +39,77 @@ def callers(path: pathlib.Path, name: str) -> list[str]:
     return out
 
 
-def calls(func, name: str) -> bool:
-    """Whether func calls `name` outside the functions and classes nested in
+def own_nodes(func):
+    """The nodes of func's body outside the functions and classes nested in
     it (a lambda is part of the function that holds it)."""
     stack = list(ast.iter_child_nodes(func))
     while stack:
         node = stack.pop()
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             continue
+        yield node
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def calls(func, name: str) -> bool:
+    """Whether func's own body calls `name`."""
+    for node in own_nodes(func):
         if isinstance(node, ast.Call):
             f = node.func
             if getattr(f, "id", None) == name or getattr(f, "attr", None) == name:
                 return True
-        stack.extend(ast.iter_child_nodes(node))
     return False
+
+
+def callers(path: pathlib.Path, name: str) -> list[str]:
+    """Qualified names of the functions whose own body calls `name`."""
+    return [qual for qual, func in functions(path) if calls(func, name)]
+
+
+def is_number(node) -> bool:
+    """A numeric literal, negated or not, or `math.inf`."""
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+        node = node.operand
+    if isinstance(node, ast.Constant):
+        return type(node.value) in (int, float)
+    return isinstance(node, ast.Attribute) and node.attr == "inf" and getattr(node.value, "id", None) == "math"
+
+
+def is_scalar_input(node, params) -> bool:
+    """A bare parameter of the function, or `self.<field>`."""
+    if isinstance(node, ast.Name):
+        return node.id in params
+    return isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "self"
+
+
+def raises_domain_error(node) -> bool:
+    for n in ast.walk(node):
+        if isinstance(n, ast.Raise) and n.exc is not None:
+            exc = n.exc.func if isinstance(n.exc, ast.Call) else n.exc
+            if getattr(exc, "id", None) == "DomainError" or getattr(exc, "attr", None) == "DomainError":
+                return True
+    return False
+
+
+def hand_range_checks(path: pathlib.Path) -> list[str]:
+    """Qualified names of the functions that raise DomainError under an `if`
+    comparing a bare parameter or `self.<field>` with a number."""
+    out = []
+    for qual, func in functions(path):
+        a = func.args
+        params = {p.arg for p in [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg] if p}
+        for node in own_nodes(func):
+            if not (isinstance(node, ast.If) and raises_domain_error(node)):
+                continue
+            compares = [n for n in ast.walk(node.test) if isinstance(n, ast.Compare)]
+            if any(
+                any(is_scalar_input(x, params) for x in (c.left, *c.comparators))
+                and any(is_number(x) for x in (c.left, *c.comparators))
+                for c in compares
+            ):
+                out.append(qual)
+                break
+    return out
 
 
 def test_one_function_aggregates():
@@ -69,3 +134,41 @@ def test_the_check_sees_every_caller(tmp_path):
         encoding="utf-8",
     )
     assert callers(module, "aggregate") == ["m.a", "m.b.inner", "m.C.c"]
+
+
+def test_no_hand_written_range_checks():
+    assert [qual for path in PACKAGE for qual in hand_range_checks(path)] == []
+
+
+def test_the_check_sees_every_range_check(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "def a(x):\n"
+        "    if x < 1:\n"
+        "        raise DomainError('x')\n"
+        "def b(lam):\n"
+        "    if not 0 <= lam < math.inf:\n"
+        "        raise errors.DomainError(f'{lam}')\n"
+        "class C:\n"
+        "    def __post_init__(self):\n"
+        "        if self.rate > -1.5 or self.n == 2:\n"
+        "            if True:\n"
+        "                raise DomainError\n"
+        "def d(k, n):\n"
+        "    def inner(t):\n"
+        "        if t < 0:\n"
+        "            raise DomainError('t')\n"
+        "    m = len(n)\n"
+        "    if k > n or m < 2 or len(n) < 2:\n"  # relational or not a parameter
+        "        raise DomainError('k')\n"
+        "    if k < 2:\n"  # another error type
+        "        raise CapacityError('k')\n"
+        "    if k < 2:\n"  # no raise under the if
+        "        k = 2\n"
+        "    return inner\n"
+        "def e(self):\n"
+        "    if self < 0:\n"
+        "        raise DomainError('self')\n",
+        encoding="utf-8",
+    )
+    assert hand_range_checks(module) == ["m.a", "m.b", "m.C.__post_init__", "m.d.inner", "m.e"]
