@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import json
 import math
 import os
@@ -385,76 +386,65 @@ def _cost_model_for(xc: ExperimentConfig, result, model_params: int) -> CostMode
     )
 
 
-def cmd_run(args) -> int:
-    try:
-        if args.from_manifest:
-            xc = load_manifest(args.from_manifest)
-        else:
-            xc = load_config(args.config)
-        if args.out:
-            xc.output_dir = args.out
-    except (ConfigError, ManifestError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
+def cmd_run(args) -> None:
+    if args.from_manifest:
+        xc = load_manifest(args.from_manifest)
+    elif args.config:
+        xc = load_config(args.config)
+    else:
+        raise ConfigError("need a config path or --from-manifest")
+    out_dir = args.out or xc.output_dir
 
-    out_dir = xc.output_dir
+    with _stage("build"):
+        clients, probe, test = _build_problem(xc)
+    if xc.algorithm == "fedavg":
+        result = run_fedavg(clients, test, xc.run, xc.bits_per_param)
+    elif xc.algorithm == "fedprox":
+        result = run_fedprox(clients, test, xc.run, xc.bits_per_param)
+    elif xc.algorithm == "fedseq":
+        result = run_fedseq_lite(
+            clients, test, xc.run, xc.seq_clusters, xc.seq_cluster_size, xc.bits_per_param
+        )
+    else:
+        result = run_hfldd(
+            clients, probe, test, xc.run, xc.kip, xc.k, xc.bits_per_param,
+            xc.bits_per_sample or None,
+        )
+    model_params = result.final_model.parameter_count()
+    report = ledger_audit(result.ledger, _cost_model_for(xc, result, model_params), xc.algorithm)
+
+    manifest = {
+        "schema": MANIFEST_SCHEMA,
+        "seed": xc.seed,
+        "algorithm": xc.algorithm,
+        "config": xc.echo,
+        "git_describe": _git_describe(),
+        "package_version": __version__,
+        "model_params": model_params,
+        # 1 when every stage pinned both OpenBLAS builds, numpy's and scipy's.
+        "blas_threads": 1 if numkernel.BLAS_PINNED else "unmanaged",
+    }
+    files = [
+        ("metrics.csv", _metrics_csv(result.metrics)),
+        ("cost.json", json.dumps(asdict(report), indent=2, sort_keys=True) + "\n"),
+        ("manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n"),
+    ]
+    if result.topology is not None:
+        files.append(("topology.json", result.topology.to_json(seed=xc.seed)))
+    os.makedirs(out_dir, exist_ok=True)
     written: list[str] = []
     try:
-        with _stage("build"):
-            clients, probe, test = _build_problem(xc)
-        if xc.algorithm == "fedavg":
-            result = run_fedavg(clients, test, xc.run, xc.bits_per_param)
-        elif xc.algorithm == "fedprox":
-            result = run_fedprox(clients, test, xc.run, xc.bits_per_param)
-        elif xc.algorithm == "fedseq":
-            result = run_fedseq_lite(
-                clients, test, xc.run, xc.seq_clusters, xc.seq_cluster_size, xc.bits_per_param
-            )
-        else:
-            result = run_hfldd(
-                clients, probe, test, xc.run, xc.kip, xc.k, xc.bits_per_param,
-                xc.bits_per_sample or None,
-            )
-        model_params = result.final_model.parameter_count()
-        report = ledger_audit(result.ledger, _cost_model_for(xc, result, model_params), xc.algorithm)
-
-        os.makedirs(out_dir, exist_ok=True)
-        manifest = {
-            "schema": MANIFEST_SCHEMA,
-            "seed": xc.seed,
-            "algorithm": xc.algorithm,
-            "config": xc.echo,
-            "git_describe": _git_describe(),
-            "package_version": __version__,
-            "model_params": model_params,
-            # 1 when every stage pinned both OpenBLAS builds, numpy's and scipy's.
-            "blas_threads": 1 if numkernel.BLAS_PINNED else "unmanaged",
-        }
-        for name, text in (
-            ("metrics.csv", _metrics_csv(result.metrics)),
-            ("cost.json", json.dumps(asdict(report), indent=2, sort_keys=True) + "\n"),
-            ("manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n"),
-        ):
+        for name, text in files:
             path = os.path.join(out_dir, name)
             with open(path, "w", encoding="utf-8") as f:
+                written.append(path)
                 f.write(text)
-            written.append(path)
-        if result.topology is not None:
-            path = os.path.join(out_dir, "topology.json")
-            with open(path, "w", encoding="utf-8") as f:
-                f.write(result.topology.to_json(seed=xc.seed))
-            written.append(path)
-    except (HflddError, OSError) as e:
+    except OSError:
         for path in written:
-            try:
+            with contextlib.suppress(OSError):
                 os.unlink(path)
-            except OSError:
-                pass
-        stage = f" [{e.stage}]" if isinstance(e, StageError) else ""
-        print(f"error{stage}: {e}", file=sys.stderr)
-        return EXIT_RUNTIME
+        raise
     print(f"run complete: {xc.algorithm}, {len(result.metrics)} rounds, outputs in {out_dir}")
-    return EXIT_OK
 
 
 def _load_run_dir(run_dir: str):
@@ -489,12 +479,10 @@ def _load_run_dir(run_dir: str):
     return manifest, rows
 
 
-def cmd_compare(args) -> int:
-    try:
-        runs = [(d, *_load_run_dir(d)) for d in args.run_dirs]
-    except ManifestError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
+def cmd_compare(args) -> None:
+    if len(args.run_dirs) < 2:
+        raise ConfigError("compare needs at least two run directories")
+    runs = [(d, *_load_run_dir(d)) for d in args.run_dirs]
 
     if args.target is None:
         target = min(max(r[1] for r in rows) for _, _, rows in runs)
@@ -522,18 +510,13 @@ def cmd_compare(args) -> int:
         print(f"{run_dir},{algo},{rounds},{bits},{bits_to_megabytes(bits):.4f},{ratio}")
 
     curves_path = args.curves_out or os.path.join(args.run_dirs[0], "compare_curves.csv")
-    try:
-        with open(curves_path, "w", encoding="utf-8") as f:
-            f.write("run,algorithm,round,accuracy,loss,cumulative_bits\n")
-            for run_dir, manifest, rows in runs:
-                algo = manifest.get("algorithm", "?")
-                for r, acc, loss, bits in rows:
-                    f.write(f"{run_dir},{algo},{r},{acc!r},{loss!r},{bits}\n")
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_RUNTIME
+    with open(curves_path, "w", encoding="utf-8") as f:
+        f.write("run,algorithm,round,accuracy,loss,cumulative_bits\n")
+        for run_dir, manifest, rows in runs:
+            algo = manifest.get("algorithm", "?")
+            for r, acc, loss, bits in rows:
+                f.write(f"{run_dir},{algo},{r},{acc!r},{loss!r},{bits}\n")
     print(f"curves written to {curves_path}")
-    return EXIT_OK
 
 
 # Cost flags and cost JSON keys are the CostModel field names, except these.
@@ -569,37 +552,27 @@ def _cost_output(inputs: dict) -> tuple[str, dict]:
     return "\n".join(lines), results
 
 
-def cmd_cost(args) -> int:
+def cmd_cost(args) -> None:
     if args.from_json:
         try:
             with open(args.from_json, "r", encoding="utf-8") as f:
-                doc = json.load(f)
-            inputs = doc["inputs"]
+                inputs = json.load(f)["inputs"]
         except (OSError, ValueError, RecursionError, KeyError, TypeError) as e:
-            print(f"error: cannot load cost parameters: {e}", file=sys.stderr)
-            return EXIT_CONFIG
+            raise ConfigError(f"cannot load cost parameters: {e}") from e
     else:
         missing = [key for key in _COST_REQUIRED if getattr(args, key) is None]
         if missing:
             flags = ", ".join("--" + f.replace("_", "-") for f in missing)
-            print(f"error: missing required flags: {flags}", file=sys.stderr)
-            return EXIT_CONFIG
+            raise ConfigError(f"missing required flags: {flags}")
         inputs = {key: getattr(args, key) for key in _COST_KEYS.values()}
     try:
         table, results = _cost_output(inputs)
     except (HflddError, KeyError, TypeError) as e:
-        print(f"error: bad cost parameters: {e}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"bad cost parameters: {e}") from e
     print(table)
     if args.json:
-        doc = {"inputs": inputs, "results": results}
-        try:
-            with open(args.json, "w", encoding="utf-8") as f:
-                f.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-        except OSError as e:
-            print(f"error: {e}", file=sys.stderr)
-            return EXIT_RUNTIME
-    return EXIT_OK
+        with open(args.json, "w", encoding="utf-8") as f:
+            f.write(json.dumps({"inputs": inputs, "results": results}, indent=2, sort_keys=True) + "\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -639,14 +612,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; the one place a failure becomes an exit code: 2
+    for bad input, 3 for any other package or OS error."""
     args = build_parser().parse_args(argv)
-    if args.command == "run" and not args.config and not args.from_manifest:
-        print("error: need a config path or --from-manifest", file=sys.stderr)
+    try:
+        args.func(args)
+    except (ConfigError, ManifestError) as e:
+        print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    if args.command == "compare" and len(args.run_dirs) < 2:
-        print("error: compare needs at least two run directories", file=sys.stderr)
-        return EXIT_CONFIG
-    return args.func(args)
+    except (HflddError, OSError) as e:
+        stage = f" [{e.stage}]" if isinstance(e, StageError) else ""
+        print(f"error{stage}: {e}", file=sys.stderr)
+        return EXIT_RUNTIME
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -132,6 +132,7 @@ class PartitionSpec:
 
 
 def one_hot(indices, class_count: int) -> np.ndarray:
+    check_count("class_count", class_count, 1)
     idx = np.asarray(indices, dtype=np.intp)
     out = np.zeros((idx.shape[0], class_count))
     out[np.arange(idx.shape[0]), idx] = 1.0
@@ -165,6 +166,8 @@ def shift_means(means, scale: float, rng: SeededRng) -> np.ndarray:
 
 def pool_labels(n_classes: int, per_class: int) -> np.ndarray:
     """Class index of each row of the pool `sample_classes` draws from."""
+    check_count("n_classes", n_classes, 1)
+    check_count("per_class", per_class, 1)
     return np.repeat(np.arange(n_classes), per_class)
 
 
@@ -257,6 +260,7 @@ def partition_label_skew(
 def make_probe_dataset(n_rows: int, size: int, rng: SeededRng) -> np.ndarray:
     """Row plan of a uniform subsample of `size` of `n_rows` rows, without
     replacement."""
+    check_count("n_rows", n_rows)
     check_count("size", size, 1)
     if size > n_rows:
         raise CapacityError(f"requested {size} rows but source has {n_rows}")
@@ -266,6 +270,7 @@ def make_probe_dataset(n_rows: int, size: int, rng: SeededRng) -> np.ndarray:
 def split_sizes(n_rows: int, test_fraction: float) -> tuple[int, int]:
     """(train, test) row counts of `split_train_test`: the test set is
     `test_fraction` of the rows, rounded, and each side holds at least one."""
+    check_count("n_rows", n_rows)
     check_real("test_fraction", test_fraction, above=0, below=1)
     n_test = max(1, int(round(n_rows * test_fraction)))
     if n_test >= n_rows:

@@ -134,6 +134,7 @@ def kip_gradient(xs, ys, xt, yt, lam: float, gamma: float) -> np.ndarray:
 def balanced_support_labels(present_classes, support_size: int, class_count: int) -> np.ndarray:
     """One-hot support labels spread as evenly as possible over the classes
     present in the source data (extra slots go to the lowest class ids)."""
+    check_count("support_size", support_size, 1)
     present = sorted(int(c) for c in present_classes)
     if not present:
         raise EmptyInputError("no classes present in source data")

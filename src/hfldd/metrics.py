@@ -42,6 +42,7 @@ class TransmissionLedger:
     def record(self, round_index: int, sender: str, receiver: str, kind: str, bits: int):
         if kind not in _PAYLOAD_KINDS:
             raise DomainError(f"unknown payload kind {kind!r}")
+        round_index = check_count("round_index", round_index)
         bits = check_count("transmission bits", bits, 1)
         self.events.append(TransmissionEvent(round_index, sender, receiver, kind, bits))
 

@@ -46,7 +46,8 @@ class MlpModel:
     params: np.ndarray
 
     def __post_init__(self):
-        self.sizes = tuple(int(s) for s in self.sizes)
+        # a row-span model's input width is its rank, which can be 0
+        self.sizes = tuple(check_count("sizes", s) for s in self.sizes)
         self.params = np.asarray(self.params, dtype=np.float64)
         count = _param_count(self.sizes)
         if self.params.shape != (count,):
@@ -186,6 +187,8 @@ def iter_batches(n_rows: int, batch_size: int, gen: np.random.Generator):
     The final batch of a cycle may be short; nothing is dropped. The generator
     is infinite, so callers take exactly as many batches as they need.
     """
+    check_count("n_rows", n_rows, 1)
+    check_count("batch_size", batch_size, 1)
     while True:
         perm = gen.permutation(n_rows)
         for start in range(0, n_rows, batch_size):

@@ -21,6 +21,11 @@ from numbers import Integral, Real
 
 import numpy as np
 
+# Eager, like `_load_flapack`: numpy 2 loads `numpy.random` (some 15 modules)
+# at its first use, which would otherwise land inside a run's first problem
+# build and raise its peak memory.
+from numpy.random import PCG64, Generator, SeedSequence
+
 from .errors import DomainError, EmptyInputError, ShapeError, SingularMatrixError
 
 
@@ -73,7 +78,6 @@ _controls = [
 BLAS_THREADS = [c for c in _controls if c]
 BLAS_PINNED = None not in _controls
 
-_MASK64 = (1 << 64) - 1
 _TINY = float(np.finfo(np.float64).tiny)
 # Counts and bit totals are below 2^63, so every cost the metrics formulas
 # form (a product of at most five counts) converts to a float for megabytes.
@@ -93,16 +97,18 @@ class SeededRng:
     Equal pairs produce identical draw sequences on every platform. Distinct
     stream ids derived from one seed give statistically independent streams,
     which is how per-client and per-round randomness is kept uncoupled.
+    Seed and stream are integers in [0, 2^64).
     """
 
     seed: int
     stream: int = 0
 
-    def generator(self) -> np.random.Generator:
-        ss = np.random.SeedSequence(
-            entropy=self.seed & _MASK64, spawn_key=(self.stream & _MASK64,)
-        )
-        return np.random.Generator(np.random.PCG64(ss))
+    def __post_init__(self):
+        for name in ("seed", "stream"):
+            object.__setattr__(self, name, check_count(name, getattr(self, name), 0, 1 << 64))
+
+    def generator(self) -> Generator:
+        return Generator(PCG64(SeedSequence(entropy=self.seed, spawn_key=(self.stream,))))
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:

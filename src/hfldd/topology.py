@@ -149,7 +149,7 @@ def cluster_sampling(homogeneous, rng: SeededRng) -> list[tuple[int, ...]]:
     clusters are drained. The number of output clusters equals the largest
     input cluster size.
     """
-    pools = [sorted(int(i) for i in cluster) for cluster in homogeneous]
+    pools = [sorted(check_count("homogeneous", i) for i in cluster) for cluster in homogeneous]
     seen: set[int] = set()
     for pool in pools:
         for client in pool:
@@ -174,7 +174,7 @@ def elect_heads(heterogeneous, rng: SeededRng) -> list[int]:
     gen = rng.generator()
     heads = []
     for idx, cluster in enumerate(heterogeneous):
-        members = sorted(int(i) for i in cluster)
+        members = sorted(check_count("heterogeneous", i) for i in cluster)
         if not members:
             raise EmptyInputError(f"heterogeneous cluster {idx} is empty")
         heads.append(members[int(gen.integers(len(members)))])
@@ -190,9 +190,10 @@ class ClusterTopology:
     heads: tuple[int, ...]
 
     def __post_init__(self):
-        self.homogeneous = tuple(tuple(sorted(int(i) for i in c)) for c in self.homogeneous)
-        self.heterogeneous = tuple(tuple(sorted(int(i) for i in c)) for c in self.heterogeneous)
-        self.heads = tuple(int(h) for h in self.heads)
+        members = lambda name, c: tuple(sorted(check_count(name, i) for i in c))
+        self.homogeneous = tuple(members("homogeneous", c) for c in self.homogeneous)
+        self.heterogeneous = tuple(members("heterogeneous", c) for c in self.heterogeneous)
+        self.heads = tuple(check_count("heads", h) for h in self.heads)
         self.validate()
 
     def validate(self) -> None:

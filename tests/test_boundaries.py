@@ -11,7 +11,12 @@ Among the rows are calls that used to run on a truncated value:
 `RunConfig(rounds=True)` trained one round, `hidden_sizes=(2.5,)` a 2-wide
 layer, `KipConfig(support_size=2.5)` distilled 3 rows, `init_mlp((3, 2.5,
 2))` built sizes (3, 2, 2), and `RunConfig(rounds=2.5)` made `run_fedavg`
-end in a raw TypeError.
+end in a raw TypeError. So did these: `MlpModel((3, 2.5, 2), params)` built
+sizes (3, 2, 2); `ClusterTopology`, `cluster_sampling` and `elect_heads`
+took client 1.5 for client 1; `balanced_support_labels([0, 1], 2.5, 3)` made
+3 rows; `pool_labels(2.5, 3)` returned float labels;
+`TransmissionLedger.record` logged a round 2.5; and `SeededRng(True)` drew
+seed 1's stream.
 """
 
 import math
@@ -25,16 +30,26 @@ from hfldd.datagen import (
     PartitionSpec,
     class_means,
     make_probe_dataset,
+    one_hot,
+    pool_labels,
     sample_classes,
     split_sizes,
+    split_train_test,
 )
-from hfldd.distill import KipConfig, kip_gradient, kip_loss
+from hfldd.distill import KipConfig, balanced_support_labels, kip_gradient, kip_loss
 from hfldd.errors import DomainError
 from hfldd.fltrain import ClientState, RunConfig, aggregate, pass_steps, run_fedseq_lite
-from hfldd.metrics import ConvergenceParams, CostModel, complexity_estimates, convergence_bound
-from hfldd.model import SgdConfig, init_mlp, local_train
+from hfldd.metrics import (
+    PAYLOAD_MODEL,
+    ConvergenceParams,
+    CostModel,
+    TransmissionLedger,
+    complexity_estimates,
+    convergence_bound,
+)
+from hfldd.model import MlpModel, SgdConfig, init_mlp, iter_batches, local_train
 from hfldd.numkernel import SeededRng, check_count, check_real, rbf_kernel, ridge_solve
-from hfldd.topology import kmeans_rows
+from hfldd.topology import ClusterTopology, cluster_sampling, elect_heads, kmeans_rows
 
 from helpers import tiny_problem
 
@@ -137,6 +152,28 @@ ROWS = [
     ("kip_gradient.gamma", "real", 0.5, lambda v: kip_gradient(X[:2], Y[:2], X, Y, 1e-6, v)),
     ("kip_loss.gamma", "real", 0.5, lambda v: kip_loss(X[:2], Y[:2], X, Y, 1e-6, v)),
     ("aggregate.weights", "real", 1.0, lambda v: aggregate(models(), [v, 1.0])),
+    ("SeededRng.seed", "count", 7, lambda v: SeededRng(v)),
+    ("SeededRng.stream", "count", 7, lambda v: SeededRng(1, v)),
+    ("MlpModel.sizes", "count", 2, lambda v: MlpModel((3, v, 2), np.zeros(14))),
+    ("ClusterTopology.homogeneous", "count", 1,
+     lambda v: ClusterTopology(((0, v),), ((0,), (v,)), (0, v))),
+    ("ClusterTopology.heterogeneous", "count", 1,
+     lambda v: ClusterTopology(((0, 1),), ((0,), (v,)), (0, 1))),
+    ("ClusterTopology.heads", "count", 1, lambda v: ClusterTopology(((0, 1),), ((0,), (1,)), (0, v))),
+    ("cluster_sampling.homogeneous", "count", 1, lambda v: cluster_sampling(((0, v),), RNG)),
+    ("elect_heads.heterogeneous", "count", 1, lambda v: elect_heads(((0, v),), RNG)),
+    ("iter_batches.n_rows", "count", 4, lambda v: next(iter_batches(v, 2, RNG.generator()))),
+    ("iter_batches.batch_size", "count", 2, lambda v: next(iter_batches(4, v, RNG.generator()))),
+    ("pool_labels.n_classes", "count", 3, lambda v: pool_labels(v, 2)),
+    ("pool_labels.per_class", "count", 2, lambda v: pool_labels(3, v)),
+    ("split_sizes.n_rows", "count", 10, lambda v: split_sizes(v, 0.25)),
+    ("split_train_test.n_rows", "count", 10, lambda v: split_train_test(v, 0.25, RNG)),
+    ("make_probe_dataset.n_rows", "count", 10, lambda v: make_probe_dataset(v, 2, RNG)),
+    ("balanced_support_labels.support_size", "count", 2,
+     lambda v: balanced_support_labels([0, 1], v, 3)),
+    ("one_hot.class_count", "count", 2, lambda v: one_hot([0, 1], v)),
+    ("TransmissionLedger.record.round_index", "count", 1,
+     lambda v: TransmissionLedger().record(v, "server", "client-0", PAYLOAD_MODEL, 8)),
 ]
 
 BAD = {"count": [2.5, True], "real": [True, math.nan, math.inf, -math.inf]}
@@ -146,7 +183,7 @@ IDS = [where for where, *_ in ROWS]
 
 @pytest.mark.parametrize("where, kind, good, call", ROWS, ids=IDS)
 def test_the_boundary_rejects_what_its_rule_rejects(where, kind, good, call):
-    field = where.split(".")[1]
+    field = where.rsplit(".", 1)[1]
     for bad in BAD[kind]:
         with pytest.raises(DomainError, match=rf"^{field} must be") as err:
             call(bad)

@@ -298,6 +298,10 @@ class TestIterBatches:
         batches = iter_batches(4, 100, gen)
         assert sorted(next(batches)) == list(range(4))
 
+    def test_no_rows_is_an_error_not_an_endless_loop(self):
+        with pytest.raises(DomainError, match="^n_rows must be >= 1, got 0"):
+            next(iter_batches(0, 4, SeededRng(4, 2).generator()))
+
 
 class TestLocalTrain:
     def test_zero_steps_is_identity(self):

@@ -49,6 +49,13 @@ class TestSeededRng:
         b = SeededRng(seed, stream).generator().integers(0, 1 << 30, size=4)
         assert np.array_equal(a, b)
 
+    def test_seed_and_stream_are_64_bit_counts(self):
+        top = SeededRng(2**64 - 1, 2**64 - 1)
+        assert (top.seed, top.stream) == (2**64 - 1, 2**64 - 1)
+        for name, bad in (("seed", -1), ("seed", 2**64), ("stream", -1), ("stream", 2**64)):
+            with pytest.raises(DomainError, match=f"^{name} must be"):
+                SeededRng(**{"seed": 0, name: bad})
+
 
 class TestAsMatrix:
     def test_accepts_nested_lists(self):

@@ -1,5 +1,5 @@
-"""The package's shape: one function runs federated rounds, and two rules
-check scalars.
+"""The package's shape: one function runs federated rounds, two rules check
+scalars, and one function turns a failure into an exit code.
 
 FedAvg, FedProx, FedSeq-lite and hfldd's head training differ only in who
 holds the model within a round, so they share one round loop. Averaging the
@@ -11,6 +11,10 @@ A count or a real number is checked by `numkernel.check_count` or
 with one message and neither lets a float count or a bool through. A
 hand-written range check is an `if` that compares a parameter, or a field
 of `self`, with a number and raises `DomainError`; there must be none.
+
+The command line's subcommands raise; `cli.main` alone maps a failure to
+exit 2 or 3 and prints it, so it is the one function that names an error
+exit code or `sys.stderr`.
 """
 
 import ast
@@ -64,6 +68,17 @@ def calls(func, name: str) -> bool:
 def callers(path: pathlib.Path, name: str) -> list[str]:
     """Qualified names of the functions whose own body calls `name`."""
     return [qual for qual, func in functions(path) if calls(func, name)]
+
+
+def exit_namers(path: pathlib.Path) -> list[str]:
+    """Qualified names of the functions whose own body names an error exit
+    code or `stderr`, bare or as an attribute."""
+    wanted = {"EXIT_CONFIG", "EXIT_RUNTIME", "stderr"}
+    return [
+        qual
+        for qual, func in functions(path)
+        if any(getattr(n, "id", getattr(n, "attr", None)) in wanted for n in own_nodes(func))
+    ]
 
 
 def is_number(node) -> bool:
@@ -134,6 +149,33 @@ def test_the_check_sees_every_caller(tmp_path):
         encoding="utf-8",
     )
     assert callers(module, "aggregate") == ["m.a", "m.b.inner", "m.C.c"]
+
+
+def test_only_main_maps_failures_to_exit_codes():
+    assert [qual for path in PACKAGE for qual in exit_namers(path)] == ["cli.main"]
+
+
+def test_the_check_sees_every_exit_code(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "EXIT_CONFIG = 2\n"
+        "def a():\n"
+        "    return EXIT_CONFIG\n"
+        "def b():\n"
+        "    def inner():\n"
+        "        print('x', file=sys.stderr)\n"
+        "    return inner\n"
+        "class C:\n"
+        "    def c(self):\n"
+        "        return cli.EXIT_RUNTIME\n"
+        "def d():\n"
+        "    stderr.write('x')\n"
+        "def e():\n"
+        "    print('x', file=sys.stdout)\n"
+        "    return EXIT_OK\n",
+        encoding="utf-8",
+    )
+    assert exit_namers(module) == ["m.a", "m.b.inner", "m.C.c", "m.d"]
 
 
 def test_no_hand_written_range_checks():

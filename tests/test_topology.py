@@ -242,6 +242,11 @@ class TestClusterTopology:
         topo = self.valid()
         assert topo.n_heads() == 2
 
+    def test_members_are_sorted_and_heads_keep_cluster_order(self):
+        topo = ClusterTopology(((1, 0), (3, 2)), ((2, 1), (3, 0)), (np.int64(2), 0))
+        assert topo.heterogeneous == ((1, 2), (0, 3)) and topo.heads == (2, 0)
+        assert type(topo.heads[0]) is int
+
     def test_homogeneous_overlap_rejected(self):
         with pytest.raises(DomainError):
             ClusterTopology(((0, 1), (1, 2)), ((0, 1), (2,)), (0, 2))
