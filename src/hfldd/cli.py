@@ -321,10 +321,7 @@ def _build_problem(xc: ExperimentConfig):
     client_rows = train[plan]
     sizes = [spec.samples_per_client] * spec.n_clients + [test_rows.shape[0]]
     if d["kind"] == "synthetic":
-        if d["probe_shift"] > 0:
-            probe_means = shift_means(means, d["probe_shift"], rng(streams.SHIFT))
-        else:
-            probe_means = means
+        probe_means = shift_means(means, d["probe_shift"], rng(streams.SHIFT))
         per_class_probe = max(1, math.ceil(d["probe_size"] / d["classes"]))
         n_probe_pool = d["classes"] * per_class_probe
         pick = make_probe_dataset(n_probe_pool, d["probe_size"], rng(streams.PROBE))
@@ -468,7 +465,8 @@ def _load_run_dir(run_dir: str):
     for line in lines[1:]:
         try:
             r, acc, loss, bits = line.split(",")
-            row = (int(r), float(acc), float(loss), check_count("cumulative_bits", int(bits)))
+            acc, loss = check_real("accuracy", float(acc)), check_real("loss", float(loss))
+            row = (int(r), acc, loss, check_count("cumulative_bits", int(bits)))
         except (ValueError, DomainError) as e:
             raise ManifestError(
                 f"run directory {run_dir} has a bad metrics row {line!r}: {e}"
@@ -487,7 +485,10 @@ def cmd_compare(args) -> None:
     if args.target is None:
         target = min(max(r[1] for r in rows) for _, _, rows in runs)
     else:
-        target = args.target
+        try:
+            target = check_real("--target", args.target)
+        except DomainError as e:
+            raise ConfigError(str(e)) from e
 
     reached: list[tuple[int, int] | None] = []
     for _, _, rows in runs:

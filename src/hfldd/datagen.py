@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, DomainError, FormatError, ShapeError
+from .errors import CapacityError, DomainError, EmptyInputError, FormatError, ShapeError
 from .numkernel import SeededRng, as_matrix, check_count, check_real
 
 _IDX_IMAGES_MAGIC = 0x00000803
@@ -27,29 +27,32 @@ _IDX_LABELS_MAGIC = 0x00000801
 _GATHER_BYTES = 1 << 19
 
 
-@dataclass
+@dataclass(frozen=True)
 class LabeledDataset:
-    """Feature matrix plus probability-row labels (one-hot or soft)."""
+    """Feature matrix plus probability-row labels (one-hot or soft), with at
+    least one row. Frozen, so the checked arrays cannot be rebound."""
 
     features: np.ndarray
     labels: np.ndarray
     class_count: int
 
     def __post_init__(self):
-        self.features = as_matrix(self.features, "features")
-        self.labels = as_matrix(self.labels, "labels")
-        if self.features.shape[0] != self.labels.shape[0]:
+        features = as_matrix(self.features, "features")
+        labels = as_matrix(self.labels, "labels")
+        if features.shape[0] != labels.shape[0]:
             raise ShapeError(
-                f"features rows {self.features.shape[0]} != labels rows {self.labels.shape[0]}"
+                f"features rows {features.shape[0]} != labels rows {labels.shape[0]}"
             )
-        if self.labels.shape[1] != self.class_count:
+        if labels.shape[1] != self.class_count:
             raise ShapeError(
-                f"labels have {self.labels.shape[1]} columns, class_count is {self.class_count}"
+                f"labels have {labels.shape[1]} columns, class_count is {self.class_count}"
             )
-        if self.labels.shape[0]:
-            sums = self.labels.sum(axis=1)
-            if np.max(np.abs(sums - 1.0)) > 1e-9:
-                raise DomainError("label rows must each sum to 1")
+        if not labels.shape[0]:
+            raise EmptyInputError("a dataset needs at least one row")
+        if np.max(np.abs(labels.sum(axis=1) - 1.0)) > 1e-9:
+            raise DomainError("label rows must each sum to 1")
+        object.__setattr__(self, "features", features)
+        object.__setattr__(self, "labels", labels)
 
     def n_rows(self) -> int:
         return self.features.shape[0]
@@ -65,13 +68,14 @@ class LabeledDataset:
 
     def subset(self, rows) -> "LabeledDataset":
         """The planned rows, in plan order, gathered into a new dataset."""
-        idx = _row_plan(rows, self.n_rows())
+        idx = _indices(rows, self.n_rows(), "row plan")
         return LabeledDataset(self.features[idx], self.labels[idx], self.class_count)
 
     def split_rows(self, sizes) -> list["LabeledDataset"]:
         """This dataset cut into consecutive row views of `sizes[i]` rows each."""
-        if any(s < 0 for s in sizes) or sum(sizes) != self.n_rows():
-            raise ShapeError(f"blocks of {list(sizes)} rows do not cut {self.n_rows()} rows")
+        sizes = [check_count("block size", s, 1) for s in sizes]
+        if sum(sizes) != self.n_rows():
+            raise ShapeError(f"blocks of {sizes} rows do not cut {self.n_rows()} rows")
         ends = np.cumsum([0, *sizes]).tolist()
         return [
             LabeledDataset(self.features[a:b], self.labels[a:b], self.class_count)
@@ -79,14 +83,14 @@ class LabeledDataset:
         ]
 
 
-def _row_plan(rows, n_rows: int) -> np.ndarray:
-    """Validate `rows` as a row plan over `n_rows` rows: a 1-D integer array
-    of indices in [0, n_rows)."""
-    idx = np.asarray(rows)
+def _indices(values, bound: int, what: str) -> np.ndarray:
+    """Validate `values` as `what`: a 1-D integer array of indices in
+    [0, bound)."""
+    idx = np.asarray(values)
     if idx.ndim != 1 or (idx.size and idx.dtype.kind not in "iu"):
-        raise ShapeError(f"a row plan must be a 1-D integer array, got {idx.dtype} {idx.shape}")
-    if idx.size and not (idx.min() >= 0 and idx.max() < n_rows):
-        raise DomainError(f"row plan indexes outside [0, {n_rows})")
+        raise ShapeError(f"{what} must be a 1-D integer array, got {idx.dtype} {idx.shape}")
+    if idx.size and not (idx.min() >= 0 and idx.max() < bound):
+        raise DomainError(f"{what} outside [0, {bound})")
     return idx.astype(np.intp, copy=False)
 
 
@@ -133,7 +137,7 @@ class PartitionSpec:
 
 def one_hot(indices, class_count: int) -> np.ndarray:
     check_count("class_count", class_count, 1)
-    idx = np.asarray(indices, dtype=np.intp)
+    idx = _indices(indices, class_count, "labels")
     out = np.zeros((idx.shape[0], class_count))
     out[np.arange(idx.shape[0]), idx] = 1.0
     return out
@@ -186,7 +190,7 @@ def sample_classes(means, per_class: int, rng: SeededRng, rows=None) -> LabeledD
     check_count("per_class", per_class, 1)
     n_classes, dim = means.shape
     n = n_classes * per_class
-    rows = np.arange(n) if rows is None else _row_plan(rows, n)
+    rows = np.arange(n) if rows is None else _indices(rows, n, "row plan")
     labels = pool_labels(n_classes, per_class)[rows]
     order = np.argsort(labels, kind="stable")
     ends = np.cumsum(np.bincount(labels, minlength=n_classes)).tolist()
@@ -323,8 +327,10 @@ def load_idx(images_path, labels_path) -> LabeledDataset:
     raw_labels = _read_exact(lab, 8, n, "label data")
     if len(lab) != 8 + n:
         raise FormatError("trailing bytes after label data", offset=8 + n)
+    if not n:
+        raise EmptyInputError("the IDX pair holds no images")
 
     features = np.frombuffer(pixels, dtype=np.uint8).reshape(n, rows * cols) / 255.0
     indices = np.frombuffer(raw_labels, dtype=np.uint8)
-    class_count = int(indices.max()) + 1 if n else 1
+    class_count = int(indices.max()) + 1
     return LabeledDataset(features, one_hot(indices, class_count), class_count)

@@ -167,8 +167,6 @@ def distill(d: LabeledDataset, cfg: KipConfig, gamma: float, rng: SeededRng) -> 
     support whose sum of squares is not finite raises DomainError
     (distillation diverged).
     """
-    if d.n_rows() < 1:
-        raise EmptyInputError("cannot distill an empty dataset")
     if cfg.support_size > d.n_rows():
         raise CapacityError(
             f"support size {cfg.support_size} exceeds dataset rows {d.n_rows()}"

@@ -270,12 +270,8 @@ def _check_clients(clients, test, bits_per_param):
     for c in clients:
         if c.data.dim() != dim or c.data.class_count != n_c:
             raise ShapeError(f"client {c.client_id} data dimensions differ from client {ids[0]}")
-        if c.data.n_rows() == 0:
-            raise EmptyInputError(f"client {c.client_id} has no data")
     if test.dim() != dim or test.class_count != n_c:
         raise ShapeError("test dimensions do not match client data")
-    if test.n_rows() == 0:
-        raise EmptyInputError("test set is empty")
     check_count("bits_per_param", bits_per_param, 1)
     return clients, dim, n_c
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, EmptyInputError, ShapeError
+from .errors import DomainError, ShapeError
 from .numkernel import SeededRng, as_matrix, check_count, check_real
 
 SOFT_LABEL_FLOOR = 1e-12
@@ -208,8 +208,6 @@ def local_train(m: MlpModel, d, cfg: SgdConfig, rng: SeededRng, mu: float = 0.0)
     bit-identical to chaining `backward` and `sgd_step`.
     """
     check_real("mu", mu, 0)
-    if d.n_rows() == 0:
-        raise EmptyInputError("cannot train on an empty dataset")
     if cfg.steps == 0:
         return m
     gen = rng.generator()
@@ -235,8 +233,6 @@ def soft_labels(m: MlpModel, dg) -> np.ndarray:
     Clamping happens after the softmax and is not renormalized; row sums stay
     within 1e-9 of one, which downstream divergence code relies on.
     """
-    if dg.n_rows() == 0:
-        raise EmptyInputError("probe dataset is empty")
     p = forward(m, dg.features)
     return np.clip(p, SOFT_LABEL_FLOOR, 1.0, out=p)
 
@@ -257,8 +253,6 @@ def dataset_loss(m: MlpModel, d) -> float:
 
 def accuracy(m: MlpModel, d) -> float:
     """Top-1 accuracy against the argmax of the label rows."""
-    if d.n_rows() == 0:
-        raise EmptyInputError("cannot evaluate on an empty dataset")
     if d.labels.shape[1] != m.sizes[-1]:
         raise ShapeError(f"label dim {d.labels.shape[1]} != model output {m.sizes[-1]}")
     pred = np.argmax(forward(m, d.features), axis=1)

@@ -228,6 +228,25 @@ class TestBuildProblem:
             "252a2c280aab7a4073361540c2aa02a2a390a2374fecad5b5c37b4e5a3658f84"
         )
 
+    def test_probe_shift_moves_only_the_probe_whatever_its_sign(self, tmp_path):
+        def build(shift):
+            text = config_text(tmp_path / "unused").replace(
+                "[data]\n", f"[data]\nprobe_shift = {shift}\n"
+            )
+            clients, probe, test = cli._build_problem(load_config(write_config(tmp_path, "p.ini", text)))
+            rest = [c.data for c in clients] + [test]
+            return probe, b"".join(d.features.tobytes() + d.labels.tobytes() for d in rest)
+
+        (p0, rest0), (p1, rest1) = build(0), build(-1)
+        # shift 0 is the unshifted probe, bit for bit; -1 used to mean no shift
+        assert hashlib.sha256(p0.features.tobytes() + p0.labels.tobytes()).hexdigest() == (
+            "d5c7d82b1a7a7e1ab6d9723afc09ebbcd88dd37f979569227735c737d7bd954c"
+        )
+        assert not np.array_equal(p1.features, p0.features)
+        assert np.array_equal(p1.labels, p0.labels)
+        # the shift has its own stream, so the clients and the test set stay
+        assert rest1 == rest0
+
 
 class TestConfigLoading:
     def test_defaults_fill_missing_sections(self, tmp_path):
@@ -944,6 +963,31 @@ class TestCompareCommand:
         lines = curves.read_text().splitlines()
         assert lines[0] == "run,algorithm,round,accuracy,loss,cumulative_bits"
         assert len(lines) == 1 + 2 * 2  # two runs, two rounds each
+
+    @staticmethod
+    def hand_run(tmp_path, name, rows):
+        out = tmp_path / name
+        out.mkdir()
+        (out / "manifest.json").write_text('{"algorithm": "fedavg"}', encoding="utf-8")
+        (out / "metrics.csv").write_text(
+            "round,accuracy,loss,cumulative_bits\n" + "".join(r + "\n" for r in rows),
+            encoding="utf-8",
+        )
+        return str(out)
+
+    @pytest.mark.parametrize("target", ["nan", "inf", "-inf"])
+    def test_non_finite_target_exits_2(self, tmp_path, capsys, target):
+        # --target nan used to read "not reached" for every run and exit 0
+        runs = [self.hand_run(tmp_path, n, ["1,0.5,1.0,100"]) for n in "ab"]
+        assert main(["compare", *runs, f"--target={target}"]) == 2
+        assert "--target must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row", ["2,nan,1.0,200", "2,0.5,inf,200", "2,-inf,1.0,200"])
+    def test_non_finite_metrics_row_exits_2(self, tmp_path, capsys, row):
+        a = self.hand_run(tmp_path, "a", ["1,0.5,1.0,100"])
+        b = self.hand_run(tmp_path, "b", ["1,0.5,1.0,100", row])
+        assert main(["compare", a, b]) == 2
+        assert "bad metrics row" in capsys.readouterr().err
 
     def test_unreachable_target_reported(self, tmp_path, capsys):
         a = self.make_run(tmp_path, "a")

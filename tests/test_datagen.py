@@ -22,7 +22,7 @@ from hfldd.datagen import (
     shift_means,
     split_train_test,
 )
-from hfldd.errors import CapacityError, DomainError, FormatError, ShapeError
+from hfldd.errors import CapacityError, DomainError, EmptyInputError, FormatError, ShapeError
 from hfldd.numkernel import SeededRng
 
 POOL_SHA256 = "7dbeb66aee332c812ea853f213e660159c9b536c65721d4b77fb0a77851a0207"
@@ -51,8 +51,29 @@ class TestOneHot:
         out = one_hot([2, 0], 3)
         assert np.array_equal(out, [[0, 0, 1], [1, 0, 0]])
 
+    @pytest.mark.parametrize("bad, error", [
+        ([-1, 0], DomainError), ([5], DomainError), ([3], DomainError),
+        ([0.5], ShapeError), ([[0, 1]], ShapeError),
+    ])
+    def test_rejects_labels_outside_the_classes(self, bad, error):
+        # -1 used to set the last column, 0.5 to become class 0, and 5 to
+        # raise a raw IndexError
+        with pytest.raises(error, match="^labels"):
+            one_hot(bad, 3)
+
 
 class TestLabeledDataset:
+    def test_needs_a_row(self):
+        with pytest.raises(EmptyInputError):
+            LabeledDataset(np.zeros((0, 2)), np.zeros((0, 3)), 3)
+
+    def test_arrays_cannot_be_rebound(self):
+        d = indexed_dataset(2, 2)
+        with pytest.raises(AttributeError):
+            d.features = np.zeros((4, 2))
+        with pytest.raises(AttributeError):
+            d.labels = np.eye(2)[[0, 1, 1, 0]]
+
     def test_row_sums_enforced(self):
         with pytest.raises(DomainError):
             LabeledDataset(np.ones((1, 2)), np.array([[0.5, 0.6]]), 2)
@@ -81,6 +102,7 @@ class TestLabeledDataset:
 
     @pytest.mark.parametrize("bad, error", [
         ([12], DomainError), ([-1], DomainError), ([[0, 1]], ShapeError), ([0.0], ShapeError),
+        ([], EmptyInputError),
     ])
     def test_subset_rejects_a_bad_plan(self, bad, error):
         # a negative index would otherwise wrap around to the last rows
@@ -89,12 +111,16 @@ class TestLabeledDataset:
 
     def test_split_rows_hands_out_consecutive_views(self):
         d = indexed_dataset(3, 4)
-        parts = d.split_rows([5, 0, 7])
-        assert [p.n_rows() for p in parts] == [5, 0, 7]
-        assert np.array_equal(parts[2].features[:, 0], np.arange(5, 12))
-        assert all(np.shares_memory(p.features, d.features) for p in parts if p.n_rows())
-        for bad in ([5, 6], [5, 8], [13, -1]):
+        parts = d.split_rows([5, 7])
+        assert [p.n_rows() for p in parts] == [5, 7]
+        assert np.array_equal(parts[1].features[:, 0], np.arange(5, 12))
+        assert all(np.shares_memory(p.features, d.features) for p in parts)
+        for bad in ([5, 6], [5, 8]):
             with pytest.raises(ShapeError):
+                d.split_rows(bad)
+        # a block is a dataset, so it holds at least one row
+        for bad in ([5, 0, 7], [13, -1], [1.5, 10.5], [True, 11]):
+            with pytest.raises(DomainError, match="^block size"):
                 d.split_rows(bad)
 
 
@@ -156,13 +182,14 @@ class TestSampling:
             gen.permutation(4 * per_class)[: 2 * per_class],
             np.array([4 * per_class - 1, 0, 4 * per_class - 1]),
             np.arange(per_class, 2 * per_class),
-            np.array([], dtype=np.intp),
         ]
         for plan in plans:
             d = sample_classes(means, per_class, SeededRng(5, 1), rows=plan)
             assert np.array_equal(d.features, pool.features[plan])
             assert np.array_equal(d.labels, pool.labels[plan])
             assert d.class_count == 4
+        with pytest.raises(EmptyInputError):
+            sample_classes(means, per_class, SeededRng(5, 1), rows=np.array([], dtype=np.intp))
 
     def test_plan_out_of_the_pool(self):
         means = class_means(2, 3, 4.0, SeededRng(4, 0))
@@ -348,6 +375,11 @@ class TestLoadIdx:
         assert np.array_equal(d.features, images.reshape(2, 6) / 255.0)
         assert d.features.dtype == np.float64 and d.features.flags.c_contiguous
         assert np.array_equal(d.label_indices(), [1, 0])
+
+    def test_no_images(self, tmp_path):
+        img, lab = write_idx_pair(tmp_path, np.zeros((0, 2, 2), dtype=np.uint8), [])
+        with pytest.raises(EmptyInputError):
+            load_idx(img, lab)
 
     def test_bad_image_magic(self, tmp_path):
         images = np.zeros((1, 2, 2), dtype=np.uint8)

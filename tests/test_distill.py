@@ -217,6 +217,12 @@ class TestBalancedSupportLabels:
         with pytest.raises(EmptyInputError):
             balanced_support_labels([], 4, 2)
 
+    @pytest.mark.parametrize("present", [[-1, 2], [0, 3]])
+    def test_classes_outside_the_count(self, present):
+        # [-1, 2] used to make two class-2 rows
+        with pytest.raises(DomainError):
+            balanced_support_labels(present, 2, 3)
+
 
 def original_coordinate_distill(d, cfg, gamma, rng):
     """`distill` as it stood before the row-space change: the same draws and
@@ -374,8 +380,9 @@ class TestDistill:
         assert not np.shares_memory(ds.data.features, d.features)
 
     def test_empty_dataset_rejected(self):
-        d = LabeledDataset(np.zeros((0, 2)), np.zeros((0, 2)), 2)
+        # the dataset rejects zero rows where it is made
         with pytest.raises(EmptyInputError):
+            d = LabeledDataset(np.zeros((0, 2)), np.zeros((0, 2)), 2)
             distill(d, KipConfig(1, 1e-6, 0.05, 1, 1), 0.3, SeededRng(0, 0))
 
     def test_divergence_is_a_domain_error_without_warnings(self):

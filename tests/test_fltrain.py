@@ -659,8 +659,9 @@ class TestEntryChecks:
     def test_empty_test_set_rejected_before_training(self, name, monkeypatch):
         clients, probe, _ = tiny_problem()
         widths = widths_trained_on(monkeypatch)
-        empty = LabeledDataset(np.zeros((0, 8)), np.zeros((0, 4)), 4)
-        with pytest.raises(EmptyInputError, match="test set is empty"):
+        # the test set rejects zero rows where it is made
+        with pytest.raises(EmptyInputError, match="at least one row"):
+            empty = LabeledDataset(np.zeros((0, 8)), np.zeros((0, 4)), 4)
             run_algorithm(name, clients, probe, empty, tiny_config())
         assert widths == []
 

@@ -327,9 +327,10 @@ class TestLocalTrain:
         assert dataset_loss(out, d) < dataset_loss(m, d)
 
     def test_empty_dataset_rejected(self):
-        d = LabeledDataset(np.zeros((0, 5)), np.zeros((0, 3)), 3)
+        # the dataset rejects zero rows where it is made
         m = init_mlp((5, 3), SeededRng(0))
         with pytest.raises(EmptyInputError):
+            d = LabeledDataset(np.zeros((0, 5)), np.zeros((0, 3)), 3)
             local_train(m, d, SgdConfig(0.1, 4, 1), SeededRng(0, 1))
 
     @pytest.mark.parametrize("mu", [-0.1, float("nan"), float("inf")])

@@ -1,5 +1,6 @@
 """The package's shape: one function runs federated rounds, two rules check
-scalars, and one function turns a failure into an exit code.
+scalars, one function turns a failure into an exit code, and a dataset is
+checked for rows where it is made.
 
 FedAvg, FedProx, FedSeq-lite and hfldd's head training differ only in who
 holds the model within a round, so they share one round loop. Averaging the
@@ -15,6 +16,11 @@ of `self`, with a number and raises `DomainError`; there must be none.
 The command line's subcommands raise; `cli.main` alone maps a failure to
 exit 2 or 3 and prints it, so it is the one function that names an error
 exit code or `sys.stderr`.
+
+A `LabeledDataset` holds at least one row: its `__post_init__` raises
+`EmptyInputError` for zero, so no code that takes a dataset checks again. An
+emptiness check is an `if` that compares an `n_rows()` call with 0 or 1, or
+negates one, and raises; only `LabeledDataset.__post_init__` may hold one.
 """
 
 import ast
@@ -127,6 +133,40 @@ def hand_range_checks(path: pathlib.Path) -> list[str]:
     return out
 
 
+def is_row_count(node) -> bool:
+    """A call of some object's `n_rows()`."""
+    return isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "n_rows"
+
+
+def is_no_rows_test(test) -> bool:
+    """Whether an `if` test compares an `n_rows()` call with 0 or 1, or
+    negates one."""
+    for n in ast.walk(test):
+        if isinstance(n, ast.UnaryOp) and isinstance(n.op, ast.Not) and is_row_count(n.operand):
+            return True
+        if isinstance(n, ast.Compare):
+            sides = (n.left, *n.comparators)
+            if any(map(is_row_count, sides)) and any(
+                isinstance(x, ast.Constant) and type(x.value) is int and x.value in (0, 1)
+                for x in sides
+            ):
+                return True
+    return False
+
+
+def emptiness_checks(path: pathlib.Path) -> list[str]:
+    """The qualified name of the function holding each `if` that raises
+    under a test for no rows, once per such `if`."""
+    return [
+        qual
+        for qual, func in functions(path)
+        for node in own_nodes(func)
+        if isinstance(node, ast.If)
+        and is_no_rows_test(node.test)
+        and any(isinstance(n, ast.Raise) for n in ast.walk(node))
+    ]
+
+
 def test_one_function_aggregates():
     found = [qual for path in PACKAGE for qual in callers(path, "aggregate")]
     assert found == ["fltrain._rounds"]
@@ -214,3 +254,38 @@ def test_the_check_sees_every_range_check(tmp_path):
         encoding="utf-8",
     )
     assert hand_range_checks(module) == ["m.a", "m.b", "m.C.__post_init__", "m.d.inner", "m.e"]
+
+
+def test_only_the_dataset_checks_for_rows():
+    found = [qual for path in PACKAGE for qual in emptiness_checks(path)]
+    assert set(found) <= {"datagen.LabeledDataset.__post_init__"}, found
+
+
+def test_the_check_sees_every_emptiness_check(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "def a(d):\n"
+        "    if d.n_rows() == 0:\n"
+        "        raise EmptyInputError('d')\n"
+        "    if 1 > d.n_rows():\n"
+        "        raise DomainError('d')\n"
+        "class C:\n"
+        "    def c(self, d):\n"
+        "        def inner():\n"
+        "            if self.data.n_rows() < 1 or d is None:\n"
+        "                if True:\n"
+        "                    raise ValueError\n"
+        "        return inner\n"
+        "def e(test):\n"
+        "    if not test.n_rows():\n"
+        "        raise EmptyInputError('test')\n"
+        "def f(d, k):\n"
+        "    if k > d.n_rows():\n"  # a capacity check, not an emptiness check
+        "        raise CapacityError('k')\n"
+        "    if d.n_rows() == 0:\n"  # no raise under the if
+        "        return None\n"
+        "    if len(d) == 0 or d.n_cols() < 1:\n"  # not a row count
+        "        raise EmptyInputError('d')\n",
+        encoding="utf-8",
+    )
+    assert emptiness_checks(module) == ["m.a", "m.a", "m.C.c.inner", "m.e"]
