@@ -463,15 +463,21 @@ def _load_run_dir(run_dir: str):
         raise ManifestError(f"run directory {run_dir} has an unrecognized metrics header")
     rows = []
     for line in lines[1:]:
+        # the rows `hfldd run` writes: rounds 1, 2, 3, ..., accuracy in
+        # [0, 1], loss >= 0, and bits that never decrease
         try:
             r, acc, loss, bits = line.split(",")
-            acc, loss = check_real("accuracy", float(acc)), check_real("loss", float(loss))
-            row = (int(r), acc, loss, check_count("cumulative_bits", int(bits)))
+            if int(r) != len(rows) + 1:
+                raise DomainError(f"round must be {len(rows) + 1}, got {int(r)}")
+            acc, loss = check_real("accuracy", float(acc), 0), check_real("loss", float(loss), 0)
+            if acc > 1:
+                raise DomainError(f"accuracy must be <= 1, got {acc!r}")
+            bits = check_count("cumulative_bits", int(bits), rows[-1][3] if rows else 0)
         except (ValueError, DomainError) as e:
             raise ManifestError(
                 f"run directory {run_dir} has a bad metrics row {line!r}: {e}"
             ) from e
-        rows.append(row)
+        rows.append((len(rows) + 1, acc, loss, bits))
     if not rows:
         raise ManifestError(f"run directory {run_dir} has no metric rows")
     return manifest, rows

@@ -228,11 +228,7 @@ def partition_label_skew(
         raise DomainError(
             f"spec.total_classes {spec.total_classes} != dataset class_count {class_count}"
         )
-    labels = np.asarray(labels)
-    if labels.ndim != 1 or (labels.size and (
-        labels.dtype.kind not in "iu" or labels.min() < 0 or labels.max() >= class_count
-    )):
-        raise DomainError(f"labels must be a 1-D array of class indices in [0, {class_count})")
+    labels = _indices(labels, class_count, "labels")
     n, c, n_c = spec.n_clients, spec.classes_per_client, spec.total_classes
     gen = rng.generator()
     order = gen.permutation(n)

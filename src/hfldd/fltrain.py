@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,7 +61,7 @@ DEFAULT_HIDDEN = (64, 64)
 
 def pass_steps(n_rows: int, batch_size: int, passes: int) -> int:
     """Mini-batch steps in `passes` full passes over an n_rows dataset."""
-    if n_rows < 1:
+    if check_count("n_rows", n_rows) < 1:
         raise EmptyInputError("cannot schedule passes over an empty dataset")
     check_count("batch_size", batch_size, 1)
     check_count("passes", passes)
@@ -182,7 +182,6 @@ class RunResult:
     ledger: TransmissionLedger
     final_model: MlpModel
     topology: ClusterTopology | None = None
-    head_data: dict[int, LabeledDataset] = field(default_factory=dict)
     distilled_sizes: tuple[int, ...] = ()
     bits_per_sample: int = 0  # the price run_hfldd charged per distilled row
 
@@ -464,7 +463,6 @@ def run_hfldd(
     # Stage 3: members distill, heads assemble hybrid datasets.
     with _stage("distillation"):
         head_states = []
-        head_data = {}
         distilled_sizes = []
         for cluster, head_id in zip(topo.heterogeneous, topo.heads):
             parts = [by_id[head_id].data]
@@ -483,9 +481,7 @@ def run_hfldd(
                     PAYLOAD_DISTILLED,
                     ds.n_rows() * bits_per_sample,
                 )
-            hybrid = concat_datasets(parts)
-            head_states.append(ClientState(head_id, hybrid))
-            head_data[head_id] = hybrid
+            head_states.append(ClientState(head_id, concat_datasets(parts)))
 
     # Stage 4: head-only training, identical to run_fedavg over the head
     # clients (and over the same rng streams); _rounds runs its own stages.
@@ -495,7 +491,6 @@ def run_hfldd(
         ledger,
         model,
         topology=topo,
-        head_data=head_data,
         distilled_sizes=tuple(distilled_sizes),
         bits_per_sample=bits_per_sample,
     )

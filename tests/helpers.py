@@ -7,9 +7,11 @@ equivalent INI file.
 
 import numpy as np
 
-from hfldd import cli
-from hfldd.distill import KipConfig
+from hfldd import cli, streams
+from hfldd.datagen import concat_datasets
+from hfldd.distill import KipConfig, distill
 from hfldd.fltrain import RunConfig
+from hfldd.numkernel import SeededRng, rbf_gamma
 
 
 def build_problem(
@@ -93,6 +95,27 @@ def tiny_problem(seed=7, n_clients=6, classes_per_client=2, n_classes=4, dim=8,
         test_fraction=0.25,
         probe_size=20,
     )
+
+
+def head_datasets(clients, topology, kip, seed):
+    """{head id: the dataset it trains on in stage 4}, rebuilt from a run's
+    topology without reading the run's arrays.
+
+    Each head's own rows come first. Then, in cluster order, every other
+    member of its heterogeneous cluster adds its rows distilled on its own
+    stream.
+    """
+    by_id = {c.client_id: c.data for c in clients}
+    out = {}
+    for cluster, head in zip(topology.heterogeneous, topology.heads):
+        parts = [by_id[head]]
+        for member in cluster:
+            if member != head:
+                d = by_id[member]
+                rng = SeededRng(seed, streams.DISTILL + member)
+                parts.append(distill(d, kip, rbf_gamma(d.features), rng).data)
+        out[head] = concat_datasets(parts)
+    return out
 
 
 def conditioned(n, dim, cond, gen):

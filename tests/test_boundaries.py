@@ -135,6 +135,7 @@ ROWS = [
     ("sample_classes.per_class", "count", 2, lambda v: sample_classes(X, v, RNG)),
     ("make_probe_dataset.size", "count", 2, lambda v: make_probe_dataset(10, v, RNG)),
     ("split_sizes.test_fraction", "real", 0.25, lambda v: split_sizes(10, v)),
+    ("pass_steps.n_rows", "count", 10, lambda v: pass_steps(v, 3, 2)),
     ("pass_steps.batch_size", "count", 3, lambda v: pass_steps(10, v, 2)),
     ("pass_steps.passes", "count", 2, lambda v: pass_steps(10, 3, v)),
     ("kmeans_rows.k", "count", 2, lambda v: kmeans_rows(X @ X.T, v, RNG)),

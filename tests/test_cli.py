@@ -989,6 +989,38 @@ class TestCompareCommand:
         assert main(["compare", a, b]) == 2
         assert "bad metrics row" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "rows, rule",
+        [
+            (["-3,0.5,1.0,100"], "round must be 1, got -3"),
+            (["2,0.5,1.0,100"], "round must be 1, got 2"),
+            (["1,0.5,1.0,100", "1,0.6,1.0,200"], "round must be 2, got 1"),
+            (["1,0.5,1.0,100", "3,0.6,1.0,200"], "round must be 2, got 3"),
+            (["1,7.5,1.0,100"], "accuracy must be <= 1"),
+            (["1,-0.1,1.0,100"], "accuracy must be finite and >= 0"),
+            (["1,0.5,-2.0,100"], "loss must be finite and >= 0"),
+            (["1,0.5,1.0,100", "2,0.6,1.0,20"], "cumulative_bits must be >= 100"),
+        ],
+        ids=[
+            "negative-round",
+            "first-round-2",
+            "repeated-round",
+            "skipped-round",
+            "accuracy-above-1",
+            "negative-accuracy",
+            "negative-loss",
+            "bits-decrease",
+        ],
+    )
+    def test_metrics_row_hfldd_run_never_writes_exits_2(self, tmp_path, capsys, rows, rule):
+        # finite rows that used to load: compare then printed rounds and
+        # ratios for a curve no run produced
+        a = self.hand_run(tmp_path, "a", ["1,0.5,1.0,100"])
+        b = self.hand_run(tmp_path, "b", rows)
+        assert main(["compare", a, b]) == 2
+        err = capsys.readouterr().err
+        assert f"bad metrics row {rows[-1]!r}" in err and rule in err
+
     def test_unreachable_target_reported(self, tmp_path, capsys):
         a = self.make_run(tmp_path, "a")
         b = self.make_run(tmp_path, "b")

@@ -6,6 +6,7 @@ gaps live in the acceptance suite; this file pins the mechanical contracts:
 exact traffic accounting, determinism, and algorithm equivalences.
 """
 
+import dataclasses
 import importlib
 import math
 import warnings
@@ -55,7 +56,14 @@ from hfldd.model import (
 )
 from hfldd.numkernel import SeededRng
 
-from helpers import build_problem, conditioned, models_close, models_equal, tiny_problem
+from helpers import (
+    build_problem,
+    conditioned,
+    head_datasets,
+    models_close,
+    models_equal,
+    tiny_problem,
+)
 
 TINY_KIP = KipConfig(5, 1e-6, 0.01, 50, 5)
 
@@ -387,20 +395,20 @@ class TestRunHfldd:
         topo.validate()
         assert sorted(i for c in topo.homogeneous for i in c) == [c.client_id for c in clients]
         assert len(result.metrics) == 3
-        assert set(result.head_data) == set(topo.heads)
         # one distilled set per non-head client
         assert len(result.distilled_sizes) == len(clients) - topo.n_heads()
         assert all(s == TINY_KIP.support_size for s in result.distilled_sizes)
 
     def test_head_dataset_sizes(self):
-        clients, result, _, _ = self.run_tiny()
+        clients, result, cfg, _ = self.run_tiny()
         by_id = {c.client_id: c for c in clients}
+        rebuilt = head_datasets(clients, result.topology, TINY_KIP, cfg.seed)
         for cluster, head in zip(result.topology.heterogeneous, result.topology.heads):
             own = by_id[head].data
             expected = own.n_rows() + (len(cluster) - 1) * TINY_KIP.support_size
-            assert result.head_data[head].n_rows() == expected
+            assert rebuilt[head].n_rows() == expected
             # the head's own rows come first, then its members' distilled rows
-            assert np.array_equal(result.head_data[head].features[: own.n_rows()], own.features)
+            assert np.array_equal(rebuilt[head].features[: own.n_rows()], own.features)
 
     def test_ledger_matches_closed_form_exactly(self):
         clients, result, cfg, _ = self.run_tiny()
@@ -418,8 +426,11 @@ class TestRunHfldd:
         assert result.ledger.total_bits() == cost_hfldd(c)
 
     def test_training_phase_equals_fedavg_over_heads(self):
-        _, result, cfg, test = self.run_tiny()
-        heads = [ClientState(h, result.head_data[h]) for h in result.topology.heads]
+        # stages 3 and 4 against an independent reference: fedavg over the
+        # heads' datasets rebuilt from the topology alone
+        clients, result, cfg, test = self.run_tiny()
+        rebuilt = head_datasets(clients, result.topology, TINY_KIP, cfg.seed)
+        heads = [ClientState(h, rebuilt[h]) for h in result.topology.heads]
         fa = run_fedavg(heads, test, tiny_config())
         assert models_equal(result.final_model, fa.final_model)
         assert [m.accuracy for m in result.metrics] == [m.accuracy for m in fa.metrics]
@@ -433,7 +444,7 @@ class TestRunHfldd:
         result = run_hfldd(clients, probe, test, cfg, TINY_KIP, len(clients))
         assert len(result.topology.heterogeneous) == 1
         head_id = result.topology.heads[0]
-        dh = result.head_data[head_id]
+        dh = head_datasets(clients, result.topology, TINY_KIP, cfg.seed)[head_id]
         sgd = SgdConfig(
             cfg.learning_rate,
             cfg.batch_size,
@@ -755,6 +766,35 @@ class TestTrafficPattern:
         cfg = tiny_config(prox_mu=0.1)
         result = run_algorithm(name, clients, probe, test, cfg)
         assert logged_traffic(result.ledger) == expected_traffic(name, clients, probe, cfg, result)
+
+
+def reachable(value):
+    """`value` and everything reachable from it through dataclass fields,
+    dicts, lists and tuples."""
+    yield value
+    if isinstance(value, dict):
+        children = value.values()
+    elif isinstance(value, (list, tuple)):
+        children = value
+    elif dataclasses.is_dataclass(value) and not isinstance(value, type):
+        children = [getattr(value, f.name) for f in dataclasses.fields(value)]
+    else:
+        return
+    for child in children:
+        yield from reachable(child)
+
+
+class TestResultShape:
+    @pytest.mark.parametrize("name", ALGORITHM_NAMES)
+    def test_a_result_holds_no_dataset(self, name):
+        # a run reports its curve, its traffic and its model; the datasets
+        # it trained on do not outlive it
+        clients, probe, test = tiny_problem()
+        result = run_algorithm(name, clients, probe, test, tiny_config())
+        values = list(reachable(result))
+        assert not [v for v in values if isinstance(v, LabeledDataset)]
+        largest = result.final_model.params.size
+        assert all(v.size <= largest for v in values if isinstance(v, np.ndarray))
 
 
 class TestNumericFailuresAndPurity:
