@@ -58,6 +58,7 @@ from .metrics import (
 from .numkernel import SeededRng, check_count, check_real
 
 MANIFEST_SCHEMA = "hfldd-run-manifest-v1"
+METRICS_HEADER = "round,accuracy,loss,cumulative_bits"
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -65,7 +66,9 @@ EXIT_RUNTIME = 3
 
 
 def _parse_intlist(v: str) -> tuple[int, ...]:
-    return tuple(int(p) for p in v.split(",") if p.strip())
+    """Comma-separated integers. A blank value is the empty tuple; a blank
+    item (`64,,64`, `64,`) fails `int`, so a typo is not skipped."""
+    return tuple(int(p) for p in v.split(",")) if v.strip() else ()
 
 
 def _parse_count(lo: int):
@@ -118,8 +121,8 @@ _SCHEMA = {
         "pretrain_steps": (int, "10"),
         "learning_rate": (_parse_finite, "0.01"),
         "batch_size": (int, "32"),
-        "pretrain_batch": (int, "64"),
-        "hidden": (_parse_intlist, "64,64"),
+        "pretrain_batch": (int, str(RunConfig.pretrain_batch)),
+        "hidden": (_parse_intlist, ",".join(map(str, RunConfig.hidden_sizes))),
         "prox_mu": (_parse_finite, "0.0"),
         "bits_per_param": (_parse_count(1), str(DEFAULT_BITS_PER_PARAM)),
         "bits_per_sample": (_parse_count(0), "0"),
@@ -356,7 +359,7 @@ def _git_describe() -> str | None:
 
 
 def _metrics_csv(metrics) -> str:
-    lines = ["round,accuracy,loss,cumulative_bits"]
+    lines = [METRICS_HEADER]
     for m in metrics:
         lines.append(f"{m.round_index},{m.accuracy!r},{m.loss!r},{m.cumulative_bits}")
     return "\n".join(lines) + "\n"
@@ -459,7 +462,7 @@ def _load_run_dir(run_dir: str):
         raise ManifestError(f"run directory {run_dir} cannot be read: {e}") from e
     if not isinstance(manifest, dict):
         raise ManifestError(f"run directory {run_dir} has a manifest that is not a JSON object")
-    if lines[:1] != ["round,accuracy,loss,cumulative_bits"]:
+    if lines[:1] != [METRICS_HEADER]:
         raise ManifestError(f"run directory {run_dir} has an unrecognized metrics header")
     rows = []
     for line in lines[1:]:
@@ -518,7 +521,7 @@ def cmd_compare(args) -> None:
 
     curves_path = args.curves_out or os.path.join(args.run_dirs[0], "compare_curves.csv")
     with open(curves_path, "w", encoding="utf-8") as f:
-        f.write("run,algorithm,round,accuracy,loss,cumulative_bits\n")
+        f.write(f"run,algorithm,{METRICS_HEADER}\n")
         for run_dir, manifest, rows in runs:
             algo = manifest.get("algorithm", "?")
             for r, acc, loss, bits in rows:
@@ -542,13 +545,13 @@ def _cost_output(inputs: dict) -> tuple[str, dict]:
     kw["distilled_sizes"] = tuple(kw["distilled_sizes"])
     c = CostModel(**kw)
     fa, hf, fs = cost_fedavg(c), cost_hfldd(c), cost_fedseq(c)
-    ratio = hf / fa if fa else float("nan")
+    ratio = hf / fa if fa else None  # JSON null: there is no ratio to zero bits
     lines = [
         "algorithm,bits,megabytes",
         f"fedavg,{fa},{bits_to_megabytes(fa):.4f}",
         f"hfldd,{hf},{bits_to_megabytes(hf):.4f}",
         f"fedseq,{fs},{bits_to_megabytes(fs):.4f}",
-        f"hfldd_over_fedavg={ratio:.4f}",
+        f"hfldd_over_fedavg={'n/a' if ratio is None else f'{ratio:.4f}'}",
     ]
     results = {
         "fedavg_bits": fa,

@@ -229,7 +229,7 @@ class ClusterTopology:
             "heads": list(self.heads),
         }
         if seed is not None:
-            doc["seed"] = int(seed)
+            doc["seed"] = check_count("seed", seed, 0, 1 << 64)
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 

@@ -161,6 +161,8 @@ ROWS = [
     ("ClusterTopology.heterogeneous", "count", 1,
      lambda v: ClusterTopology(((0, 1),), ((0,), (v,)), (0, 1))),
     ("ClusterTopology.heads", "count", 1, lambda v: ClusterTopology(((0, 1),), ((0,), (1,)), (0, v))),
+    ("ClusterTopology.to_json.seed", "count", 7,
+     lambda v: ClusterTopology(((0, 1),), ((0,), (1,)), (0, 1)).to_json(seed=v)),
     ("cluster_sampling.homogeneous", "count", 1, lambda v: cluster_sampling(((0, v),), RNG)),
     ("elect_heads.heterogeneous", "count", 1, lambda v: elect_heads(((0, v),), RNG)),
     ("iter_batches.n_rows", "count", 4, lambda v: next(iter_batches(v, 2, RNG.generator()))),

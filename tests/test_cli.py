@@ -12,7 +12,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -256,10 +256,14 @@ class TestConfigLoading:
         assert xc.seed == 0
         assert xc.partition.n_clients == 20
         assert xc.run.rounds == 300
-        assert xc.run.hidden_sizes == (64, 64)
         assert xc.kip.iterations == 3000
         assert xc.k == 10
         assert xc.data["classes"] == 10
+        # the schema derives these two echo strings from RunConfig's defaults
+        defaults = {f.name: f.default for f in fields(fltrain.RunConfig)}
+        assert xc.run.pretrain_batch == defaults["pretrain_batch"] == 64
+        assert xc.run.hidden_sizes == defaults["hidden_sizes"] == (64, 64)
+        assert (xc.echo["train"]["pretrain_batch"], xc.echo["train"]["hidden"]) == ("64", "64,64")
 
     def test_seed_has_one_copy(self, tmp_path):
         # The experiment seed lives in RunConfig only: replacing it there
@@ -673,13 +677,18 @@ class TestRunCommand:
         fedavg = config_text(out, support_size=21)
         assert load_config(write_config(tmp_path, "fedavg.ini", fedavg)).kip.support_size == 21
 
-    def test_zero_hidden_size_exits_2_before_the_build(self, tmp_path, capsys, monkeypatch):
+    # a zero size, or a blank item: a typo, not a skipped layer
+    @pytest.mark.parametrize("value", ["0,64", "64,,64", "64,", ",64", "64, ,64"])
+    def test_bad_hidden_list_exits_2_before_the_build(self, tmp_path, capsys, monkeypatch, value):
         monkeypatch.setattr(cli, "_build_problem", lambda xc: pytest.fail("problem was built"))
         out = tmp_path / "never"
-        text = config_text(out).replace("hidden = 8", "hidden = 0,64")
+        text = config_text(out).replace("hidden = 8", f"hidden = {value}")
         assert main(["run", write_config(tmp_path, "bad.ini", text)]) == 2
         assert not out.exists()
         assert "hidden" in capsys.readouterr().err
+        # a value that is blank as a whole is the empty tuple: no hidden layer
+        blank = config_text(out).replace("hidden = 8", "hidden =")
+        assert load_config(write_config(tmp_path, "blank.ini", blank)).run.hidden_sizes == ()
 
     def test_same_config_reproduces_metrics_bytes(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -1113,6 +1122,33 @@ class TestCostCommand:
         captured = capsys.readouterr()
         assert "bits_per_param must be >= 1" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("sizes", ["4,,5", "4,", ",5"])
+    def test_blank_distilled_size_exits_2(self, capsys, sizes):
+        argv = ["cost", "--clients", "3", "--rounds", "2", "--model-params", "10"]
+        with pytest.raises(SystemExit) as exited:
+            main([*argv, "--distilled-sizes", sizes])
+        assert exited.value.code == 2
+        captured = capsys.readouterr()
+        assert "--distilled-sizes" in captured.err and captured.out == ""
+        # a blank list is the empty tuple, the flag's default
+        assert main([*argv, "--distilled-sizes", ""]) == 0
+        blank = capsys.readouterr().out
+        assert main(argv) == 0
+        assert capsys.readouterr().out == blank
+
+    def test_json_is_standard_when_fedavg_costs_nothing(self, tmp_path, capsys):
+        doc_path = tmp_path / "c.json"
+        argv = ["cost", "--clients", "2", "--rounds", "0", "--model-params", "5",
+                "--json", str(doc_path)]
+        assert main(argv) == 0
+        assert "hfldd_over_fedavg=n/a" in capsys.readouterr().out
+
+        def reject(name):
+            raise ValueError(f"{name} is not standard JSON")
+
+        results = json.loads(doc_path.read_text(), parse_constant=reject)["results"]
+        assert results["fedavg_bits"] == 0 and results["hfldd_over_fedavg"] is None
 
     def test_missing_required_flags(self, capsys):
         assert main(["cost", "--clients", "3"]) == 2

@@ -1,11 +1,16 @@
-"""Every import in the package's modules is used, and only `numkernel`
-reaches scipy.
+"""Every name has one home, every import in the package is used, and only
+`numkernel` reaches scipy.
+
+The package root holds its docstring and `__version__` and re-exports
+nothing: a name is imported from the module that defines it, so
+`hfldd.distill` is the module, and a module imported alone loads only what
+it needs (`errors` and `streams` load no numpy).
 
 A name a module imports but never reads is a leftover of an edit. The one
 exception is a binding that `bench/tracer.py` wraps by name: the tracer
 replaces `module.name` to time callers in that namespace, so the import is
-the site even where the module itself never reads it. `__init__.py` is left
-out, since its imports are the package's re-exports.
+the site even where the module itself never reads it. The root is checked
+like every other module.
 
 `numkernel` loads scipy's LAPACK extension without importing `scipy.linalg`;
 any other module that imported or located scipy could pull that package
@@ -13,13 +18,49 @@ back in, so the boundary is kept to the one module.
 """
 
 import ast
+import importlib
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import hfldd
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
-PACKAGE = sorted((ROOT / "src" / "hfldd").glob("*.py"))
-MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
+SRC = ROOT / "src"
+PACKAGE = sorted((SRC / "hfldd").glob("*.py"))
+SUBMODULES = [p.stem for p in PACKAGE if p.name != "__init__.py"]
+NUMPY_FREE = {"hfldd", "hfldd.errors", "hfldd.streams"}
+
+
+def test_distill_is_the_module():
+    import hfldd.distill as D
+
+    assert D.__name__ == "hfldd.distill"
+
+
+def test_the_root_holds_only_its_submodules_and_version():
+    for name in SUBMODULES:
+        importlib.import_module(f"hfldd.{name}")
+    assert sorted(n for n in vars(hfldd) if not n.startswith("__")) == SUBMODULES
+    assert isinstance(hfldd.__version__, str)
+
+
+@pytest.mark.parametrize("name", ["hfldd", *(f"hfldd.{m}" for m in SUBMODULES)])
+def test_each_module_imports_alone(name):
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c", f"import sys, {name}; print('numpy' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    if name in NUMPY_FREE:
+        assert out.stdout == "False\n"
 
 
 def tracer_sites() -> set[tuple[str, str]]:
@@ -46,7 +87,7 @@ def unused_imports(path: pathlib.Path) -> list[str]:
     return sorted(bound - {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)})
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.stem)
 def test_every_import_is_used(path):
     sites = tracer_sites()
     assert [n for n in unused_imports(path) if (path.stem, n) not in sites] == []

@@ -278,6 +278,14 @@ class TestClusterTopology:
         }
         assert "seed" not in json.loads(topo.to_json())
 
+    def test_json_seed_is_a_64_bit_count(self):
+        # the seed range of SeededRng, which every run seed must satisfy
+        topo = self.valid()
+        assert json.loads(topo.to_json(seed=np.uint64(2**64 - 1)))["seed"] == 2**64 - 1
+        for bad in (-1, 2**64):
+            with pytest.raises(DomainError, match="^seed must be"):
+                topo.to_json(seed=bad)
+
 
 class TestBuildTopology:
     def test_end_to_end_invariants(self):
