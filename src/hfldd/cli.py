@@ -71,6 +71,15 @@ def _parse_intlist(v: str) -> tuple[int, ...]:
     return tuple(int(p) for p in v.split(",")) if v.strip() else ()
 
 
+def _intlist_arg(v: str) -> tuple[int, ...]:
+    """`_parse_intlist` as an argparse type: argparse reports a ValueError
+    with the type function's name, so a bad list says what was expected."""
+    try:
+        return _parse_intlist(v)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {v!r}") from None
+
+
 def _parse_count(lo: int):
     return lambda v: check_count("value", int(v), lo)
 
@@ -611,7 +620,7 @@ def build_parser() -> argparse.ArgumentParser:
         listed = isinstance(f.default, tuple)
         p_cost.add_argument(
             "--" + key.replace("_", "-"),
-            type=_parse_intlist if listed else int,
+            type=_intlist_arg if listed else int,
             default=None if key in _COST_REQUIRED else f.default,
             help="comma-separated distilled set sizes, one per member" if listed else None,
         )

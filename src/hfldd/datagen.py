@@ -95,6 +95,10 @@ def _indices(values, bound: int, what: str) -> np.ndarray:
 
 
 def concat_datasets(datasets) -> LabeledDataset:
+    """The datasets' rows, in order, copied into one new dataset. The
+    pipeline assembles each head's dataset in place instead; this is the
+    independent rebuild that the stage-4 reduction test compares it against
+    (`tests/helpers.head_datasets`)."""
     datasets = list(datasets)
     if not datasets:
         raise DomainError("need at least one dataset to concatenate")

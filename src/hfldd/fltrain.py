@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import streams
-from .datagen import LabeledDataset, concat_datasets
+from .datagen import LabeledDataset
 from .distill import KipConfig, distill
 from .errors import (
     CapacityError,
@@ -394,6 +394,85 @@ def run_fedseq_lite(
     return RunResult(metrics, ledger, model)
 
 
+def _label_collection(clients, probe, cfg: RunConfig, ledger, bits_per_param: int) -> list:
+    """Stage 1: every client trains the shared starting model briefly on its
+    own rows and uploads its soft labels for the probe set, in client order."""
+    with _stage("label-collection"):
+        model0 = initial_model(cfg, probe.dim(), probe.class_count)
+        soft = []
+        soft_bits = probe.n_rows() * probe.class_count * bits_per_param
+        for c in clients:
+            train = _local_trainer(
+                cfg, c.data, model0.sizes[1], 1, cfg.pretrain_batch, cfg.pretrain_steps
+            )
+            pre = train(model0, SeededRng(cfg.seed, streams.PRETRAIN + c.client_id))
+            _check_finite(pre, f"client {c.client_id}'s pretrained model")
+            soft.append(soft_labels(pre, probe))
+            ledger.record(0, f"client-{c.client_id}", "server", PAYLOAD_SOFT_LABELS, soft_bits)
+    return soft
+
+
+def _clustering(clients, soft, k: int, seed: int) -> ClusterTopology:
+    """Stage 2: the server's topology, by client id. build_topology's
+    clusters hold positions in the client list; they are translated here."""
+    with _stage("clustering"):
+        by_pos = build_topology(
+            soft,
+            k,
+            SeededRng(seed, streams.KMEANS),
+            SeededRng(seed, streams.SAMPLING),
+            SeededRng(seed, streams.HEADS),
+        )
+        ids = [c.client_id for c in clients]
+        return ClusterTopology(
+            tuple(tuple(ids[p] for p in cl) for cl in by_pos.homogeneous),
+            tuple(tuple(ids[p] for p in cl) for cl in by_pos.heterogeneous),
+            tuple(ids[p] for p in by_pos.heads),
+        )
+
+
+def _hybrid_datasets(
+    clients, topo: ClusterTopology, kip: KipConfig, seed: int, ledger, bits_per_sample: int
+):
+    """Stage 3: (a ClientState per head holding its hybrid dataset, the
+    distilled set sizes in the order shipped).
+
+    A head's dataset is one block allocated up front: its own rows, then
+    each other member of its cluster's distilled support, in cluster order.
+    Each support is copied into its slice as soon as `distill` returns and
+    is not kept, so a head's rows are held once.
+    """
+    by_id = {c.client_id: c.data for c in clients}
+    heads, sizes = [], []
+    with _stage("distillation"):
+        for cluster, head_id in zip(topo.heterogeneous, topo.heads):
+            own = by_id[head_id]
+            end = own.n_rows()
+            n = end + (len(cluster) - 1) * kip.support_size
+            features = np.empty((n, own.dim()))
+            labels = np.empty((n, own.class_count))
+            features[:end], labels[:end] = own.features, own.labels
+            for member_id in cluster:
+                if member_id == head_id:
+                    continue
+                d = by_id[member_id]
+                rng = SeededRng(seed, streams.DISTILL + member_id)
+                support = distill(d, kip, rbf_gamma(d.features), rng).data
+                at, end = end, end + support.n_rows()
+                features[at:end], labels[at:end] = support.features, support.labels
+                del support  # not held through the next member's distill
+                sizes.append(end - at)
+                ledger.record(
+                    0,
+                    f"client-{member_id}",
+                    f"client-{head_id}",
+                    PAYLOAD_DISTILLED,
+                    (end - at) * bits_per_sample,
+                )
+            heads.append(ClientState(head_id, LabeledDataset(features, labels, own.class_count)))
+    return heads, tuple(sizes)
+
+
 def run_hfldd(
     clients,
     probe,
@@ -417,6 +496,8 @@ def run_hfldd(
     Stage traffic is logged under round 0; training traffic under its round.
     A distilled row costs bits_per_sample bits (default: the data's width
     times DEFAULT_BITS_PER_FEATURE); the result records the price charged.
+    Stages 1-3 run in helpers, so what each leaves behind is only what the
+    next stage reads: by stage 4 the run holds the heads' datasets.
     """
     clients, dim, n_c = _check_clients(clients, test, bits_per_param)
     if len(clients) < 2:
@@ -427,70 +508,20 @@ def run_hfldd(
         bits_per_sample = dim * DEFAULT_BITS_PER_FEATURE
     check_count("bits_per_sample", bits_per_sample, 1)
     ledger = TransmissionLedger()
-    by_id = {c.client_id: c for c in clients}
-
-    # Stage 1: label knowledge collection.
-    with _stage("label-collection"):
-        model0 = initial_model(cfg, dim, n_c)
-        soft = []
-        soft_bits = probe.n_rows() * n_c * bits_per_param
-        for c in clients:
-            train = _local_trainer(
-                cfg, c.data, model0.sizes[1], 1, cfg.pretrain_batch, cfg.pretrain_steps
-            )
-            pre = train(model0, SeededRng(cfg.seed, streams.PRETRAIN + c.client_id))
-            _check_finite(pre, f"client {c.client_id}'s pretrained model")
-            soft.append(soft_labels(pre, probe))
-            ledger.record(0, f"client-{c.client_id}", "server", PAYLOAD_SOFT_LABELS, soft_bits)
-
-    # Stage 2: clustering on the server. Cluster entries are positions in the
-    # client list; translate to ids before anything leaves this block.
-    with _stage("clustering"):
-        topo_by_pos = build_topology(
-            soft,
-            k,
-            SeededRng(cfg.seed, streams.KMEANS),
-            SeededRng(cfg.seed, streams.SAMPLING),
-            SeededRng(cfg.seed, streams.HEADS),
-        )
-        ids = [c.client_id for c in clients]
-        topo = ClusterTopology(
-            tuple(tuple(ids[p] for p in cl) for cl in topo_by_pos.homogeneous),
-            tuple(tuple(ids[p] for p in cl) for cl in topo_by_pos.heterogeneous),
-            tuple(ids[p] for p in topo_by_pos.heads),
-        )
-
-    # Stage 3: members distill, heads assemble hybrid datasets.
-    with _stage("distillation"):
-        head_states = []
-        distilled_sizes = []
-        for cluster, head_id in zip(topo.heterogeneous, topo.heads):
-            parts = [by_id[head_id].data]
-            for member_id in cluster:
-                if member_id == head_id:
-                    continue
-                member = by_id[member_id]
-                gamma = rbf_gamma(member.data.features)
-                ds = distill(member.data, kip, gamma, SeededRng(cfg.seed, streams.DISTILL + member_id))
-                parts.append(ds.data)
-                distilled_sizes.append(ds.n_rows())
-                ledger.record(
-                    0,
-                    f"client-{member_id}",
-                    f"client-{head_id}",
-                    PAYLOAD_DISTILLED,
-                    ds.n_rows() * bits_per_sample,
-                )
-            head_states.append(ClientState(head_id, concat_datasets(parts)))
+    # stage 1's soft labels are read by stage 2 only, so no name holds them
+    topo = _clustering(
+        clients, _label_collection(clients, probe, cfg, ledger, bits_per_param), k, cfg.seed
+    )
+    heads, distilled_sizes = _hybrid_datasets(clients, topo, kip, cfg.seed, ledger, bits_per_sample)
 
     # Stage 4: head-only training, identical to run_fedavg over the head
     # clients (and over the same rng streams); _rounds runs its own stages.
-    metrics, model = _rounds(head_states, test, cfg, ledger, bits_per_param, _solo(head_states))
+    metrics, model = _rounds(heads, test, cfg, ledger, bits_per_param, _solo(heads))
     return RunResult(
         metrics,
         ledger,
         model,
         topology=topo,
-        distilled_sizes=tuple(distilled_sizes),
+        distilled_sizes=distilled_sizes,
         bits_per_sample=bits_per_sample,
     )

@@ -1131,6 +1131,8 @@ class TestCostCommand:
         assert exited.value.code == 2
         captured = capsys.readouterr()
         assert "--distilled-sizes" in captured.err and captured.out == ""
+        assert f"expected comma-separated integers, got '{sizes}'" in captured.err
+        assert "_parse" not in captured.err
         # a blank list is the empty tuple, the flag's default
         assert main([*argv, "--distilled-sizes", ""]) == 0
         blank = capsys.readouterr().out

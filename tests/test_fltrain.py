@@ -7,8 +7,10 @@ exact traffic accounting, determinism, and algorithm equivalences.
 """
 
 import dataclasses
+import gc
 import importlib
 import math
+import tracemalloc
 import warnings
 from collections import Counter
 
@@ -434,6 +436,41 @@ class TestRunHfldd:
         fa = run_fedavg(heads, test, tiny_config())
         assert models_equal(result.final_model, fa.final_model)
         assert [m.accuracy for m in result.metrics] == [m.accuracy for m in fa.metrics]
+
+    def test_training_starts_holding_only_the_heads_datasets(self, monkeypatch):
+        # When stage 4 starts, the heap above run_hfldd's entry is the heads'
+        # datasets plus `slack` bytes of bookkeeping (ledger, topology); no
+        # distilled support, pretrained model or soft label survives stages
+        # 1-3. Two clients per cluster, so each cluster ships one support.
+        slack = 16 << 10
+        clients, probe, test = tiny_problem(dim=512)
+        kip = KipConfig(20, 1e-6, 0.01, 5, 5)
+        cfg = tiny_config(rounds=1, local_steps=1)
+        one_support = kip.support_size * clients[0].data.dim() * 8
+        assert slack * 4 < one_support
+        rounds = fltrain._rounds
+        seen = []
+
+        def entered(heads, *args):
+            gc.collect()
+            live = tracemalloc.get_traced_memory()[0]
+            seen.append(live - sum(h.data.features.nbytes + h.data.labels.nbytes for h in heads))
+            return rounds(heads, *args)
+
+        monkeypatch.setattr(fltrain, "_rounds", entered)
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            run_hfldd(clients, probe, test, cfg, kip, 2)  # first-call caches
+            gc.collect()
+            base = tracemalloc.get_traced_memory()[0]
+            result = run_hfldd(clients, probe, test, cfg, kip, 2)
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert all(len(c) == 2 for c in result.topology.heterogeneous)
+        assert seen[-1] - base < slack
 
     def test_single_cluster_single_round_is_centralized_training(self):
         # every client alone in its own group forces one heterogeneous
