@@ -375,10 +375,11 @@ def _metrics_csv(metrics) -> str:
 
 
 def _cost_model_for(xc: ExperimentConfig, result, model_params: int) -> CostModel:
-    # Distilled rows cost what run_hfldd charged for them; the price is not
-    # re-derived here, so the closed form agrees with whoever chose it.
+    # Each non-head member ships one [distill] support_size support; a row costs
+    # what run_hfldd charged, so the closed form agrees with whoever chose it.
     n_heads = result.topology.n_heads() if result.topology else 0
     n_homog = len(result.topology.homogeneous) if result.topology else 0
+    members = xc.partition.n_clients - n_heads if n_heads else 0
     return CostModel(
         n_clients=xc.partition.n_clients,
         n_heads=n_heads,
@@ -391,7 +392,7 @@ def _cost_model_for(xc: ExperimentConfig, result, model_params: int) -> CostMode
         class_count=xc.data["classes"],
         bits_per_param=xc.bits_per_param,
         bits_per_sample=result.bits_per_sample,
-        distilled_sizes=result.distilled_sizes,
+        distilled_sizes=(xc.kip.support_size,) * members,
     )
 
 
@@ -471,6 +472,11 @@ def _load_run_dir(run_dir: str):
         raise ManifestError(f"run directory {run_dir} cannot be read: {e}") from e
     if not isinstance(manifest, dict):
         raise ManifestError(f"run directory {run_dir} has a manifest that is not a JSON object")
+    algorithm = manifest.get("algorithm")
+    if algorithm not in ALGORITHMS:
+        raise ManifestError(
+            f"run directory {run_dir} has manifest algorithm {algorithm!r}, not one of {ALGORITHMS}"
+        )
     if lines[:1] != [METRICS_HEADER]:
         raise ManifestError(f"run directory {run_dir} has an unrecognized metrics header")
     rows = []
@@ -492,7 +498,7 @@ def _load_run_dir(run_dir: str):
         rows.append((len(rows) + 1, acc, loss, bits))
     if not rows:
         raise ManifestError(f"run directory {run_dir} has no metric rows")
-    return manifest, rows
+    return algorithm, rows
 
 
 def cmd_compare(args) -> None:
@@ -516,8 +522,7 @@ def cmd_compare(args) -> None:
 
     print(f"target_accuracy={target!r}")
     print("run,algorithm,rounds_to_target,bits_to_target,megabytes,ratio")
-    for (run_dir, manifest, _), hit in zip(runs, reached):
-        algo = manifest.get("algorithm", "?")
+    for (run_dir, algo, _), hit in zip(runs, reached):
         if hit is None:
             print(f"{run_dir},{algo},not reached,n/a,n/a,n/a")
             continue
@@ -531,8 +536,7 @@ def cmd_compare(args) -> None:
     curves_path = args.curves_out or os.path.join(args.run_dirs[0], "compare_curves.csv")
     with open(curves_path, "w", encoding="utf-8") as f:
         f.write(f"run,algorithm,{METRICS_HEADER}\n")
-        for run_dir, manifest, rows in runs:
-            algo = manifest.get("algorithm", "?")
+        for run_dir, algo, rows in runs:
             for r, acc, loss, bits in rows:
                 f.write(f"{run_dir},{algo},{r},{acc!r},{loss!r},{bits}\n")
     print(f"curves written to {curves_path}")

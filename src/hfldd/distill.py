@@ -61,9 +61,6 @@ class DistilledSet:
     def final_loss(self) -> float:
         return self.loss_trace[-1]
 
-    def n_rows(self) -> int:
-        return self.data.n_rows()
-
 
 def _kip_inputs(xs, ys, xt, yt, gamma: float):
     """Validate the inputs shared by kip_loss and kip_gradient."""

@@ -182,7 +182,6 @@ class RunResult:
     ledger: TransmissionLedger
     final_model: MlpModel
     topology: ClusterTopology | None = None
-    distilled_sizes: tuple[int, ...] = ()
     bits_per_sample: int = 0  # the price run_hfldd charged per distilled row
 
 
@@ -433,44 +432,44 @@ def _clustering(clients, soft, k: int, seed: int) -> ClusterTopology:
 
 def _hybrid_datasets(
     clients, topo: ClusterTopology, kip: KipConfig, seed: int, ledger, bits_per_sample: int
-):
-    """Stage 3: (a ClientState per head holding its hybrid dataset, the
-    distilled set sizes in the order shipped).
+) -> list[ClientState]:
+    """Stage 3: a ClientState per head holding its hybrid dataset.
 
-    A head's dataset is one block allocated up front: its own rows, then
-    each other member of its cluster's distilled support, in cluster order.
-    Each support is copied into its slice as soon as `distill` returns and
-    is not kept, so a head's rows are held once.
+    A head's dataset is one block allocated up front: its own rows, then one
+    slot of s = kip.support_size rows for each other member of its cluster,
+    in cluster order. Each member's support is copied into its slot as soon
+    as `distill` returns and is not kept, so a head's rows are held once.
+    Each member ships its slot, s * bits_per_sample bits, so a support of
+    any other shape is a ShapeError (numpy would spread a one-row support
+    over the whole slot).
     """
     by_id = {c.client_id: c.data for c in clients}
-    heads, sizes = [], []
+    s = kip.support_size
+    bits = s * bits_per_sample
+    heads = []
     with _stage("distillation"):
         for cluster, head_id in zip(topo.heterogeneous, topo.heads):
             own = by_id[head_id]
-            end = own.n_rows()
-            n = end + (len(cluster) - 1) * kip.support_size
-            features = np.empty((n, own.dim()))
-            labels = np.empty((n, own.class_count))
-            features[:end], labels[:end] = own.features, own.labels
-            for member_id in cluster:
-                if member_id == head_id:
-                    continue
+            members = [m for m in cluster if m != head_id]
+            start = own.n_rows()
+            features = np.empty((start + len(members) * s, own.dim()))
+            labels = np.empty((features.shape[0], own.class_count))
+            features[:start], labels[:start] = own.features, own.labels
+            for j, member_id in enumerate(members):
                 d = by_id[member_id]
                 rng = SeededRng(seed, streams.DISTILL + member_id)
                 support = distill(d, kip, rbf_gamma(d.features), rng).data
-                at, end = end, end + support.n_rows()
-                features[at:end], labels[at:end] = support.features, support.labels
+                if support.features.shape != (s, own.dim()):
+                    raise ShapeError(
+                        f"client {member_id}'s support {support.features.shape} "
+                        f"does not fill its {(s, own.dim())} slot"
+                    )
+                at = start + j * s
+                features[at : at + s], labels[at : at + s] = support.features, support.labels
                 del support  # not held through the next member's distill
-                sizes.append(end - at)
-                ledger.record(
-                    0,
-                    f"client-{member_id}",
-                    f"client-{head_id}",
-                    PAYLOAD_DISTILLED,
-                    (end - at) * bits_per_sample,
-                )
+                ledger.record(0, f"client-{member_id}", f"client-{head_id}", PAYLOAD_DISTILLED, bits)
             heads.append(ClientState(head_id, LabeledDataset(features, labels, own.class_count)))
-    return heads, tuple(sizes)
+    return heads
 
 
 def run_hfldd(
@@ -512,16 +511,9 @@ def run_hfldd(
     topo = _clustering(
         clients, _label_collection(clients, probe, cfg, ledger, bits_per_param), k, cfg.seed
     )
-    heads, distilled_sizes = _hybrid_datasets(clients, topo, kip, cfg.seed, ledger, bits_per_sample)
+    heads = _hybrid_datasets(clients, topo, kip, cfg.seed, ledger, bits_per_sample)
 
     # Stage 4: head-only training, identical to run_fedavg over the head
     # clients (and over the same rng streams); _rounds runs its own stages.
     metrics, model = _rounds(heads, test, cfg, ledger, bits_per_param, _solo(heads))
-    return RunResult(
-        metrics,
-        ledger,
-        model,
-        topology=topo,
-        distilled_sizes=distilled_sizes,
-        bits_per_sample=bits_per_sample,
-    )
+    return RunResult(metrics, ledger, model, topology=topo, bits_per_sample=bits_per_sample)

@@ -64,7 +64,12 @@ class TransmissionLedger:
 
 @dataclass(frozen=True)
 class CostModel:
-    """Every count the closed-form cost and complexity formulas consume."""
+    """Every count the closed-form cost and complexity formulas consume.
+
+    The counts describe a topology a run can produce: at most n_clients
+    heads, and one distilled set size for each of the n_clients - n_heads
+    members when there are heads, none when there are not.
+    """
 
     n_clients: int = 0
     n_heads: int = 0
@@ -84,6 +89,14 @@ class CostModel:
             value = getattr(self, f.name)
             for v in value if f.name == "distilled_sizes" else (value,):
                 check_count(f.name, v, 1 if f.name == "bits_per_param" else 0)
+        if self.n_heads > self.n_clients:
+            raise DomainError(f"n_heads must be <= n_clients ({self.n_clients}), got {self.n_heads}")
+        members = self.n_clients - self.n_heads if self.n_heads else 0
+        if len(self.distilled_sizes) != members:
+            raise DomainError(
+                f"distilled_sizes must hold {members} sizes, one per member "
+                f"(none without heads), got {len(self.distilled_sizes)}"
+            )
 
 
 def _updown_rounds(rounds: int) -> int:

@@ -10,6 +10,7 @@ updates its own copy in place, step by step.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -49,7 +50,7 @@ class MlpModel:
         # a row-span model's input width is its rank, which can be 0
         self.sizes = tuple(check_count("sizes", s) for s in self.sizes)
         self.params = np.asarray(self.params, dtype=np.float64)
-        count = _param_count(self.sizes)
+        count = _layout(self.sizes)[1]
         if self.params.shape != (count,):
             raise ShapeError(f"sizes {self.sizes} need {count} parameters, got {self.params.shape}")
 
@@ -57,20 +58,22 @@ class MlpModel:
         return self.params.size
 
 
-def _param_count(sizes) -> int:
-    return sum(fan_in * fan_out + fan_out for fan_in, fan_out in zip(sizes[:-1], sizes[1:]))
+@lru_cache(maxsize=256)
+def _layout(sizes: tuple[int, ...]):
+    """(each layer's (weight slice, weight shape, bias slice), the parameter
+    count) of a flat vector laid out like MlpModel.params. Bounded, because a
+    row-span model's input width is its data's rank, which varies."""
+    layers, offset = [], 0
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        w = slice(offset, offset + fan_in * fan_out)
+        offset = w.stop + fan_out
+        layers.append((w, (fan_in, fan_out), slice(w.stop, offset)))
+    return tuple(layers), offset
 
 
 def _layers(sizes, flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """(weight, bias) views into a flat vector laid out like MlpModel.params."""
-    out = []
-    offset = 0
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        w = flat[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out)
-        offset += fan_in * fan_out
-        out.append((w, flat[offset : offset + fan_out]))
-        offset += fan_out
-    return out
+    return [(flat[w].reshape(shape), flat[b]) for w, shape, b in _layout(sizes)[0]]
 
 
 def init_mlp(layer_sizes, rng: SeededRng) -> MlpModel:
@@ -79,12 +82,12 @@ def init_mlp(layer_sizes, rng: SeededRng) -> MlpModel:
     if len(sizes) < 2:
         raise DomainError(f"layer_sizes must hold >= 2 layers, got {sizes}")
     gen = rng.generator()
-    parts = []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+    layers, count = _layout(sizes)
+    params = np.zeros(count)
+    for w, (fan_in, fan_out), _ in layers:
         limit = np.sqrt(6.0 / (fan_in + fan_out))
-        parts.append(gen.uniform(-limit, limit, size=fan_in * fan_out))
-        parts.append(np.zeros(fan_out))
-    return MlpModel(sizes, np.concatenate(parts))
+        params[w] = gen.uniform(-limit, limit, size=fan_in * fan_out)
+    return MlpModel(sizes, params)
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:

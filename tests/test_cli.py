@@ -436,7 +436,8 @@ class TestRunCommand:
         assert result.bits_per_sample == price
         cost = cli._cost_model_for(xc, result, result.final_model.parameter_count())
         report = ledger_audit(result.ledger, cost, "hfldd")
-        assert report.by_kind["distilled-data"] == sum(result.distilled_sizes) * price > 0
+        members = xc.partition.n_clients - result.topology.n_heads()
+        assert report.by_kind["distilled-data"] == members * xc.kip.support_size * price > 0
         assert report.discrepancy_bits == 0
 
     @pytest.mark.parametrize(
@@ -1030,6 +1031,23 @@ class TestCompareCommand:
         err = capsys.readouterr().err
         assert f"bad metrics row {rows[-1]!r}" in err and rule in err
 
+    @pytest.mark.parametrize(
+        "manifest",
+        ['{"algorithm": "fed,avg"}', "{}", '{"algorithm": null}', '{"algorithm": ["fedavg"]}'],
+        ids=["comma", "absent", "null", "list"],
+    )
+    def test_manifest_hfldd_run_never_writes_exits_2(self, tmp_path, capsys, manifest):
+        # "fed,avg" used to add a column to the table and to the curves
+        # file, and a manifest without an algorithm printed "?"
+        a = self.hand_run(tmp_path, "a", ["1,0.5,1.0,100"])
+        b = self.hand_run(tmp_path, "b", ["1,0.5,1.0,100"])
+        (tmp_path / "b" / "manifest.json").write_text(manifest, encoding="utf-8")
+        curves = tmp_path / "curves.csv"
+        assert main(["compare", a, b, "--curves-out", str(curves)]) == 2
+        captured = capsys.readouterr()
+        assert f"has manifest algorithm {json.loads(manifest).get('algorithm')!r}" in captured.err
+        assert captured.out == "" and not curves.exists()
+
     def test_unreachable_target_reported(self, tmp_path, capsys):
         a = self.make_run(tmp_path, "a")
         b = self.make_run(tmp_path, "b")
@@ -1114,6 +1132,47 @@ class TestCostCommand:
         assert f"fedavg,{cost_fedavg(c)}," in out
         assert f"hfldd,{cost_hfldd(c)}," in out
         assert f"fedseq,{cost_fedseq(c)}," in out
+
+    TOPOLOGIES_NO_RUN_PRODUCES = {
+        # training traffic for five heads on two clients
+        "more-heads-than-clients": (
+            ["--clients", "2", "--heads", "5", "--rounds", "3", "--model-params", "10",
+             "--distilled-sizes", "4"],
+            "n_heads must be <= n_clients (2), got 5",
+        ),
+        # 3 supports charged where 16 members ship one each
+        "too-few-sizes": (
+            ["--clients", "20", "--heads", "4", "--rounds", "50", "--model-params", "70410",
+             "--probe-size", "100", "--classes", "10", "--bits-per-sample", "65536",
+             "--distilled-sizes", "10,10,10"],
+            "distilled_sizes must hold 16 sizes",
+        ),
+        "sizes-without-heads": (
+            ["--clients", "3", "--rounds", "2", "--model-params", "10", "--distilled-sizes", "5"],
+            "distilled_sizes must hold 0 sizes",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", TOPOLOGIES_NO_RUN_PRODUCES)
+    def test_topology_no_run_produces_exits_2(self, tmp_path, capsys, case):
+        flags, rule = self.TOPOLOGIES_NO_RUN_PRODUCES[case]
+        assert main(["cost", *flags]) == 2
+        captured = capsys.readouterr()
+        assert rule in captured.err and captured.out == ""
+        # the same inputs in a cost JSON: rejected the same way
+        doc_path = tmp_path / "cost.json"
+        assert main(["cost", "--clients", "3", "--rounds", "2", "--model-params", "10",
+                     "--json", str(doc_path)]) == 0
+        doc = json.loads(doc_path.read_text())
+        for flag, value in zip(flags[::2], flags[1::2]):
+            key = flag[2:].replace("-", "_")
+            counts = [int(v) for v in value.split(",")]
+            doc["inputs"][key] = counts if key == "distilled_sizes" else counts[0]
+        doc_path.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["cost", "--from-json", str(doc_path)]) == 2
+        captured = capsys.readouterr()
+        assert rule in captured.err and captured.out == ""
 
     def test_zero_bits_per_param_exits_2(self, capsys):
         argv = ["cost", "--clients", "3", "--rounds", "2", "--model-params", "10",

@@ -1,16 +1,49 @@
-"""The README's library example runs as written."""
+"""The README's examples run as written: the library example, and every
+`hfldd cost` command of its command-line section."""
 
 import pathlib
 import re
+import shlex
+
+import pytest
+
+from hfldd.cli import main
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
+def section(heading: str) -> str:
+    """The README text from `heading` to the next `##` or `###` heading (a
+    `# ` line is a comment inside a code block)."""
+    text = README.read_text(encoding="utf-8").split(heading + "\n", 1)[1]
+    return re.split(r"\n##+ ", text, maxsplit=1)[0]
+
+
 def library_example() -> str:
-    section = README.read_text(encoding="utf-8").split("## Library use", 1)[1]
-    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    return re.search(r"```python\n(.*?)```", section("## Library use"), re.S).group(1)
+
+
+def cost_commands() -> list[str]:
+    """Each `hfldd cost` command of the section's sh block, its
+    backslash-continued lines joined."""
+    block = re.search(r"```sh\n(.*?)```", section("### `hfldd cost`"), re.S).group(1)
+    return [c for c in block.replace("\\\n", " ").splitlines() if c.startswith("hfldd cost")]
 
 
 def test_library_example_runs(capsys):
     exec(compile(library_example(), str(README), "exec"), {})
     assert "final accuracy" in capsys.readouterr().out
+
+
+def test_readme_shows_cost_commands():
+    assert len(cost_commands()) >= 2
+
+
+@pytest.mark.parametrize("command", cost_commands(), ids=lambda c: " ".join(c.split()[2:4]))
+def test_cost_example_runs(command, tmp_path, monkeypatch, capsys):
+    # `--json cost.json` writes into the working directory
+    monkeypatch.chdir(tmp_path)
+    argv = shlex.split(command)
+    assert argv[0] == "hfldd"
+    assert main(argv[1:]) == 0, capsys.readouterr().err
+    assert "hfldd_over_fedavg=" in capsys.readouterr().out

@@ -30,6 +30,7 @@ from hfldd.errors import (
 from hfldd.fltrain import (
     ClientState,
     RunConfig,
+    RunResult,
     aggregate,
     initial_model,
     pass_steps,
@@ -397,9 +398,10 @@ class TestRunHfldd:
         topo.validate()
         assert sorted(i for c in topo.homogeneous for i in c) == [c.client_id for c in clients]
         assert len(result.metrics) == 3
-        # one distilled set per non-head client
-        assert len(result.distilled_sizes) == len(clients) - topo.n_heads()
-        assert all(s == TINY_KIP.support_size for s in result.distilled_sizes)
+        # one support_size slot shipped per non-head client, at the run's price
+        shipped = [e for e in result.ledger.events if e.kind == PAYLOAD_DISTILLED]
+        assert len(shipped) == len(clients) - topo.n_heads()
+        assert all(e.bits == TINY_KIP.support_size * result.bits_per_sample for e in shipped)
 
     def test_head_dataset_sizes(self):
         clients, result, cfg, _ = self.run_tiny()
@@ -423,7 +425,7 @@ class TestRunHfldd:
             class_count=4,
             bits_per_param=32,
             bits_per_sample=clients[0].data.dim() * 64,
-            distilled_sizes=result.distilled_sizes,
+            distilled_sizes=(TINY_KIP.support_size,) * (len(clients) - result.topology.n_heads()),
         )
         assert result.ledger.total_bits() == cost_hfldd(c)
 
@@ -519,6 +521,27 @@ class TestRunHfldd:
         with pytest.raises(StageError) as err:
             run_hfldd(clients, probe, test, tiny_config(), TINY_KIP, len(clients) + 1)
         assert err.value.stage == "clustering"
+
+    @pytest.mark.parametrize("support_size", [5, 2])
+    def test_a_support_that_does_not_fill_its_slot_fails_distillation(
+        self, support_size, monkeypatch
+    ):
+        # stage 3 fills fixed support_size slots. A support one row short
+        # must not leave rows of the head's block uncopied, nor, at two
+        # rows, broadcast its one row over the slot.
+        real = fltrain.distill
+
+        def short(d, kip, gamma, rng):
+            out = real(d, kip, gamma, rng)
+            return dataclasses.replace(out, data=out.data.subset(np.arange(kip.support_size - 1)))
+
+        monkeypatch.setattr(fltrain, "distill", short)
+        clients, probe, test = tiny_problem()
+        kip = dataclasses.replace(TINY_KIP, support_size=support_size)
+        with pytest.raises(StageError, match="does not fill its") as err:
+            run_hfldd(clients, probe, test, tiny_config(), kip, 3)
+        assert err.value.stage == "distillation"
+        assert isinstance(err.value.cause, ShapeError)
 
     def test_distillation_failure_names_its_stage(self):
         clients, probe, test = tiny_problem()
@@ -822,6 +845,13 @@ def reachable(value):
 
 
 class TestResultShape:
+    def test_a_result_holds_only_what_the_run_decided(self):
+        # hfldd's distilled set sizes follow from its topology and
+        # [distill] support_size, so the result does not repeat them
+        assert [f.name for f in dataclasses.fields(RunResult)] == [
+            "metrics", "ledger", "final_model", "topology", "bits_per_sample",
+        ]
+
     @pytest.mark.parametrize("name", ALGORITHM_NAMES)
     def test_a_result_holds_no_dataset(self, name):
         # a run reports its curve, its traffic and its model; the datasets

@@ -62,6 +62,30 @@ class TestCostModel:
             with pytest.raises(DomainError, match="2\\^63"):
                 CostModel(**kw)
 
+    @pytest.mark.parametrize(
+        "kw, rule",
+        [
+            (dict(n_clients=2, n_heads=5, distilled_sizes=(4,)), "n_heads must be <= n_clients"),
+            (dict(n_clients=2, n_heads=3), "n_heads must be <= n_clients"),
+            (dict(n_clients=20, n_heads=4, distilled_sizes=(10,) * 3), "must hold 16 sizes"),
+            (dict(n_clients=4, n_heads=1, distilled_sizes=(1,) * 4), "must hold 3 sizes"),
+            (dict(n_clients=3, distilled_sizes=(5,)), "must hold 0 sizes"),
+            (dict(n_clients=3, n_heads=3, distilled_sizes=(5,)), "must hold 0 sizes"),
+        ],
+        ids=["more-heads-than-clients", "heads-over-clients-no-sizes", "too-few-sizes",
+             "too-many-sizes", "sizes-without-heads", "sizes-with-every-client-a-head"],
+    )
+    def test_topology_no_run_produces_rejected(self, kw, rule):
+        # a cost for traffic no run sends: five heads training on two
+        # clients, or 3 supports charged where 16 members ship one each
+        with pytest.raises(DomainError, match=rule):
+            CostModel(**kw)
+
+    def test_topologies_runs_produce_accepted(self):
+        assert CostModel(n_clients=3).distilled_sizes == ()
+        assert CostModel(n_clients=3, n_heads=3).n_heads == 3
+        assert len(CostModel(n_clients=20, n_heads=4, distilled_sizes=(10,) * 16).distilled_sizes) == 16
+
     def test_bits_per_param_below_one_rejected(self):
         # A zero price makes every cost 0 and the hfldd/fedavg ratio NaN.
         for bits in (0, -8):
@@ -69,7 +93,8 @@ class TestCostModel:
                 CostModel(bits_per_param=bits)
 
     def test_counts_must_be_integers(self):
-        assert CostModel(n_clients=np.int64(3), distilled_sizes=(np.int32(2),)).n_clients == 3
+        c = CostModel(n_clients=np.int64(3), n_heads=np.int64(2), distilled_sizes=(np.int32(2),))
+        assert c.n_clients == 3
         for kw in (
             dict(n_clients=2.5),
             dict(n_heads=True),
@@ -204,8 +229,9 @@ class TestConvergenceBound:
 
 class TestComplexity:
     def test_unit_counts(self):
+        # two clients: one head, one member shipping one row
         c = CostModel(
-            n_clients=1,
+            n_clients=2,
             n_heads=1,
             n_homogeneous=1,
             rounds=1,
@@ -216,8 +242,8 @@ class TestComplexity:
         )
         out = complexity_estimates(c, 1, 1, 1, 1, 1, 1)
         assert out == {
-            "server_similarity": 1,
-            "server_kmeans": 1,
+            "server_similarity": 4,
+            "server_kmeans": 4,
             "server_aggregation": 1,
             "member_pretrain": 2,
             "member_distill": 1,
@@ -225,7 +251,7 @@ class TestComplexity:
         }
 
     def test_distill_term_is_cubic_in_largest_set(self):
-        c = CostModel(distilled_sizes=(2, 5, 3))
+        c = CostModel(n_clients=4, n_heads=1, distilled_sizes=(2, 5, 3))
         out = complexity_estimates(c, 0, 0, 1, 0, 1, 7)
         assert out["member_distill"] == 7 * 125
 

@@ -23,6 +23,7 @@ from hfldd import cli
 from hfldd.cli import MANIFEST_SCHEMA, load_manifest, main
 from hfldd.datagen import load_idx
 from hfldd.errors import HflddError
+from hfldd.fltrain import ALGORITHMS
 
 from test_cli import config_text, write_config
 from test_datagen import write_idx_pair
@@ -124,10 +125,10 @@ def _sections():
     )
 
 
-MANIFESTS = st.fixed_dictionaries({
-    "schema": st.just(MANIFEST_SCHEMA) | JSON_VALUES,
-    "config": _sections() | JSON_VALUES,
-}) | JSON_VALUES
+MANIFESTS = st.fixed_dictionaries(
+    {"schema": st.just(MANIFEST_SCHEMA) | JSON_VALUES, "config": _sections() | JSON_VALUES},
+    optional={"algorithm": st.sampled_from(ALGORITHMS) | JSON_VALUES},
+) | JSON_VALUES
 
 
 MANIFEST_BYTES = (
@@ -167,6 +168,7 @@ def metrics_files(draw):
 class TestRunDirectory:
     @given(manifest=MANIFEST_BYTES, metrics=metrics_files())
     @example(manifest=b"{}", metrics=f"{HEADER}\n1,0.5,0.1,{'9' * 400}".encode())
+    @example(manifest=b'{"algorithm": "fedavg"}', metrics=f"{HEADER}\n1,0.5,0.1,8".encode())
     @example(manifest=DEEP_JSON.encode(), metrics=f"{HEADER}\n1,0.5,0.1,8".encode())
     @FUZZ
     def test_reader_and_compare(self, scratch, manifest, metrics):
