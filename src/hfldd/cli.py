@@ -377,16 +377,18 @@ def _metrics_csv(metrics) -> str:
 def _cost_model_for(xc: ExperimentConfig, result, model_params: int) -> CostModel:
     # Each non-head member ships one [distill] support_size support; a row costs
     # what run_hfldd charged, so the closed form agrees with whoever chose it.
+    # Only fedseq runs chains; another algorithm's config may carry an unused shape.
     n_heads = result.topology.n_heads() if result.topology else 0
     n_homog = len(result.topology.homogeneous) if result.topology else 0
     members = xc.partition.n_clients - n_heads if n_heads else 0
+    chains = (xc.seq_clusters, xc.seq_cluster_size) if xc.algorithm == "fedseq" else (0, 0)
     return CostModel(
         n_clients=xc.partition.n_clients,
         n_heads=n_heads,
         n_homogeneous=n_homog,
         rounds=xc.run.rounds,
-        seq_clusters=xc.seq_clusters,
-        seq_cluster_size=xc.seq_cluster_size,
+        seq_clusters=chains[0],
+        seq_cluster_size=chains[1],
         model_params=model_params,
         probe_size=xc.data["probe_size"],
         class_count=xc.data["classes"],

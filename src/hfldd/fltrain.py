@@ -307,25 +307,34 @@ def _rounds(
     out = []
     for t in range(1, cfg.rounds + 1):
         with _stage("training", t):
-            uploads, weights = [], []
-            for holder, members in groups(t):
-                if t > 1:
-                    ledger.record(t, "server", holder, PAYLOAD_MODEL, bits)
-                m = model
-                for c in members:
-                    name = f"client-{c.client_id}"
-                    if holder != name:
-                        ledger.record(t, holder, name, PAYLOAD_MODEL, bits)
-                        holder = name
-                    rng = SeededRng(cfg.seed, streams.train(t, c.client_id))
-                    m = trainers[c.client_id](m, rng, prox_mu)
-                ledger.record(t, holder, "server", PAYLOAD_MODEL, bits)
-                uploads.append(m)
-                weights.append(sum(c.data.n_rows() for c in members))
-            model = aggregate(uploads, weights)
+            model = _round(t, model, groups(t), trainers, cfg.seed, ledger, bits, prox_mu)
             _check_finite(model, "the global model")
             out.append(_round_metrics(t, model, test, clients, ledger))
     return out, model
+
+
+def _round(
+    t: int, model: MlpModel, groups, trainers, seed: int, ledger, bits: int, prox_mu: float
+) -> MlpModel:
+    """Round t's training, ending in the one `aggregate` over the groups'
+    uploads: the new global model. Only that model outlives the call, so
+    the uploads, every local model and the previous global model are freed
+    before the round is checked and evaluated."""
+    uploads, weights = [], []
+    for holder, members in groups:
+        if t > 1:
+            ledger.record(t, "server", holder, PAYLOAD_MODEL, bits)
+        m = model
+        for c in members:
+            name = f"client-{c.client_id}"
+            if holder != name:
+                ledger.record(t, holder, name, PAYLOAD_MODEL, bits)
+                holder = name
+            m = trainers[c.client_id](m, SeededRng(seed, streams.train(t, c.client_id)), prox_mu)
+        ledger.record(t, holder, "server", PAYLOAD_MODEL, bits)
+        uploads.append(m)
+        weights.append(sum(c.data.n_rows() for c in members))
+    return aggregate(uploads, weights)
 
 
 def _solo(clients):

@@ -67,8 +67,10 @@ class CostModel:
     """Every count the closed-form cost and complexity formulas consume.
 
     The counts describe a topology a run can produce: at most n_clients
-    heads, and one distilled set size for each of the n_clients - n_heads
-    members when there are heads, none when there are not.
+    heads and homogeneous clusters, one distilled set size for each of the
+    n_clients - n_heads members when there are heads, none when there are
+    not, and FedSeq chains that hold every client once (both shape counts 0
+    for the other algorithms).
     """
 
     n_clients: int = 0
@@ -89,8 +91,16 @@ class CostModel:
             value = getattr(self, f.name)
             for v in value if f.name == "distilled_sizes" else (value,):
                 check_count(f.name, v, 1 if f.name == "bits_per_param" else 0)
-        if self.n_heads > self.n_clients:
-            raise DomainError(f"n_heads must be <= n_clients ({self.n_clients}), got {self.n_heads}")
+        for name in ("n_heads", "n_homogeneous"):
+            count = getattr(self, name)
+            if count > self.n_clients:
+                raise DomainError(f"{name} must be <= n_clients ({self.n_clients}), got {count}")
+        shape = (self.seq_clusters, self.seq_cluster_size)
+        if any(shape) and not (all(shape) and shape[0] * shape[1] == self.n_clients):
+            raise DomainError(
+                f"seq_clusters * seq_cluster_size must equal n_clients ({self.n_clients}) "
+                f"or both be 0, got {shape[0]} * {shape[1]}"
+            )
         members = self.n_clients - self.n_heads if self.n_heads else 0
         if len(self.distilled_sizes) != members:
             raise DomainError(

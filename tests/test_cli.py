@@ -392,6 +392,15 @@ class TestRunCommand:
         assert report["discrepancy_bits"] == 0
         assert set(report["by_kind"]) == {"model", "soft-labels", "distilled-data"}
 
+    @pytest.mark.parametrize("algorithm", ["fedavg", "hfldd"])
+    def test_an_unused_chain_shape_is_not_audited(self, tmp_path, algorithm):
+        # only fedseq runs chains; 2 x 5 does not fit 4 clients, and the
+        # closed form of another algorithm does not read it
+        out = tmp_path / "run"
+        text = config_text(out, algorithm, train_extra="seq_clusters = 2\nseq_cluster_size = 5")
+        assert main(["run", write_config(tmp_path, "c.ini", text)]) == 0
+        assert json.loads((out / "cost.json").read_text())["discrepancy_bits"] == 0
+
     @pytest.mark.parametrize(
         "algorithm, digest",
         [
@@ -1150,6 +1159,16 @@ class TestCostCommand:
         "sizes-without-heads": (
             ["--clients", "3", "--rounds", "2", "--model-params", "10", "--distilled-sizes", "5"],
             "distilled_sizes must hold 0 sizes",
+        ),
+        # fedseq charged for 10 clients where 3 train
+        "chains-over-other-clients": (
+            ["--clients", "3", "--rounds", "2", "--model-params", "10", "--seq-clusters", "2",
+             "--seq-cluster-size", "5"],
+            "seq_clusters * seq_cluster_size must equal n_clients (3) or both be 0, got 2 * 5",
+        ),
+        "more-homogeneous-clusters-than-clients": (
+            ["--clients", "3", "--rounds", "2", "--model-params", "10", "--homogeneous", "9"],
+            "n_homogeneous must be <= n_clients (3), got 9",
         ),
     }
 

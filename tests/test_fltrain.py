@@ -12,6 +12,7 @@ import importlib
 import math
 import tracemalloc
 import warnings
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -342,6 +343,7 @@ class TestRunFedseqLite:
         clients, _, test = tiny_problem()
         result = run_fedseq_lite(clients, test, tiny_config(), 2, 3)
         c = CostModel(
+            n_clients=len(clients),
             rounds=3,
             seq_clusters=2,
             seq_cluster_size=3,
@@ -862,6 +864,33 @@ class TestResultShape:
         assert not [v for v in values if isinstance(v, LabeledDataset)]
         largest = result.final_model.params.size
         assert all(v.size <= largest for v in values if isinstance(v, np.ndarray))
+
+
+class TestRoundLifetime:
+    @pytest.mark.parametrize("name", ALGORITHM_NAMES)
+    def test_a_rounds_uploads_are_freed_before_its_evaluation(self, name, monkeypatch):
+        # the server needs only the average, so no upload of a round may
+        # sit under the test-set forward of that round's evaluation
+        refs, evaluated = [], []
+        original_aggregate, original_metrics = fltrain.aggregate, fltrain._round_metrics
+
+        def aggregate_(models, weights):
+            models = list(models)
+            refs[:] = [weakref.ref(m) for m in models]
+            return original_aggregate(models, weights)
+
+        def round_metrics(t, *args):
+            gc.collect()
+            assert refs and all(r() is None for r in refs), f"round {t}"
+            evaluated.append(t)
+            return original_metrics(t, *args)
+
+        monkeypatch.setattr(fltrain, "aggregate", aggregate_)
+        monkeypatch.setattr(fltrain, "_round_metrics", round_metrics)
+        clients, probe, test = tiny_problem()
+        cfg = tiny_config(prox_mu=0.1)
+        run_algorithm(name, clients, probe, test, cfg)
+        assert evaluated == list(range(1, cfg.rounds + 1))
 
 
 class TestNumericFailuresAndPurity:

@@ -71,9 +71,16 @@ class TestCostModel:
             (dict(n_clients=4, n_heads=1, distilled_sizes=(1,) * 4), "must hold 3 sizes"),
             (dict(n_clients=3, distilled_sizes=(5,)), "must hold 0 sizes"),
             (dict(n_clients=3, n_heads=3, distilled_sizes=(5,)), "must hold 0 sizes"),
+            (dict(n_clients=3, n_homogeneous=9), "n_homogeneous must be <= n_clients"),
+            (dict(n_clients=3, seq_clusters=2, seq_cluster_size=5), "seq_clusters \\* seq_cluster_size"),
+            (dict(n_clients=3, seq_clusters=3), "seq_clusters \\* seq_cluster_size"),
+            (dict(n_clients=3, seq_cluster_size=3), "seq_clusters \\* seq_cluster_size"),
+            (dict(seq_clusters=2, seq_cluster_size=0), "seq_clusters \\* seq_cluster_size"),
         ],
         ids=["more-heads-than-clients", "heads-over-clients-no-sizes", "too-few-sizes",
-             "too-many-sizes", "sizes-without-heads", "sizes-with-every-client-a-head"],
+             "too-many-sizes", "sizes-without-heads", "sizes-with-every-client-a-head",
+             "more-homogeneous-clusters-than-clients", "chains-over-10-of-3-clients",
+             "chains-without-a-size", "chains-without-a-count", "chains-over-no-clients"],
     )
     def test_topology_no_run_produces_rejected(self, kw, rule):
         # a cost for traffic no run sends: five heads training on two
@@ -85,6 +92,8 @@ class TestCostModel:
         assert CostModel(n_clients=3).distilled_sizes == ()
         assert CostModel(n_clients=3, n_heads=3).n_heads == 3
         assert len(CostModel(n_clients=20, n_heads=4, distilled_sizes=(10,) * 16).distilled_sizes) == 16
+        assert CostModel(n_clients=6, n_homogeneous=6, seq_clusters=2, seq_cluster_size=3).n_clients == 6
+        assert CostModel(n_clients=6, seq_clusters=6, seq_cluster_size=1).seq_clusters == 6
 
     def test_bits_per_param_below_one_rejected(self):
         # A zero price makes every cost 0 and the hfldd/fedavg ratio NaN.
@@ -137,7 +146,8 @@ class TestCostFormulas:
     def test_fedseq_hand_value(self):
         # 2 clusters * 10 params * 8 bits * ((2*2 - 1) + 2 rounds * 3 members)
         c = CostModel(
-            rounds=2, seq_clusters=2, seq_cluster_size=3, model_params=10, bits_per_param=8
+            n_clients=6, rounds=2, seq_clusters=2, seq_cluster_size=3, model_params=10,
+            bits_per_param=8,
         )
         assert cost_fedseq(c) == 1440
 

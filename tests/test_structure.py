@@ -169,7 +169,7 @@ def emptiness_checks(path: pathlib.Path) -> list[str]:
 
 def test_one_function_aggregates():
     found = [qual for path in PACKAGE for qual in callers(path, "aggregate")]
-    assert found == ["fltrain._rounds"]
+    assert found == ["fltrain._round"]
 
 
 def test_the_check_sees_every_caller(tmp_path):

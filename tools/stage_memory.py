@@ -8,7 +8,9 @@ up, then once more with every `fltrain._stage` wrapped. For each stage it
 prints, in MiB above the heap at the call's entry (the problem excluded),
 the live heap when the stage starts and ends and the peak inside it, with
 the training rounds folded into one row (the largest of each figure over
-the rounds), and the whole call's peak. The last line is all of it as
+the rounds), and the whole call's peak. The "round evaluation" row is the
+live heap when each round's `_round_metrics` starts, folded the same way;
+reading it leaves the round's peak as it is. The last line is all of it as
 JSON.
 
 `peak_rss_mb` in the benchmark also moves with how much freed heap the C
@@ -26,6 +28,7 @@ import sys
 import tracemalloc
 
 MIB = float(1 << 20)
+FIGURES = ("live_start", "live_end", "peak")
 
 
 def parse_args(argv):
@@ -38,10 +41,12 @@ def parse_args(argv):
 
 def stage_table(fltrain, call):
     """([(stage, live at start, live at end, peak inside)], the call's peak)
-    for one call(), in MiB above the live heap at its entry."""
+    for one call(), in MiB above the live heap at its entry. The round
+    evaluation row has only its live start; the others are None."""
     rows = {}
     top = 0
-    original = fltrain._stage
+    original, metrics = fltrain._stage, fltrain._round_metrics
+    evaluation = []
 
     def fold_peak():
         nonlocal top
@@ -61,17 +66,27 @@ def stage_table(fltrain, call):
             row = [(start - base) / MIB, (end - base) / MIB, (peak - base) / MIB]
             rows[label] = [max(x, y) for x, y in zip(rows.get(label, row), row)]
 
+    def evaluated(*args):
+        evaluation.append(tracemalloc.get_traced_memory()[0])
+        return metrics(*args)
+
     gc.collect()
     tracemalloc.reset_peak()
     base = tracemalloc.get_traced_memory()[0]
-    fltrain._stage = traced
+    fltrain._stage, fltrain._round_metrics = traced, evaluated
     try:
         call()
     finally:
-        fltrain._stage = original
+        fltrain._stage, fltrain._round_metrics = original, metrics
     fold_peak()
     table = [(label, *(round(v, 2) for v in row)) for label, row in rows.items()]
+    if evaluation:
+        table.append(("round evaluation", round((max(evaluation) - base) / MIB, 2), None, None))
     return table, round((top - base) / MIB, 2)
+
+
+def mib(v, width):
+    return f"{'-' if v is None else f'{v:.2f}':>{width}}"
 
 
 def main(argv=None) -> int:
@@ -92,13 +107,15 @@ def main(argv=None) -> int:
         call()
         table, peak = stage_table(fltrain, call)
         out["algorithms"][a] = {
-            "stages_mib": {label: {"live_start": s, "live_end": e, "peak": p} for label, s, e, p in table},
+            "stages_mib": {
+                label: {k: v for k, v in zip(FIGURES, row) if v is not None} for label, *row in table
+            },
             "call_peak_mib": peak,
         }
         print(f"{a}: peak {peak:.2f} MiB above entry")
         print(f"  {'stage':<18} {'live start':>10} {'live end':>9} {'peak':>7}")
         for label, s, e, p in table:
-            print(f"  {label:<18} {s:>10.2f} {e:>9.2f} {p:>7.2f}")
+            print(f"  {label:<18} {mib(s, 10)} {mib(e, 9)} {mib(p, 7)}")
     tracemalloc.stop()
     print(json.dumps(out, sort_keys=True))
     return 0
