@@ -100,53 +100,56 @@ def _parse_choice(*allowed):
     return parse
 
 
-# Section -> key -> (parser, default). A None default marks a required key.
+# Section -> key -> (parser, default, *fields): the one declaration of a key.
+# A None default marks a required key. The parsed value fills each field,
+# named `group.name`: `data` is ExperimentConfig.data, `partition`, `run`
+# and `kip` are the config classes' fields, `xc` ExperimentConfig's own.
 _SCHEMA = {
     "experiment": {
-        "seed": (int, "0"),
-        "algorithm": (_parse_choice(*ALGORITHMS), "hfldd"),
-        "output_dir": (str, None),
+        "seed": (int, "0", "run.seed"),
+        "algorithm": (_parse_choice(*ALGORITHMS), "hfldd", "xc.algorithm"),
+        "output_dir": (str, None, "xc.output_dir"),
     },
     "data": {
-        "kind": (_parse_choice("synthetic", "idx"), "synthetic"),
-        "classes": (_parse_count(1), "10"),
-        "per_class": (_parse_count(1), "200"),
-        "dim": (_parse_count(1), "16"),
-        "separation": (_parse_open(0, math.inf), "6.0"),
-        "test_fraction": (_parse_open(0, 1), "0.2"),
-        "probe_size": (_parse_count(1), "100"),
-        "probe_shift": (_parse_finite, "1.0"),
-        "images": (str, ""),
-        "labels": (str, ""),
+        "kind": (_parse_choice("synthetic", "idx"), "synthetic", "data.kind"),
+        "classes": (_parse_count(1), "10", "data.classes", "partition.total_classes"),
+        "per_class": (_parse_count(1), "200", "data.per_class"),
+        "dim": (_parse_count(1), "16", "data.dim"),
+        "separation": (_parse_open(0, math.inf), "6.0", "data.separation"),
+        "test_fraction": (_parse_open(0, 1), "0.2", "data.test_fraction"),
+        "probe_size": (_parse_count(1), "100", "data.probe_size"),
+        "probe_shift": (_parse_finite, "1.0", "data.probe_shift"),
+        "images": (str, "", "data.images"),
+        "labels": (str, "", "data.labels"),
     },
     "partition": {
-        "clients": (int, "20"),
-        "classes_per_client": (int, "1"),
-        "samples_per_client": (int, "40"),
+        "clients": (int, "20", "partition.n_clients"),
+        "classes_per_client": (int, "1", "partition.classes_per_client"),
+        "samples_per_client": (int, "40", "partition.samples_per_client"),
     },
     "train": {
-        "rounds": (int, "300"),
-        "local_steps": (int, "2"),
-        "pretrain_steps": (int, "10"),
-        "learning_rate": (_parse_finite, "0.01"),
-        "batch_size": (int, "32"),
-        "pretrain_batch": (int, str(RunConfig.pretrain_batch)),
-        "hidden": (_parse_intlist, ",".join(map(str, RunConfig.hidden_sizes))),
-        "prox_mu": (_parse_finite, "0.0"),
-        "bits_per_param": (_parse_count(1), str(DEFAULT_BITS_PER_PARAM)),
-        "bits_per_sample": (_parse_count(0), "0"),
-        "seq_clusters": (_parse_count(0), "0"),
-        "seq_cluster_size": (_parse_count(0), "0"),
+        "rounds": (int, "300", "run.rounds"),
+        "local_steps": (int, "2", "run.local_steps"),
+        "pretrain_steps": (int, "10", "run.pretrain_steps"),
+        "learning_rate": (_parse_finite, "0.01", "run.learning_rate"),
+        "batch_size": (int, "32", "run.batch_size"),
+        "pretrain_batch": (int, str(RunConfig.pretrain_batch), "run.pretrain_batch"),
+        "hidden": (_parse_intlist, ",".join(map(str, RunConfig.hidden_sizes)), "run.hidden_sizes"),
+        "prox_mu": (_parse_finite, "0.0", "run.prox_mu"),
+        "bits_per_param": (_parse_count(1), str(DEFAULT_BITS_PER_PARAM), "xc.bits_per_param"),
+        "bits_per_sample": (_parse_count(0), "0", "xc.bits_per_sample"),
+        "seq_clusters": (_parse_count(0), "0", "xc.seq_clusters"),
+        "seq_cluster_size": (_parse_count(0), "0", "xc.seq_cluster_size"),
     },
     "distill": {
-        "support_size": (int, "20"),
-        "ridge_lambda": (_parse_finite, "1e-6"),
-        "learning_rate": (_parse_finite, "0.004"),
-        "iterations": (int, "3000"),
-        "target_batch": (int, "10"),
+        "support_size": (int, "20", "kip.support_size"),
+        "ridge_lambda": (_parse_finite, "1e-6", "kip.ridge_lambda"),
+        "learning_rate": (_parse_finite, "0.004", "kip.learning_rate"),
+        "iterations": (int, "3000", "kip.iterations"),
+        "target_batch": (int, "10", "kip.target_batch"),
     },
     "cluster": {
-        "k": (int, "10"),
+        "k": (int, "10", "xc.k"),
     },
 }
 
@@ -199,7 +202,7 @@ def _normalize(raw: dict) -> dict:
     echo: dict[str, dict[str, str]] = {}
     for section, keys in _SCHEMA.items():
         echo[section] = {}
-        for key, (parse, default) in keys.items():
+        for key, (parse, default, *_) in keys.items():
             value = raw.get(section, {}).get(key, default)
             if value is None:
                 raise ConfigError(f"missing required key '{key}' in section [{section}]")
@@ -212,34 +215,18 @@ def _normalize(raw: dict) -> dict:
 
 
 def _experiment_from_echo(echo: dict) -> ExperimentConfig:
-    get = lambda s, k: _SCHEMA[s][k][0](echo[s][k])
-    algorithm = get("experiment", "algorithm")
-    data = {k: get("data", k) for k in _SCHEMA["data"]}
+    kw: dict[str, dict] = {"xc": {}, "data": {}, "partition": {}, "run": {}, "kip": {}}
+    for section, keys in _SCHEMA.items():
+        for key, (parse, _, *targets) in keys.items():
+            value = parse(echo[section][key])
+            for target in targets:
+                group, name = target.split(".")
+                kw[group][name] = value
+    xc, data = kw["xc"], kw["data"]
     try:
-        partition = PartitionSpec(
-            n_clients=get("partition", "clients"),
-            classes_per_client=get("partition", "classes_per_client"),
-            total_classes=get("data", "classes"),
-            samples_per_client=get("partition", "samples_per_client"),
-        )
-        run = RunConfig(
-            rounds=get("train", "rounds"),
-            local_steps=get("train", "local_steps"),
-            pretrain_steps=get("train", "pretrain_steps"),
-            learning_rate=get("train", "learning_rate"),
-            batch_size=get("train", "batch_size"),
-            prox_mu=get("train", "prox_mu"),
-            seed=get("experiment", "seed"),
-            pretrain_batch=get("train", "pretrain_batch"),
-            hidden_sizes=get("train", "hidden"),
-        )
-        kip = KipConfig(
-            support_size=get("distill", "support_size"),
-            ridge_lambda=get("distill", "ridge_lambda"),
-            learning_rate=get("distill", "learning_rate"),
-            iterations=get("distill", "iterations"),
-            target_batch=get("distill", "target_batch"),
-        )
+        partition = PartitionSpec(**kw["partition"])
+        run = RunConfig(**kw["run"])
+        kip = KipConfig(**kw["kip"])
         # an IDX file's row count is known only once the build reads it
         if data["kind"] == "synthetic":
             n_train, _ = split_sizes(data["classes"] * data["per_class"], data["test_fraction"])
@@ -248,9 +235,8 @@ def _experiment_from_echo(echo: dict) -> ExperimentConfig:
                 raise CapacityError(f"the partition needs {need} rows, the split leaves {n_train}")
     except HflddError as e:
         raise ConfigError(str(e)) from e
-    k = get("cluster", "k")
-    seq_clusters = get("train", "seq_clusters")
-    seq_cluster_size = get("train", "seq_cluster_size")
+    algorithm, k = xc["algorithm"], xc["k"]
+    seq_clusters, seq_cluster_size = xc["seq_clusters"], xc["seq_cluster_size"]
     if data["kind"] == "idx" and (not data["images"] or not data["labels"]):
         raise ConfigError("idx data needs both 'images' and 'labels' paths")
     if algorithm == "fedseq" and seq_clusters * seq_cluster_size != partition.n_clients:
@@ -266,20 +252,7 @@ def _experiment_from_echo(echo: dict) -> ExperimentConfig:
             f"[distill] support_size {kip.support_size} exceeds "
             f"[partition] samples_per_client {partition.samples_per_client}"
         )
-    return ExperimentConfig(
-        algorithm=algorithm,
-        output_dir=get("experiment", "output_dir"),
-        data=data,
-        partition=partition,
-        run=run,
-        kip=kip,
-        k=k,
-        bits_per_param=get("train", "bits_per_param"),
-        bits_per_sample=get("train", "bits_per_sample"),
-        seq_clusters=seq_clusters,
-        seq_cluster_size=seq_cluster_size,
-        echo=echo,
-    )
+    return ExperimentConfig(data=data, partition=partition, run=run, kip=kip, echo=echo, **xc)
 
 
 def load_config(path: str) -> ExperimentConfig:

@@ -7,6 +7,7 @@ and exit codes exactly as a shell user would see them.
 import hashlib
 import json
 import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -19,7 +20,9 @@ import pytest
 
 import hfldd
 from hfldd import cli, fltrain
-from hfldd.cli import load_config, load_manifest, main
+from hfldd.cli import ExperimentConfig, load_config, load_manifest, main
+from hfldd.datagen import PartitionSpec
+from hfldd.distill import KipConfig
 from hfldd.errors import ConfigError, ManifestError
 from hfldd.fltrain import run_fedavg, run_hfldd
 from hfldd.metrics import (
@@ -33,6 +36,8 @@ from hfldd.metrics import (
 from hfldd.numkernel import SeededRng
 
 from test_datagen import write_idx_pair
+
+FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
 
 
 def config_text(out_dir, algorithm="fedavg", train_extra="", **overrides):
@@ -358,6 +363,60 @@ class TestConfigLoading:
         path.write_bytes(b"[experiment]\noutput_dir = out\n\xff\xfe\n")
         with pytest.raises(ConfigError):
             load_config(str(path))
+
+
+def schema_fields() -> list[tuple[str, str, str]]:
+    """(section, key, field) for every field a `_SCHEMA` entry names."""
+    return [
+        (section, key, field)
+        for section, keys in cli._SCHEMA.items()
+        for key, (_, _, *named) in keys.items()
+        for field in named
+    ]
+
+
+class TestSchemaFields:
+    """Each `_SCHEMA` entry is its key's one declaration: a config field
+    added without a key, or a key naming a field that is not there, fails."""
+
+    def test_every_config_field_is_filled_by_exactly_one_key(self):
+        nested = {"data", "partition", "run", "kip", "echo"}
+        expected = (
+            [f"partition.{f.name}" for f in fields(PartitionSpec)]
+            + [f"run.{f.name}" for f in fields(fltrain.RunConfig)]
+            + [f"kip.{f.name}" for f in fields(KipConfig)]
+            + [f"xc.{f.name}" for f in fields(ExperimentConfig) if f.name not in nested]
+        )
+        filled = [field for *_, field in schema_fields() if not field.startswith("data.")]
+        assert sorted(filled) == sorted(expected)
+
+    def test_each_data_field_has_its_keys_name(self):
+        data = [(section, key, field) for section, key, field in schema_fields()
+                if field.startswith("data.")]
+        assert data == [("data", key, f"data.{key}") for key in cli._SCHEMA["data"]]
+
+    def test_classes_also_fills_the_partition_class_count(self, tmp_path):
+        xc = load_config(write_config(tmp_path, "a.ini", config_text("out", classes=3)))
+        assert xc.data["classes"] == xc.partition.total_classes == 3
+
+
+class TestManifestFixture:
+    """`fixtures/replay/manifest.json` was written by `hfldd run` on the INI
+    beside it at an earlier version of the package. It loads as that INI
+    does, and replays its run: compared with a fresh run, not stored bytes,
+    because the digits depend on the CPU's kernels."""
+
+    ini = str(FIXTURES / "replay" / "run.ini")
+    manifest = str(FIXTURES / "replay" / "manifest.json")
+
+    def test_loads_as_its_config(self):
+        assert load_manifest(self.manifest) == load_config(self.ini)
+
+    def test_replay_matches_a_fresh_run(self, tmp_path):
+        fresh, replay = tmp_path / "fresh", tmp_path / "replay"
+        assert main(["run", self.ini, "--out", str(fresh)]) == 0
+        assert main(["run", "--from-manifest", self.manifest, "--out", str(replay)]) == 0
+        assert (replay / "metrics.csv").read_bytes() == (fresh / "metrics.csv").read_bytes()
 
 
 class TestRunCommand:
